@@ -8,7 +8,7 @@ from .kernel import (KernelOperator, ScatteringKernel, Velocity, apply_T,
                      operator_norm, relativistic_velocity, sign_class,
                      sinh_gordon, tabulated_kernel, zero_kernel)
 from .dressing import (DressingBounds, DressingProblem, check_1dr_bounds,
-                       compute_R, dress, dress_neumann)
+                       compute_R, dress, dress_batched)
 from .seed import (Scenario, SeedTables, SpatialGridSpec, X0_inverse,
                    build_seed, constant_profile, eval_N0hat, eval_Xhat0,
                    gaussian_bump, gaussian_profile, partitioning,

@@ -10,7 +10,8 @@ Commands
   plotdata           gnuplot-ready columnar profiles per time
 
 Exit codes: 0 success, 1 diagnostic above tolerance, 2 configuration or
-window error, 3 assumption failure, 4 convergence failure.  Identical
+window error, 3 assumption failure, 4 convergence failure, 5 numerical
+failure (an internal check such as seed monotonicity failed).  Identical
 config (including any RNG seed inside it) produces byte-identical output
 files; floats are written with 17 significant digits.
 """
@@ -134,9 +135,8 @@ def cmd_seed(rt: _Runtime, out: Path, workers: int) -> int:
         "interpolation": tab.mode, "contraction_rate": tab.rate,
         "sup_n0": tab.sup_n0, "vn_sup": tab.vn_sup,
         "min_slope_A": tab.min_slope_A,
-        "bounds": None if tab.bounds is None else {
-            "tn_norm": tab.bounds.tn_norm, "r_value": tab.bounds.r_value,
-            "upper": tab.bounds.upper},
+        "bounds": {"tn_norm": tab.bounds.tn_norm, "r_value": tab.bounds.r_value,
+                   "upper": tab.bounds.upper},
     }
     _write_json(out / "seed_summary.json", summary)
     nodes = rt.grid.nodes
@@ -314,9 +314,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 4
-    except GHDError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except GHDError as exc:  # NumericalError, or a bare GHDError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the solver.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, AssumptionError -> 3,
-ConvergenceError -> 4.
+Exit-code mapping used by the CLI: ConfigError and SupportWindowError -> 2,
+AssumptionError -> 3, ConvergenceError -> 4, NumericalError -> 5.
 """
 
 

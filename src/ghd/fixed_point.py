@@ -10,8 +10,9 @@ bound ||X_{k+1} - X_k|| * r/(1-r) <= fp_tol.  The measured per-iteration
 ratios are recorded for reporting only, never used to stop.
 
 Constant kernels (hard rods) collapse the map to one scalar equation that
-is strictly monotone in the unknown, solved by bracketed root finding; this
-bypasses the contraction precondition entirely.
+is strictly monotone in the unknown, solved by bracketed root finding; the
+scalar solve needs no contraction, but the seed tables it reads are dressed
+under r < 1 all the same.
 
 From the solved Xhat the full state at (t,x) follows: occupation
 n = n0(X0(Xhat - v t)), height N = N0hat(Xhat - v t), densities
@@ -90,18 +91,17 @@ class Solver:
         self.op = tab.op
         self.config = config or SolverConfig()
         self.rate = tab.rate
-        # zero kernels contract trivially; only a genuine constant kernel
-        # needs the scalar route
+        # zero kernels contract trivially; a genuine constant kernel takes
+        # the scalar route
         self.constant_kernel = (self.op.kernel.constant_in_pq
                                 and self.op.kernel.constant_value != 0.0)
         threshold = sign_threshold(self.op.sign_class)
-        if self.rate >= threshold and not self.constant_kernel:
+        if self.rate >= threshold:
             raise AssumptionError(
                 f"contraction rate {self.rate:.6g} >= {threshold:g}; "
                 "fixed-point iteration is not certified for this kernel")
-        self._contracting = self.rate < threshold
         # a-posteriori factor: ||X_k - X*|| <= delta_k * r/(1-r)
-        self._post_factor = self.rate / (1.0 - self.rate) if self._contracting else None
+        self._post_factor = self.rate / (1.0 - self.rate)
 
     # -- the map -------------------------------------------------------------
 
@@ -216,7 +216,7 @@ class Solver:
         z = xhat - self.op.v * t
         u, height = self.tab.invert(z)
         n = np.asarray(self.tab.scenario.n0(u, self.op.grid.nodes[None, :]), dtype=float)
-        one_dr, v_dr = dress_batched(self.op, n, self.op.v)
+        one_dr, v_dr = dress_batched(self.op, n, np.ones(self.op.count), self.op.v)
         tn = np.max(n @ self.op.abs_TW.T, axis=1)
         rho_s = one_dr / TWO_PI
         rho_p = n * rho_s
@@ -268,12 +268,7 @@ class Solver:
         Bracketed from the bi-Lipschitz slope bounds and bisected on the
         monotone map x -> Xhat(t, x, p).
         """
-        if self.tab.bounds is not None:
-            slope_lo = self.tab.bounds.r_value
-        else:
-            # constant kernel beyond the certified norm: 1dr = 1/(1 + |tau| I_n)
-            tau = abs(self.op.kernel.constant_value)
-            slope_lo = 1.0 / (1.0 + tau * self.op.grid.span * self.tab.sup_n0)
+        slope_lo = self.tab.bounds.r_value
         last = {"x": None, "xhat": None}
 
         def g(x):

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .dressing import DressingBounds, DressingProblem, dress_batched, sign_threshold
+from .dressing import DressingBounds, dress_batched, sign_threshold
 from .errors import AssumptionError, ConfigError, NumericalError
 from .kernel import KernelOperator
 
@@ -45,6 +45,7 @@ SUPPORT_MARGIN = 0.2          # window extension beyond the support hint
 INV_TOL = 1e-10
 
 _NEWTON_ITERS = 8
+_BISECT_ITERS = 60            # 2^-60 is below the resolution of s in [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +222,18 @@ def _cell_min_slope(y0, y1, d0, d1, h):
     return np.where(interior, np.minimum(ends, vertex), ends)
 
 
+def _bisect_cells(y0, y1, d0, d1, h, target):
+    """Cell parameter s with cubic(s) = target, for cells increasing on [0, 1]."""
+    lo = np.zeros_like(target)
+    hi = np.ones_like(target)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        above = _hermite(y0, y1, d0, d1, h, mid) > target
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def _locate_columns(table: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Cell index per column such that table[i, j] <= z_j <= table[i+1, j].
 
@@ -261,7 +274,7 @@ class SeedTables:
     rate: float                  # ||T envelope||_op, the contraction rate
     sup_n0: float
     vn_sup: float
-    bounds: DressingBounds | None
+    bounds: DressingBounds
     min_slope_A: float
 
     @property
@@ -347,6 +360,19 @@ class SeedTables:
                 resid = _hermite(a0, a1, da0, da1, h, s) - zhat
                 slope = _hermite_slope(a0, a1, da0, da1, h, s) * h
                 s = np.clip(s - resid / slope, 0.0, 1.0)
+            # Newton from the secant guess can stall on a steep cell; the
+            # cell is certified monotone, so bisection finishes those entries
+            bad = np.abs(_hermite(a0, a1, da0, da1, h, s) - zhat) > INV_TOL
+            if np.any(bad):
+                bad &= (zhat >= self.A[0]) & (zhat <= self.A[-1])
+                args = (a0[bad], a1[bad], da0[bad], da1[bad], h[bad])
+                s[bad] = _bisect_cells(*args, zhat[bad])
+                worst = float(np.max(np.abs(_hermite(*args, s[bad]) - zhat[bad]),
+                                     initial=0.0))
+                if worst > INV_TOL:
+                    raise NumericalError(
+                        f"seed inversion residual {worst:.3g} exceeds {INV_TOL:g} "
+                        "after bisection; the coordinate change is not monotone")
             height = _hermite(b0, b1, db0, db1, h, s)
         else:
             s = (zhat - a0) / (a1 - a0)
@@ -396,12 +422,12 @@ def build_seed(scenario: Scenario, op: KernelOperator,
     envelope = Ns.max(axis=0)
     rate = op.operator_norm(envelope=envelope)
     threshold = sign_threshold(op.sign_class)
-    if rate >= threshold and not op.kernel.constant_in_pq:
+    if rate >= threshold:
         raise AssumptionError(
             f"contraction rate ||T sup_x n0||_op = {rate:.6g} >= {threshold:g} "
             f"({op.sign_class} kernel); seed admissibility fails")
 
-    one_rows, _ = dress_batched(op, Ns, np.ones(op.count))
+    one_rows, = dress_batched(op, Ns, np.ones(op.count))
     dA = one_rows
     dB = Ns * one_rows
     i0 = int(np.argmin(np.abs(x_nodes)))
@@ -424,7 +450,7 @@ def build_seed(scenario: Scenario, op: KernelOperator,
             "seed coordinate change is not strictly increasing; "
             "this is unreachable when the admissibility bounds hold")
 
-    bounds = DressingBounds.for_norm(rate, op.sign_class) if rate < threshold else None
+    bounds = DressingBounds.for_norm(rate, op.sign_class)
     vn_sup = float(np.max(np.abs(op.v) * envelope))
     return SeedTables(scenario, op, x_nodes, A, dA, B, dB, mode_used, envelope,
                       rate, float(envelope.max(initial=0.0)), vn_sup, bounds,
@@ -435,8 +461,17 @@ def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
     """Exact three-node tables: one slope per side of the jump at x = 0."""
     n_left = np.asarray(scenario.params["n_left"](op.grid.nodes), dtype=float)
     n_right = np.asarray(scenario.params["n_right"](op.grid.nodes), dtype=float)
-    one_left = DressingProblem(op, n_left).one_dressed()
-    one_right = DressingProblem(op, n_right).one_dressed()
+    if np.any(n_left < 0) or np.any(n_right < 0):
+        raise AssumptionError("seed occupation must be nonnegative")
+    envelope = np.maximum(n_left, n_right)
+    rate = op.operator_norm(envelope=envelope)
+    threshold = sign_threshold(op.sign_class)
+    if rate >= threshold:
+        raise AssumptionError(
+            f"contraction rate ||T sup_x n0||_op = {rate:.6g} >= {threshold:g} "
+            f"({op.sign_class} kernel); seed admissibility fails")
+    one_left, one_right = dress_batched(op, np.vstack([n_left, n_right]),
+                                        np.ones(op.count))[0]
 
     lo, hi = scenario.x_support_hint
     margin = SUPPORT_MARGIN * (hi - lo)
@@ -447,14 +482,7 @@ def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
                    x_nodes[2] * n_right * one_right])
     dB = np.vstack([n_left * one_left, n_right * one_right, n_right * one_right])
 
-    envelope = np.maximum(n_left, n_right)
-    rate = op.operator_norm(envelope=envelope)
-    threshold = sign_threshold(op.sign_class)
-    if rate >= threshold and not op.kernel.constant_in_pq:
-        raise AssumptionError(
-            f"contraction rate ||T sup_x n0||_op = {rate:.6g} >= {threshold:g} "
-            f"({op.sign_class} kernel); seed admissibility fails")
-    bounds = DressingBounds.for_norm(rate, op.sign_class) if rate < threshold else None
+    bounds = DressingBounds.for_norm(rate, op.sign_class)
     vn_sup = float(np.max(np.abs(op.v) * envelope))
     return SeedTables(scenario, op, x_nodes, A, dA, B, dB, LINEAR, envelope,
                       rate, float(envelope.max(initial=0.0)), vn_sup, bounds,

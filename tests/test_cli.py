@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from ghd.cli import main
+from ghd.errors import NumericalError
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -101,6 +102,17 @@ def test_convergence_failure_exit4(tmp_path):
     rc = main(["solve", "--config", _write(tmp_path, "cfg.json", cfg),
                "--out", str(tmp_path)])
     assert rc == 4
+
+
+def test_numerical_failure_exit5(tmp_path, monkeypatch, capsys):
+    def broken_seed(*args, **kwargs):
+        raise NumericalError("seed coordinate change is not strictly increasing")
+
+    monkeypatch.setattr("ghd.cli.build_seed", broken_seed)
+    rc = main(["solve", "--config", _write(tmp_path, "cfg.json", _small_zero_config()),
+               "--out", str(tmp_path)])
+    assert rc == 5
+    assert "not strictly increasing" in capsys.readouterr().err
 
 
 def test_solve_zero_kernel_matches_shifted_input(tmp_path):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ghd
-from ghd.dressing import (NEUMANN, DressingProblem, check_1dr_bounds,
-                          dress_batched, dress_batched_iterative, dress_neumann)
-from ghd.errors import AssumptionError
+from ghd.dressing import (DRESS_TOL, DressingProblem, check_1dr_bounds,
+                          dress_batched)
+from ghd.errors import AssumptionError, ConvergenceError
 from ghd.kernel import SIGN_MIXED, SIGN_NON_NEGATIVE
 
 
@@ -34,15 +34,6 @@ def test_rank_one_closed_form(hr_rank_one):
     out = ghd.dress(prob, np.ones(op.count))
     np.testing.assert_allclose(out, 1.0 / 1.12, atol=1e-12)
     assert abs(prob.tn_norm - 0.12) <= 1e-13
-
-
-def test_direct_matches_neumann(ll_op, ll_gaussian_n):
-    direct = DressingProblem(ll_op, ll_gaussian_n)
-    series = DressingProblem(ll_op, ll_gaussian_n, method=NEUMANN,
-                             max_terms=200, tol=1e-12)
-    f = np.cos(ll_op.grid.nodes)
-    gap = np.max(np.abs(direct.dress_values(f) - series.dress_values(f)))
-    assert gap <= 1e-10
 
 
 def test_compute_R_values():
@@ -90,10 +81,10 @@ def test_1dr_bounds_lieb_liniger_sample(ll_op):
 def test_uniqueness_from_different_starts(ll_op, ll_gaussian_n):
     f = np.sin(ll_op.grid.nodes)
     rng = np.random.default_rng(5)
-    a = dress_batched_iterative(ll_op, ll_gaussian_n, f,
-                                warm=rng.normal(size=(1, ll_op.count)), tol=1e-13)
-    b = dress_batched_iterative(ll_op, ll_gaussian_n, f,
-                                warm=10 + rng.normal(size=(1, ll_op.count)), tol=1e-13)
+    a, = dress_batched(ll_op, ll_gaussian_n, f,
+                       warm=rng.normal(size=(1, ll_op.count)), tol=1e-13)
+    b, = dress_batched(ll_op, ll_gaussian_n, f,
+                       warm=10 + rng.normal(size=(1, ll_op.count)), tol=1e-13)
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -165,25 +156,70 @@ def test_dressing_residual(ll_op, ll_gaussian_n):
     assert np.max(np.abs(residual)) <= 1e-12
 
 
-def test_batched_matches_single(ll_op):
-    rng = np.random.default_rng(4)
-    rows = 0.5 * rng.uniform(0.0, 1.0, size=(7, ll_op.count)) \
-        * np.exp(-ll_op.grid.nodes ** 2)[None, :]
-    one_b, v_b = dress_batched(ll_op, rows, ll_op.v)
-    for i in range(rows.shape[0]):
-        prob = DressingProblem(ll_op, rows[i])
-        np.testing.assert_allclose(one_b[i], prob.one_dressed(), atol=1e-12)
-        np.testing.assert_allclose(v_b[i], prob.dress_values(ll_op.v), atol=1e-12)
+def _dense_dressing(op, n, f):
+    """Test-side oracle: solve (1 - T n) f^dr = f densely."""
+    return np.linalg.solve(np.eye(op.count) - op.TW * n[None, :], f)
 
 
-def test_iterative_matches_direct(ll_op, ll_gaussian_n):
-    direct = DressingProblem(ll_op, ll_gaussian_n).dress_values(ll_op.v)
-    iterative = dress_batched_iterative(ll_op, ll_gaussian_n[None, :], ll_op.v,
-                                        tol=1e-12)[0]
-    assert np.max(np.abs(direct - iterative)) <= 1e-9
+def _property_operator(model, count, seed):
+    rng = np.random.default_rng(seed)
+    grid = ghd.build_momentum_grid(-rng.uniform(1.0, 8.0), rng.uniform(1.0, 8.0), count)
+    if model == "lieb_liniger":
+        kernel = ghd.lieb_liniger(rng.uniform(0.2, 3.0))
+    elif model == "sinh_gordon":
+        kernel = ghd.sinh_gordon()
+    elif model == "hard_rods":
+        kernel = ghd.hard_rods(rng.uniform(0.1, 1.0))
+    else:
+        axis = np.linspace(grid.nodes[0], grid.nodes[-1], 4)
+        table = rng.uniform(0.2, 1.0, (4, 4)) * np.where(rng.random((4, 4)) < 0.5, -1, 1)
+        table[0, 0], table[-1, -1] = 0.5, -0.5
+        kernel = ghd.tabulated_kernel(axis, axis, table)
+    return ghd.KernelOperator(kernel, grid), rng
 
 
-def test_neumann_series_diverges_gracefully(ll_op):
-    n = np.full(ll_op.count, 0.99)
-    with pytest.raises(ghd.ConvergenceError):
-        dress_neumann(ll_op, n, np.ones(ll_op.count), max_terms=3, tol=1e-14)
+@given(model=st.sampled_from(["lieb_liniger", "sinh_gordon", "hard_rods", "mixed"]),
+       count=st.integers(min_value=4, max_value=40),
+       rows=st.integers(min_value=1, max_value=4),
+       z_frac=st.floats(min_value=0.0, max_value=1.0),
+       warm=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_dress_batched_matches_dense_oracle(model, count, rows, z_frac, warm, seed):
+    op, rng = _property_operator(model, count, seed)
+    mixed = op.sign_class == SIGN_MIXED
+    assert mixed == (model == "mixed")
+    n = rng.uniform(0.0, 1.0, (rows, count)) ** rng.uniform(0.0, 3.0)
+    n *= (0.49 if mixed else 0.99) * z_frac / op.operator_norm(envelope=n.max(axis=0))
+    z = op.operator_norm(envelope=n.max(axis=0))
+    fs = (np.ones(count), op.v, rng.normal(size=count))
+    guess = rng.normal(size=(len(fs), rows, count)) if warm else None
+    # round-off in x (|x| <= |f|/(1-z)) sets how small a tol is reachable
+    tol = 1e-14 if z <= 0.9 else DRESS_TOL
+    out = dress_batched(op, n, *fs, warm=guess, tol=tol)
+    assert isinstance(out, tuple) and len(out) == len(fs)
+    bound = 2.0 * tol * max(1.0, max(np.max(np.abs(f)) for f in fs)) / (1.0 - z)
+    for f, f_dr in zip(fs, out):
+        assert f_dr.shape == (rows, count)
+        for i in range(rows):
+            gap = np.max(np.abs(f_dr[i] - _dense_dressing(op, n[i], f)))
+            assert gap <= bound, (gap, bound, z)
+
+
+def test_dress_batched_rejects_noncontracting_rows(ll_op):
+    n = np.zeros((2, ll_op.count))
+    n[1] = 2.0 / ll_op.unit_norm
+    with pytest.raises(AssumptionError, match=r"\|\|T n\|\|_op = 2 >= 1"):
+        dress_batched(ll_op, n, np.ones(ll_op.count))
+
+
+def test_dress_batched_past_cap_fails_named(ll_op):
+    class Understated(ghd.KernelOperator):
+        """Reports a tenth of the true rate, so the predicted cap is too low."""
+
+        def operator_norm(self, envelope=None):
+            return 0.1 * super().operator_norm(envelope)
+
+    op = Understated(ll_op.kernel, ll_op.grid)
+    n = np.full(op.count, 0.9 / ll_op.unit_norm)
+    with pytest.raises(ConvergenceError, match=r"\|\|T n\|\|_op = 0.09 .*last bound"):
+        dress_batched(op, n, op.v)

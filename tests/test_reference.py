@@ -3,7 +3,7 @@ import pytest
 
 import ghd
 from ghd.dressing import DressingProblem
-from ghd.errors import NumericalError
+from ghd.errors import AssumptionError, NumericalError
 from ghd.reference import (FieldState, convergence_order, effective_velocity,
                            fixed_point_rho, initial_field, integrate_upwind,
                            l1_gap, step_upwind, total_mass)
@@ -85,6 +85,16 @@ def test_effective_velocity_matches_dressing_module():
         prob = DressingProblem(op, n)
         expect = prob.dress_values(op.v) / prob.one_dressed()
         np.testing.assert_allclose(v_eff[i], expect, atol=1e-9)
+
+
+def test_effective_velocity_rejects_noncontracting_field():
+    # hard rods d = 0.3 on a window of measure 2: rho_p = 0.25 leaves
+    # rho_s = 1/(2 pi) - 0.15 > 0 but n = rho_p/rho_s ~ 27, so ||T n|| ~ 16
+    grid = ghd.build_momentum_grid(-1.0, 1.0, 8)
+    op = ghd.KernelOperator(ghd.hard_rods(0.3), grid)
+    rho_p = np.full((3, op.count), 0.25)
+    with pytest.raises(AssumptionError, match=r"\|\|T n\|\|_op = .* >= 1"):
+        effective_velocity(op, rho_p)
 
 
 def test_upwind_tracks_fixed_point():

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 import ghd
 from ghd.errors import AssumptionError
-from ghd.seed import (SpatialGridSpec, X0_inverse, build_seed,
+from ghd.seed import (HERMITE, INV_TOL, SeedTables, SpatialGridSpec, X0_inverse,
+                      _cell_min_slope, _hermite, build_seed,
                       default_spatial_spec, eval_N0hat, eval_Xhat0)
 
 
@@ -59,6 +60,22 @@ def test_round_trip_inverse(ll_tables):
     x, _ = ll_tables.invert(z)
     back = ll_tables.xhat0_cols(x)
     assert np.max(np.abs(back - z)) <= 1e-9
+
+
+def test_invert_finishes_stalled_newton_by_bisection():
+    # one steep monotone cell: Newton from the secant guess stalls with a
+    # residual of 3.5e-3, so the entry must be finished by bisection
+    x_nodes = np.array([0.0, 1.0])
+    A = np.array([[0.0], [0.5367]])
+    dA = np.array([[0.3037], [2.1047]])
+    assert _cell_min_slope(A[:-1], A[1:], dA[:-1], dA[1:], 1.0).min() > 0
+    tab = SeedTables(None, None, x_nodes, A, dA, 2.0 * A, 2.0 * dA, HERMITE,
+                     None, 0.0, 0.0, 0.0, None, 0.0)
+    zhat = _hermite(0.0, 0.5367, 0.3037, 2.1047, 1.0, 0.373)
+    x, height = tab.invert(np.array([[zhat]]))
+    assert abs(tab.xhat0_cols(x)[0, 0] - zhat) <= INV_TOL
+    assert abs(x[0, 0] - 0.373) <= 1e-9
+    assert abs(height[0, 0] - 2.0 * zhat) <= 2.0 * INV_TOL
 
 
 def test_n0hat_difference_quotients(ll_tables):
