@@ -205,6 +205,30 @@ def test_dress_batched_matches_dense_oracle(model, count, rows, z_frac, warm, se
             assert gap <= bound, (gap, bound, z)
 
 
+def test_direct_matches_neumann(ll_op, ll_gaussian_n):
+    # the Picard iterates from zero are the partial sums of the Neumann series
+    direct = _dense_dressing(ll_op, ll_gaussian_n, np.cos(ll_op.grid.nodes))
+    series = DressingProblem(ll_op, ll_gaussian_n).dress_values(np.cos(ll_op.grid.nodes))
+    assert np.max(np.abs(direct - series)) <= 1e-10
+
+
+def test_batched_matches_single(ll_op):
+    rng = np.random.default_rng(4)
+    rows = 0.5 * rng.uniform(0.0, 1.0, size=(7, ll_op.count)) \
+        * np.exp(-ll_op.grid.nodes ** 2)[None, :]
+    one_b, v_b = dress_batched(ll_op, rows, np.ones(ll_op.count), ll_op.v)
+    for i in range(rows.shape[0]):
+        prob = DressingProblem(ll_op, rows[i])
+        np.testing.assert_allclose(one_b[i], prob.one_dressed(), atol=1e-12)
+        np.testing.assert_allclose(v_b[i], prob.dress_values(ll_op.v), atol=1e-12)
+
+
+def test_iterative_matches_direct(ll_op, ll_gaussian_n):
+    direct = _dense_dressing(ll_op, ll_gaussian_n, ll_op.v)
+    iterative, = dress_batched(ll_op, ll_gaussian_n[None, :], ll_op.v, tol=1e-12)
+    assert np.max(np.abs(direct - iterative[0])) <= 1e-9
+
+
 def test_dress_batched_rejects_noncontracting_rows(ll_op):
     n = np.zeros((2, ll_op.count))
     n[1] = 2.0 / ll_op.unit_norm
