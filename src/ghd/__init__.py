@@ -9,13 +9,10 @@ from .kernel import (KernelOperator, ScatteringKernel, Velocity, apply_T,
                      sinh_gordon, tabulated_kernel, zero_kernel)
 from .dressing import (DressingBounds, DressingProblem, check_1dr_bounds,
                        compute_R, dress, dress_batched)
-from .seed import (Scenario, SeedTables, SpatialGridSpec, X0_inverse,
-                   build_seed, constant_profile, eval_N0hat, eval_Xhat0,
-                   gaussian_bump, gaussian_profile, partitioning,
-                   tabulated_xy, zero_scenario)
-from .fixed_point import (SolveResult, Solver, SolverConfig, StateSlice,
-                          apply_G, characteristic_u, eval_state, invert_Xhat,
-                          solve_Xhat)
+from .seed import (Scenario, SeedTables, SpatialGridSpec, build_seed,
+                   constant_profile, gaussian_bump, gaussian_profile,
+                   partitioning, tabulated_xy, zero_scenario)
+from .fixed_point import SolveResult, Solver, SolverConfig, StateSlice
 from .diagnostics import (AssumptionReport, ConservationSeries,
                           check_assumptions, conservation_report,
                           conserved_charge, derivative_identity_check,

@@ -14,14 +14,15 @@ window error, 3 assumption failure, 4 convergence failure, 5 numerical
 failure (an internal check such as seed monotonicity failed).  Identical
 config (including any RNG seed inside it) produces byte-identical output
 files; floats are written with 17 significant digits.
+
+``--workers N`` (and ``GHD_WORKERS``) is accepted for compatibility and has
+no effect: every command runs in one process.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -80,43 +81,10 @@ class _Runtime:
         return self._solver
 
 
-_POOL_SOLVER = None
-
-
-def _sweep_task(args):
-    t, xs = args
-    slices = _POOL_SOLVER.sweep(t, np.asarray(xs))
-    return [(s.t, s.x, s.n, s.rho_p, s.rho_s, s.v_eff, s.u) for s in slices]
-
-
-def _run_sweeps(solver: Solver, times, xs, workers: int):
-    """One warm sweep per time, optionally on forked workers; output order
-    is by (t, x) index regardless of scheduling."""
-    tasks = [(float(t), xs) for t in times]
-    if workers <= 1 or len(tasks) <= 1:
-        return [_sweep_inline(solver, t, xs) for t, xs in tasks]
-    global _POOL_SOLVER
-    _POOL_SOLVER = solver
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(tasks)), mp_context=ctx) as pool:
-            return list(pool.map(_sweep_task, tasks))
-    except (ValueError, OSError):
-        return [_sweep_inline(solver, t, xs) for t, xs in tasks]
-    finally:
-        _POOL_SOLVER = None
-
-
-def _sweep_inline(solver, t, xs):
-    slices = solver.sweep(t, np.asarray(xs))
-    return [(s.t, s.x, s.n, s.rho_p, s.rho_s, s.v_eff, s.u) for s in slices]
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_check(rt: _Runtime, out: Path, workers: int) -> int:
+def cmd_check(rt: _Runtime, out: Path) -> int:
     report = check_assumptions(rt.scenario, rt.op)
     _write_json(out / "assumptions.json", report.to_dict())
     print(f"assumption check: {'pass' if report.verdict else 'fail'}"
@@ -128,7 +96,7 @@ def cmd_check(rt: _Runtime, out: Path, workers: int) -> int:
     return 0
 
 
-def cmd_seed(rt: _Runtime, out: Path, workers: int) -> int:
+def cmd_seed(rt: _Runtime, out: Path) -> int:
     tab = rt.solver.tab
     summary = {
         "x_min": tab.x_min, "x_max": tab.x_max, "x_count": int(tab.x_nodes.size),
@@ -149,27 +117,26 @@ def cmd_seed(rt: _Runtime, out: Path, workers: int) -> int:
     return 0
 
 
-def cmd_solve(rt: _Runtime, out: Path, workers: int) -> int:
+def cmd_solve(rt: _Runtime, out: Path) -> int:
     sec = rt.cfg.get("solve")
     if sec is None:
         raise ConfigError("config schema violation at $.solve: section required")
     xs = np.linspace(sec["x_min"], sec["x_max"], sec["x_count"])
     nodes = rt.grid.nodes
-    per_time = _run_sweeps(rt.solver, sec["times"], xs, workers)
     rows = []
-    for batch in per_time:
-        for (t, x, n, rho_p, rho_s, v_eff, u) in batch:
-            for j in range(nodes.size):
-                rows.append((t, x, nodes[j], n[j], rho_p[j], rho_s[j],
-                             v_eff[j], u[j]))
+    for t in sec["times"]:
+        for s in rt.solver.sweep(float(t), xs):
+            rows.extend((s.t, s.x, p, n, rho_p, rho_s, v_eff, u)
+                        for p, n, rho_p, rho_s, v_eff, u in zip(
+                            nodes, s.n, s.rho_p, s.rho_s, s.v_eff, s.u))
     _write_csv(out / "solve.csv",
                ["t", "x", "p", "n", "rho_p", "rho_s", "v_eff", "u"], rows)
-    print(f"solved {sum(len(b) for b in per_time)} slices "
-          f"at {len(per_time)} times")
+    print(f"solved {len(sec['times']) * xs.size} slices "
+          f"at {len(sec['times'])} times")
     return 0
 
 
-def cmd_conserve(rt: _Runtime, out: Path, workers: int) -> int:
+def cmd_conserve(rt: _Runtime, out: Path) -> int:
     sec = rt.cfg.get("conserve")
     if sec is None:
         raise ConfigError("config schema violation at $.conserve: section required")
@@ -194,7 +161,7 @@ def cmd_conserve(rt: _Runtime, out: Path, workers: int) -> int:
     return 0
 
 
-def cmd_weakcheck(rt: _Runtime, out: Path, workers: int) -> int:
+def cmd_weakcheck(rt: _Runtime, out: Path) -> int:
     sec = rt.cfg.get("weakcheck", {})
     rects = [tuple(r) for r in sec.get("rectangles", [])]
     p_indices = list(sec.get("p_indices", []))
@@ -225,7 +192,7 @@ def cmd_weakcheck(rt: _Runtime, out: Path, workers: int) -> int:
     return 0 if worst <= tol else 1
 
 
-def cmd_compare_reference(rt: _Runtime, out: Path, workers: int) -> int:
+def cmd_compare_reference(rt: _Runtime, out: Path) -> int:
     sec = rt.cfg.get("compare")
     if sec is None:
         raise ConfigError("config schema violation at $.compare: section required")
@@ -251,7 +218,7 @@ def cmd_compare_reference(rt: _Runtime, out: Path, workers: int) -> int:
     return 0
 
 
-def cmd_plotdata(rt: _Runtime, out: Path, workers: int) -> int:
+def cmd_plotdata(rt: _Runtime, out: Path) -> int:
     sec = rt.cfg.get("plotdata")
     if sec is None:
         raise ConfigError("config schema violation at $.plotdata: section required")
@@ -259,18 +226,18 @@ def cmd_plotdata(rt: _Runtime, out: Path, workers: int) -> int:
     probes = sec.get("p_probes", [rt.grid.count // 4, rt.grid.count // 2,
                                   (3 * rt.grid.count) // 4])
     w = rt.grid.weights
-    per_time = _run_sweeps(rt.solver, sec["times"], xs, workers)
+    per_time = [rt.solver.sweep(float(t), xs) for t in sec["times"]]
     for idx, batch in enumerate(per_time):
         path = out / f"profile_t{idx:03d}.dat"
         with open(path, "w") as fh:
-            fh.write(f"# t = {_fmt(batch[0][0])}\n")
+            fh.write(f"# t = {_fmt(batch[0].t)}\n")
             fh.write("# x  mass_density  mean_v_eff  " +
                      "  ".join(f"n(p={_fmt(rt.grid.nodes[j])})" for j in probes)
                      + "\n")
-            for (t, x, n, rho_p, rho_s, v_eff, u) in batch:
-                mass = float(rho_p @ w)
-                mean_v = float((rho_p * v_eff) @ w) / mass if mass > 1e-300 else 0.0
-                cols = [x, mass, mean_v] + [n[j] for j in probes]
+            for s in batch:
+                mass = float(s.rho_p @ w)
+                mean_v = float((s.rho_p * s.v_eff) @ w) / mass if mass > 1e-300 else 0.0
+                cols = [s.x, mass, mean_v] + [s.n[j] for j in probes]
                 fh.write(" ".join(_fmt(c) for c in cols) + "\n")
     print(f"wrote {len(per_time)} profile files")
     return 0
@@ -295,8 +262,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("GHD_WORKERS", "1")),
-                        help="slice-parallel worker count (default: GHD_WORKERS or 1)")
+                        default=os.environ.get("GHD_WORKERS", "1"),
+                        help="accepted for compatibility and ignored; every "
+                             "command runs in one process (default: GHD_WORKERS or 1)")
     parser.add_argument("--out", default="ghd_out", help="output directory")
     args = parser.parse_args(argv)
     try:
@@ -304,7 +272,7 @@ def main(argv=None) -> int:
         rt = _Runtime(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[args.command](rt, out, max(1, args.workers))
+        return _DISPATCH[args.command](rt, out)
     except (ConfigError, SupportWindowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

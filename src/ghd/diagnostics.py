@@ -287,8 +287,8 @@ def _x_edge_crossings(solver: Solver, t: float, x_lo: float,
     if solver.tab.scenario.kind != "partitioning":
         return np.empty(0)
     vt = solver.op.v * t
-    psi_lo = solver.solve(t, x_lo).xhat - vt
-    psi_hi = solver.solve(t, x_hi).xhat - vt
+    ends, _, _, _ = solver.solve_batch(t, np.array([x_lo, x_hi]))
+    psi_lo, psi_hi = ends - vt
     cols = np.flatnonzero((psi_lo < 0) & (psi_hi > 0))
     if cols.size == 0:
         return np.empty(0)
@@ -315,14 +315,10 @@ def _t_edge_crossings(solver: Solver, x: float, t_lo: float, t_hi: float,
     lo, hi = min(t_lo, t_hi), max(t_lo, t_hi)
     ts = np.linspace(lo, hi, scan)
     v = solver.op.v
-    psis = np.empty((scan, solver.op.count))
-    warm = None
-    for i, t in enumerate(ts):
-        res = solver.solve(float(t), x, warm=warm)
-        warm = res.xhat
-        psis[i] = res.xhat - v * t
+    xhat, _, _, _ = solver.solve_batch(ts, x)
+    psis = xhat - np.multiply.outer(ts, v)
     cuts = []
-    state = {"warm": warm}
+    state = {"warm": xhat[-1]}
     for q in np.flatnonzero(np.any(np.sign(psis[:-1]) != np.sign(psis[1:]), axis=0)):
         def psi_q(t):
             res = solver.solve(float(t), x, warm=state["warm"])
@@ -364,13 +360,8 @@ def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, flo
     def current_edge(x: float) -> float:
         cuts = _t_edge_crossings(solver, x, t1, t2)
         ts, wts = _edge_nodes(t1, t2, cuts, edge_points)
-        order = np.argsort(ts)
-        j = np.empty(ts.size)
-        warm = None
-        for k in order:
-            s = solver.state(float(ts[k]), x, warm=warm)
-            warm = s.xhat
-            j[k] = s.n[p_index] * s.v_dr[p_index]
+        j = np.array([s.n[p_index] * s.v_dr[p_index]
+                      for s in solver.states_batch(ts, x)])
         return float(j @ wts)
 
     q_t2 = charge_edge(t2)
@@ -399,9 +390,8 @@ def derivative_identity_check(solver: Solver, t: float, x: float,
     """Max mismatch of central differences of Xhat and N against the
     dressed identities: d_x Xhat = 1dr, d_t Xhat = -(v_dr - v),
     d_x N = n 1dr, d_t N = -n v_dr.  Meaningful for C^1 seed data."""
-    center = solver.state(t, x)
-    xp, xm = solver.state(t, x + h), solver.state(t, x - h)
-    tp, tm = solver.state(t + h, x), solver.state(t - h, x)
+    center, xp, xm, tp, tm = solver.states_batch(
+        [t, t, t, t + h, t - h], [x, x + h, x - h, x, x])
     fd = {
         "dXhat_dx": (xp.xhat - xm.xhat) / (2 * h),
         "dXhat_dt": (tp.xhat - tm.xhat) / (2 * h),

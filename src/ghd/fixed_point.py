@@ -4,7 +4,9 @@ For each space-time point (t,x) we solve
 
     Xhat(p) = x + (T N0hat(Xhat(.) - v(.) t, .))(p)
 
-by Banach iteration; the rigorous contraction rate is the seed envelope
+by Banach iteration.  The map works row by row, so points with different
+t and x are solved together in one batch, t entering each row only
+through Xhat - v t; the rigorous contraction rate is the seed envelope
 norm r = ||T sup_x n0||_op < 1, and the stopping rule is the a-posteriori
 bound ||X_{k+1} - X_k|| * r/(1-r) <= fp_tol.  The measured per-iteration
 ratios are recorded for reporting only, never used to stop.
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dressing import dress_batched, sign_threshold
-from .errors import AssumptionError, ConvergenceError
+from .errors import AssumptionError, ConfigError, ConvergenceError
 from .seed import SeedTables
 
 TWO_PI = 2.0 * np.pi
@@ -49,7 +51,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.fp_tol > 0:
-            raise ValueError("fp_tol must be positive")
+            raise ConfigError(f"fp_tol must be positive, got {self.fp_tol}")
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,11 @@ class Solver:
 
     # -- the map -------------------------------------------------------------
 
-    def apply_G(self, t: float, x, f: np.ndarray) -> np.ndarray:
-        """One application of the map; f has shape (N,) or (m, N)."""
+    def apply_G(self, t, x, f: np.ndarray) -> np.ndarray:
+        """One application of the map; f has shape (N,) or (m, N), and t is
+        a scalar or one value per row of f."""
         f = np.asarray(f, dtype=float)
-        z = f - self.op.v * t
+        z = f - np.multiply.outer(t, self.op.v)
         _, height = self.tab.invert(z)
         gx = np.asarray(x, dtype=float)
         if f.ndim == 2:
@@ -117,26 +120,30 @@ class Solver:
 
     # -- solving -------------------------------------------------------------
 
-    def solve_batch(self, t: float, xs: np.ndarray,
-                    warm: np.ndarray | None = None):
-        """Solve the fixed point at many x for one t.
+    @staticmethod
+    def _rows(t, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row (t, x): a scalar t or x is shared by every row."""
+        return np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.atleast_1d(np.asarray(xs, dtype=float)))
 
+    def solve_batch(self, t, xs, warm: np.ndarray | None = None):
+        """Solve the fixed point at the points (t_i, x_i).
+
+        t and xs are scalars or 1-D arrays broadcast against each other.
         Returns (xhat (m,N), iters (m,), residuals (m,), ratios list of
         tuples).  Converged rows are frozen so late iterations of slow rows
         do not pollute their statistics.
         """
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        ts, xs = self._rows(t, xs)
         m = xs.size
         N = self.op.count
         if self.constant_kernel:
             out = np.empty((m, N))
             iters = np.empty(m, dtype=int)
             resid = np.empty(m)
-            for i, x in enumerate(xs):
-                xi, it, r = self._solve_constant_kernel(t, float(x))
-                out[i] = xi
-                iters[i] = it
-                resid[i] = r
+            for i in range(m):
+                out[i], iters[i], resid[i] = self._solve_constant_kernel(
+                    float(ts[i]), float(xs[i]))
             return out, iters, resid, [() for _ in range(m)]
 
         f = np.broadcast_to(xs[:, None], (m, N)).copy() if warm is None \
@@ -147,7 +154,7 @@ class Solver:
         prev_delta = np.full(m, np.nan)
         ratios: list[list[float]] = [[] for _ in range(m)]
         for k in range(1, self.config.max_iters + 1):
-            f_new = self.apply_G(t, xs[active], f[active])
+            f_new = self.apply_G(ts[active], xs[active], f[active])
             delta = np.max(np.abs(f_new - f[active]), axis=1)
             f[active] = f_new
             idx = np.flatnonzero(active)
@@ -167,9 +174,10 @@ class Solver:
         else:
             worst = int(np.argmax(resid))
             raise ConvergenceError(
-                f"fixed point at (t={t}, x={xs[worst]}) missed tol "
-                f"{self.config.fp_tol:g} after {self.config.max_iters} iterations; "
-                f"ratio history: {[round(r, 4) for r in ratios[worst][-8:]]}")
+                f"fixed point at (t={float(ts[worst])}, x={float(xs[worst])}) "
+                f"missed tol {self.config.fp_tol:g} after "
+                f"{self.config.max_iters} iterations; ratio history: "
+                f"{[round(r, 4) for r in ratios[worst][-8:]]}")
         return f, iters, resid, [tuple(r) for r in ratios]
 
     def _solve_constant_kernel(self, t: float, x: float):
@@ -208,12 +216,12 @@ class Solver:
 
     # -- state reconstruction --------------------------------------------------
 
-    def states_batch(self, t: float, xs: np.ndarray,
-                     warm: np.ndarray | None = None) -> list[StateSlice]:
-        """Solve and reconstruct full slices at many x; dressing is batched."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        xhat, iters, resid, ratios = self.solve_batch(t, xs, warm)
-        z = xhat - self.op.v * t
+    def states_batch(self, t, xs, warm: np.ndarray | None = None) -> list[StateSlice]:
+        """Solve and reconstruct full slices at the points (t_i, x_i), broadcast
+        as in ``solve_batch``; dressing is batched."""
+        ts, xs = self._rows(t, xs)
+        xhat, iters, resid, ratios = self.solve_batch(ts, xs, warm)
+        z = xhat - np.multiply.outer(ts, self.op.v)
         u, height = self.tab.invert(z)
         n = np.asarray(self.tab.scenario.n0(u, self.op.grid.nodes[None, :]), dtype=float)
         one_dr, v_dr = dress_batched(self.op, n, np.ones(self.op.count), self.op.v)
@@ -222,7 +230,7 @@ class Solver:
         rho_p = n * rho_s
         v_eff = v_dr / one_dr
         return [
-            StateSlice(t=float(t), x=float(xs[i]), xhat=xhat[i], N=height[i],
+            StateSlice(t=float(ts[i]), x=float(xs[i]), xhat=xhat[i], N=height[i],
                        n=n[i], rho_p=rho_p[i], rho_s=rho_s[i], one_dr=one_dr[i],
                        v_dr=v_dr[i], v_eff=v_eff[i], u=u[i], tn_norm=float(tn[i]),
                        iters=int(iters[i]), final_residual=float(resid[i]),
@@ -288,33 +296,3 @@ class Solver:
         else:
             a, b = x0, x0 - g0 / slope_lo
         return brentq(g, a, b, xtol=self.config.inv_tol * slope_lo * 0.5)
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-
-def apply_G(tab: SeedTables, t: float, x: float, f: np.ndarray,
-            config: SolverConfig | None = None) -> np.ndarray:
-    return Solver(tab, config).apply_G(t, x, f)
-
-
-def solve_Xhat(tab: SeedTables, t: float, x: float,
-               config: SolverConfig | None = None,
-               warm: np.ndarray | None = None) -> SolveResult:
-    return Solver(tab, config).solve(t, x, warm=warm)
-
-
-def eval_state(tab: SeedTables, t: float, x: float,
-               config: SolverConfig | None = None) -> StateSlice:
-    return Solver(tab, config).state(t, x)
-
-
-def characteristic_u(tab: SeedTables, t: float, x: float, p_index: int,
-                     config: SolverConfig | None = None) -> float:
-    """Initial position of the trajectory through (t, x) at momentum node p."""
-    return float(Solver(tab, config).state(t, x).u[p_index])
-
-
-def invert_Xhat(tab: SeedTables, t: float, xhat_target: float, p_index: int,
-                config: SolverConfig | None = None) -> float:
-    return Solver(tab, config).invert_xhat(t, xhat_target, p_index)

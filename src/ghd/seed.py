@@ -287,30 +287,6 @@ class SeedTables:
 
     # -- forward direction ---------------------------------------------------
 
-    def xhat0(self, x, p_index=None):
-        """X0hat(x, .) for scalar or array x, all columns or one."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xq = np.atleast_1d(x)
-        i = np.clip(np.searchsorted(self.x_nodes, xq) - 1, 0, self.x_nodes.size - 2)
-        h = self.x_nodes[i + 1] - self.x_nodes[i]
-        s = ((xq - self.x_nodes[i]) / h)[:, None]
-        y0, y1 = self.A[i], self.A[i + 1]
-        d0, d1 = self.dA[i], self.dA[i + 1]
-        if self.mode == HERMITE:
-            out = _hermite(y0, y1, d0, d1, h[:, None], s)
-        else:
-            out = y0 + s * (y1 - y0)
-        below = xq < self.x_nodes[0]
-        above = xq > self.x_nodes[-1]
-        if np.any(below):
-            out[below] = self.A[0] + (xq[below, None] - self.x_nodes[0]) * self.dA[0]
-        if np.any(above):
-            out[above] = self.A[-1] + (xq[above, None] - self.x_nodes[-1]) * self.dA[-1]
-        if p_index is not None:
-            out = out[:, p_index]
-        return float(out[0]) if scalar and np.ndim(out[0]) == 0 else (out[0] if scalar else out)
-
     def xhat0_cols(self, x: np.ndarray) -> np.ndarray:
         """X0hat evaluated per column at per-column positions x (..., N)."""
         x = np.asarray(x, dtype=float)
@@ -390,9 +366,6 @@ class SeedTables:
             x = np.where(above, self.x_nodes[-1] + dz / self.dA[-1], x)
             height = np.where(above, self.B[-1] + dz * (self.dB[-1] / self.dA[-1]), height)
         return x, height
-
-    def x0(self, zhat: np.ndarray) -> np.ndarray:
-        return self.invert(zhat)[0]
 
     def n0hat_height(self, zhat: np.ndarray) -> np.ndarray:
         return self.invert(zhat)[1]
@@ -487,25 +460,3 @@ def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
     return SeedTables(scenario, op, x_nodes, A, dA, B, dB, LINEAR, envelope,
                       rate, float(envelope.max(initial=0.0)), vn_sup, bounds,
                       float(np.minimum(one_left, one_right).min()))
-
-
-# ---------------------------------------------------------------------------
-# spec-level operations on single momentum columns
-
-def eval_Xhat0(tab: SeedTables, x: float, p_index: int) -> float:
-    """Forward coordinate change X0hat(x, p) at one momentum node."""
-    return float(tab.xhat0(x, p_index=p_index))
-
-
-def X0_inverse(tab: SeedTables, xhat: float, p_index: int) -> float:
-    """Real coordinate X0(xhat, p): the inverse of the coordinate change."""
-    z = np.zeros((1, tab.op.count))
-    z[0, p_index] = xhat
-    return float(tab.x0(z)[0, p_index])
-
-
-def eval_N0hat(tab: SeedTables, xhat: float, p_index: int) -> float:
-    """Seed height N0hat(xhat, p) = B(X0(xhat, p), p)."""
-    z = np.zeros((1, tab.op.count))
-    z[0, p_index] = xhat
-    return float(tab.n0hat_height(z)[0, p_index])

@@ -104,6 +104,16 @@ def test_convergence_failure_exit4(tmp_path):
     assert rc == 4
 
 
+def test_invalid_fp_tol_exit2(tmp_path, capsys):
+    # JSON NaN passes the schema's exclusiveMinimum; the solver config
+    # rejects it and the CLI maps the rejection to a configuration error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_ll_config(solver={"fp_tol": float("nan")})))
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "fp_tol" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit5(tmp_path, monkeypatch, capsys):
     def broken_seed(*args, **kwargs):
         raise NumericalError("seed coordinate change is not strictly increasing")

@@ -4,43 +4,42 @@ import pytest
 import ghd
 from ghd.dressing import compute_R
 from ghd.errors import ConvergenceError
-from ghd.fixed_point import (SolverConfig, apply_G, characteristic_u,
-                             eval_state, invert_Xhat, solve_Xhat)
+from ghd.fixed_point import SolverConfig
 
 
 def test_apply_G_zero_scenario(zero_setup):
     op, bump, _, _ = zero_setup
     tab = ghd.build_seed(ghd.zero_scenario(), op)
     f = np.sin(op.grid.nodes)
-    out = apply_G(tab, 0.7, 1.3, f)
+    out = ghd.Solver(tab).apply_G(0.7, 1.3, f)
     np.testing.assert_allclose(out, 1.3, atol=1e-14)
 
 
-def test_apply_G_fixed_point_at_origin(ll_tables):
-    out = apply_G(ll_tables, 0.0, 0.0, np.zeros(ll_tables.op.count))
+def test_apply_G_fixed_point_at_origin(ll_solver):
+    out = ll_solver.apply_G(0.0, 0.0, np.zeros(ll_solver.op.count))
     assert np.max(np.abs(out)) <= 1e-14
 
 
 def test_apply_G_constant_kernel_scalar_oracle(uniform_hr_setup):
-    op, sc, tab, _ = uniform_hr_setup
+    op, sc, tab, solver = uniform_hr_setup
     # N0hat = 0.2 xhat and symmetric grid: G[x0](p) = x - 0.12 x0
     t, x, x0 = 0.7, 1.1, 0.45
-    out = apply_G(tab, t, x, np.full(op.count, x0))
+    out = solver.apply_G(t, x, np.full(op.count, x0))
     w, v = op.grid.weights, op.v
     expect = x - 0.3 * float(w @ (0.2 * (x0 - v * t)))
     np.testing.assert_allclose(out, expect, atol=1e-12)
     assert abs(expect - (x - 0.12 * x0)) <= 1e-12
 
 
-def test_solve_vanishes_at_spacetime_origin(ll_tables):
-    res = solve_Xhat(ll_tables, 0.0, 0.0)
+def test_solve_vanishes_at_spacetime_origin(ll_solver):
+    res = ll_solver.solve(0.0, 0.0)
     assert np.max(np.abs(res.xhat)) <= 1e-12
 
 
 def test_zero_scenario_one_iteration(zero_setup):
     op, _, _, _ = zero_setup
     tab = ghd.build_seed(ghd.zero_scenario(), op)
-    res = solve_Xhat(tab, 0.8, 2.5)
+    res = ghd.Solver(tab).solve(0.8, 2.5)
     np.testing.assert_allclose(res.xhat, 2.5, atol=1e-14)
     assert res.iters == 1
     assert res.final_residual == 0.0
@@ -168,7 +167,7 @@ def test_occupation_norm_preserved(ll_solver, ll_tables):
 
 def test_characteristic_u(ll_solver, ll_tables):
     # u(0,x,p) = x
-    assert abs(characteristic_u(ll_tables, 0.0, 1.7, 10) - 1.7) <= 1e-8
+    assert abs(ll_solver.state(0.0, 1.7).u[10] - 1.7) <= 1e-8
     # non-crossing: u non-decreasing in x at fixed (t,p)
     t, p_index = 0.9, 24
     us = [ll_solver.state(t, float(x)).u[p_index]
@@ -179,20 +178,20 @@ def test_characteristic_u(ll_solver, ll_tables):
 def test_invert_xhat_round_trip(ll_solver, ll_tables):
     t, x_true, p_index = 0.7, 1.3, 30
     target = float(ll_solver.solve(t, x_true).xhat[p_index])
-    x_rec = invert_Xhat(ll_tables, t, target, p_index)
+    x_rec = ll_solver.invert_xhat(t, target, p_index)
     assert abs(x_rec - x_true) <= 1e-8
 
 
 def test_invert_xhat_trivial_cases(zero_setup, uniform_hr_setup):
     op, _, _, _ = zero_setup
     tabz = ghd.build_seed(ghd.zero_scenario(), op)
-    assert abs(invert_Xhat(tabz, 0.5, 1.9, 3) - 1.9) <= 1e-10
+    assert abs(ghd.Solver(tabz).invert_xhat(0.5, 1.9, 3) - 1.9) <= 1e-10
     _, _, tabu, solver = uniform_hr_setup
     assert abs(solver.invert_xhat(0.4, 1.0, 5) - 1.12) <= 1e-9
 
 
-def test_eval_state_module_function(ll_tables):
-    s = eval_state(ll_tables, 0.3, 0.5)
+def test_eval_state_module_function(ll_solver):
+    s = ll_solver.state(0.3, 0.5)
     assert s.t == 0.3 and s.x == 0.5
     assert s.iters >= 1
 
@@ -214,3 +213,60 @@ def test_inadmissible_solver_rejected(ll_op):
     with pytest.raises(ghd.AssumptionError):
         tab = ghd.build_seed(big, ll_op)
         ghd.Solver(tab)
+
+
+def test_invalid_fp_tol_is_config_error():
+    for bad in (0.0, -1e-10, float("nan")):
+        with pytest.raises(ghd.ConfigError, match="fp_tol"):
+            SolverConfig(fp_tol=bad)
+
+
+# -- per-row t: mixed (t_i, x_i) batches against one-row solves -----------------
+
+def _assert_rows_match_points(solver, ts, xs):
+    tol = 2.0 * solver.config.fp_tol
+    xhat, _, _, _ = solver.solve_batch(ts, xs)
+    slices = solver.states_batch(ts, xs)
+    for i, (t, x) in enumerate(zip(ts, xs)):
+        one = solver.solve(float(t), float(x)).xhat
+        assert np.max(np.abs(xhat[i] - one)) <= tol
+        assert np.max(np.abs(slices[i].xhat - solver.state(float(t), float(x)).xhat)) <= tol
+        assert slices[i].t == float(t) and slices[i].x == float(x)
+
+
+def test_mixed_rows_match_single_points_ll(ll_solver):
+    rng = np.random.default_rng(41)
+    _assert_rows_match_points(ll_solver, rng.uniform(0.0, 2.0, 12),
+                              rng.uniform(-4.0, 4.0, 12))
+
+
+def test_mixed_rows_match_single_points_partitioning(part_setup):
+    _, _, _, solver = part_setup
+    rng = np.random.default_rng(43)
+    _assert_rows_match_points(solver, rng.uniform(0.0, 1.0, 12),
+                              rng.uniform(-1.5, 1.5, 12))
+
+
+def test_mixed_rows_match_single_points_hard_rods(hr_setup):
+    _, _, _, solver = hr_setup
+    assert solver.constant_kernel
+    rng = np.random.default_rng(47)
+    _assert_rows_match_points(solver, rng.uniform(0.0, 2.0, 8),
+                              rng.uniform(-3.0, 3.0, 8))
+
+
+def test_per_row_t_broadcasts_against_scalar_x(ll_solver):
+    ts = np.array([0.0, 0.3, 1.1, 1.7])
+    slices = ll_solver.states_batch(ts, 0.4)
+    assert [s.t for s in slices] == ts.tolist()
+    assert all(s.x == 0.4 for s in slices)
+    for s in slices:
+        one = ll_solver.state(s.t, 0.4).xhat
+        assert np.max(np.abs(s.xhat - one)) <= 2.0 * ll_solver.config.fp_tol
+
+
+def test_convergence_error_names_failing_row_t(ll_tables):
+    # the origin row is exact after one step; the second row is not
+    solver = ghd.Solver(ll_tables, SolverConfig(max_iters=1))
+    with pytest.raises(ConvergenceError, match=r"\(t=0\.37, x=2\.0\)"):
+        solver.solve_batch(np.array([0.0, 0.37]), np.array([0.0, 2.0]))

@@ -4,19 +4,20 @@ from hypothesis import given, strategies as st
 
 import ghd
 from ghd.errors import AssumptionError
-from ghd.seed import (HERMITE, INV_TOL, SeedTables, SpatialGridSpec, X0_inverse,
+from ghd.seed import (HERMITE, INV_TOL, SeedTables, SpatialGridSpec,
                       _cell_min_slope, _hermite, build_seed,
-                      default_spatial_spec, eval_N0hat, eval_Xhat0)
+                      default_spatial_spec)
 
 
 def test_zero_scenario_tables(zero_setup):
     op, bump, _, _ = zero_setup
     tab = build_seed(ghd.zero_scenario(), op, SpatialGridSpec(-3, 3, 301))
     xs = np.linspace(-2.5, 2.5, 11)
-    assert np.max(np.abs(tab.xhat0(xs) - xs[:, None])) <= 1e-12
+    cols = np.broadcast_to(xs[:, None], (xs.size, op.count))
+    assert np.max(np.abs(tab.xhat0_cols(cols) - xs[:, None])) <= 1e-12
     assert np.max(np.abs(tab.B)) == 0.0
-    assert eval_N0hat(tab, 1.3, 2) == 0.0
-    assert abs(X0_inverse(tab, 0.7, 4) - 0.7) <= 1e-12
+    assert tab.n0hat_height(np.full((1, op.count), 1.3))[0, 2] == 0.0
+    assert abs(tab.invert(np.full((1, op.count), 0.7))[0][0, 4] - 0.7) <= 1e-12
 
 
 def test_origin_anchoring(ll_tables):
@@ -29,10 +30,11 @@ def test_origin_anchoring(ll_tables):
 def test_uniform_hard_rods_closed_forms(uniform_hr_setup):
     op, sc, tab, _ = uniform_hr_setup
     # A(x,p) = x/1.12, B = 0.2 x / 1.12, X0 = 1.12 xhat, N0hat = 0.2 xhat
-    assert abs(eval_Xhat0(tab, 1.7, 3) - 1.7 / 1.12) <= 1e-10
-    assert abs(X0_inverse(tab, 1.0, 5) - 1.12) <= 1e-10
-    assert abs(eval_N0hat(tab, 2.0, 7) - 0.4) <= 1e-10
-    assert abs(eval_N0hat(tab, -2.0, 7) + 0.4) <= 1e-10
+    N = op.count
+    assert abs(tab.xhat0_cols(np.full(N, 1.7))[3] - 1.7 / 1.12) <= 1e-10
+    assert abs(tab.invert(np.full((1, N), 1.0))[0][0, 5] - 1.12) <= 1e-10
+    assert abs(tab.n0hat_height(np.full((1, N), 2.0))[0, 7] - 0.4) <= 1e-10
+    assert abs(tab.n0hat_height(np.full((1, N), -2.0))[0, 7] + 0.4) <= 1e-10
 
 
 def test_seed_slope_bounds(ll_tables):
@@ -48,7 +50,9 @@ def test_difference_quotients_of_A(ll_tables):
         x1, x2 = np.sort(rng.uniform(-8.0, 8.0, size=2))
         if x2 - x1 < 1e-3:
             continue
-        q = (ll_tables.xhat0(np.array([x2])) - ll_tables.xhat0(np.array([x1]))) / (x2 - x1)
+        N = ll_tables.op.count
+        q = (ll_tables.xhat0_cols(np.full(N, x2))
+             - ll_tables.xhat0_cols(np.full(N, x1))) / (x2 - x1)
         assert np.all(q >= bounds.r_value - 1e-6)
         assert np.all(q <= bounds.upper + 1e-6)
 
@@ -103,7 +107,8 @@ def test_refinement_order(ll_op, ll_bump):
     vals = {}
     for count in (200, 400, 800):
         tab = build_seed(ll_bump, ll_op, SpatialGridSpec(-9.6, 9.6, count))
-        vals[count] = tab.xhat0(probe)
+        vals[count] = tab.xhat0_cols(
+            np.broadcast_to(probe[:, None], (probe.size, ll_op.count)))
     d1 = np.max(np.abs(vals[200] - vals[800]))
     d2 = np.max(np.abs(vals[400] - vals[800]))
     assert d2 <= d1 / 3.5
@@ -120,7 +125,7 @@ def test_partitioning_exact_tables(part_setup):
     one_right = DressingProblem(op, sc.params["n_right"](op.grid.nodes)).one_dressed()
     for x in (-1.7, -0.2, 0.4, 2.3):
         expect = x * (one_left if x < 0 else one_right)
-        assert np.max(np.abs(tab.xhat0(np.array([x]))[0] - expect)) <= 1e-12
+        assert np.max(np.abs(tab.xhat0_cols(np.full(op.count, x)) - expect)) <= 1e-12
 
 
 def test_partitioning_envelope_and_rate(part_setup):
@@ -168,5 +173,6 @@ def test_tabulated_xy_scenario(tmp_path):
 @given(st.floats(min_value=-7, max_value=7))
 def test_forward_inverse_consistency_single_column(ll_tables, xhat):
     p_index = 11
-    x = X0_inverse(ll_tables, xhat, p_index)
-    assert abs(eval_Xhat0(ll_tables, x, p_index) - xhat) <= 1e-9
+    N = ll_tables.op.count
+    x = ll_tables.invert(np.full((1, N), xhat))[0][0, p_index]
+    assert abs(ll_tables.xhat0_cols(np.full(N, x))[p_index] - xhat) <= 1e-9
