@@ -74,7 +74,7 @@ def dress_batched(op: KernelOperator, n_rows: np.ndarray, *fs,
     n_rows = np.atleast_2d(np.asarray(n_rows, dtype=float))
     m, N = n_rows.shape
     z = op.operator_norm(envelope=n_rows.max(axis=0))
-    if z >= 1.0:
+    if not z < 1.0:
         raise AssumptionError(
             f"||T n||_op = {z:.6g} >= 1; the dressing iteration does not contract")
     F = np.stack(np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in fs)))
@@ -124,7 +124,7 @@ class DressingProblem:
         self.n = n
         self.tn_norm = op.operator_norm(envelope=n)
         threshold = sign_threshold(op.sign_class)
-        if self.tn_norm >= threshold:
+        if not self.tn_norm < threshold:
             raise AssumptionError(
                 f"||Tn||_op = {self.tn_norm:.6g} >= {threshold:g} "
                 f"({op.sign_class} kernel); dressing is not certified")

@@ -98,7 +98,7 @@ class Solver:
         self.constant_kernel = (self.op.kernel.constant_in_pq
                                 and self.op.kernel.constant_value != 0.0)
         threshold = sign_threshold(self.op.sign_class)
-        if self.rate >= threshold:
+        if not self.rate < threshold:
             raise AssumptionError(
                 f"contraction rate {self.rate:.6g} >= {threshold:g}; "
                 "fixed-point iteration is not certified for this kernel")

@@ -7,10 +7,14 @@ it advances the particle density rho_p directly via
 
 with the effective velocity recomputed each step from the current field
 (rho_s is linear in rho_p; only the velocity dressing needs a solve, done
-by the certified Picard dresser of ``ghd.dressing``, warm-started from the
-previous step, over all cells at once).  First order is deliberate: the
-simplest scheme with a known convergence story, sharing only the kernel
-and dressing modules with the fixed-point path.
+by the certified Picard dresser of ``ghd.dressing`` over all cells at
+once).  Each step's dressing starts from the linear extrapolation
+2 v_dr^k - v_dr^(k-1) of the last two steps' solutions; the dresser's
+certificate does not depend on its starting guess.  The step itself,
+``_upwind_step``, works in place on ghost-padded buffers kept for the whole
+run, so a step allocates no field-sized arrays.  First order is deliberate:
+the simplest scheme with a known convergence story, sharing only the
+kernel and dressing modules with the fixed-point path.
 """
 
 from __future__ import annotations
@@ -60,45 +64,68 @@ def effective_velocity(op: KernelOperator, rho_p: np.ndarray,
     """(v_eff, v_dr) per cell; validates positivity of rho_s, and the
     dresser certifies ||Tn|| < 1."""
     rho_s = 1.0 / TWO_PI + rho_p @ op.TW.T
-    if rho_s.min() <= 0:
+    if not rho_s.min() > 0:
         raise AssumptionError("state density lost positivity in the upwind field")
     n = rho_p / rho_s
     v_dr, = dress_batched_iterative(op, n, op.v, warm=warm_v_dr, tol=tol)
     return v_dr / (TWO_PI * rho_s), v_dr
 
 
-def _fluxes(rho_p: np.ndarray, v_eff: np.ndarray, bc: str) -> np.ndarray:
-    """Interface fluxes with per-cell upwinding by the sign of v_eff."""
-    if bc == PERIODIC:
-        rho = np.concatenate([rho_p[-1:], rho_p, rho_p[:1]], axis=0)
-        vel = np.concatenate([v_eff[-1:], v_eff, v_eff[:1]], axis=0)
-    elif bc == OUTFLOW:
-        rho = np.concatenate([rho_p[:1], rho_p, rho_p[-1:]], axis=0)
-        vel = np.concatenate([v_eff[:1], v_eff, v_eff[-1:]], axis=0)
-    else:
+# ghost rows per boundary condition: rows copied into padded rows 0 and -1
+_GHOST_SOURCES = {OUTFLOW: (1, -2), PERIODIC: (-2, 1)}
+
+
+def _check_bc(bc: str) -> None:
+    if bc not in _GHOST_SOURCES:
         raise NumericalError(f"unknown boundary condition {bc!r}")
-    vplus = np.maximum(vel, 0.0)
-    vminus = np.minimum(vel, 0.0)
-    # F[i] is the flux through the left face of cell i (m+1 faces).
-    return vplus[:-1] * rho[:-1] + vminus[1:] * rho[1:]
 
 
-def _step_core(state: FieldState, v_eff: np.ndarray, dt: float,
-               bc: str) -> FieldState:
-    F = _fluxes(state.rho_p, v_eff, bc)
-    rho_new = state.rho_p - (dt / state.dx) * (F[1:] - F[:-1])
-    return FieldState(state.x_cells, rho_new, state.t + dt)
+def _padded(values: np.ndarray) -> np.ndarray:
+    """(m+2, N) buffer with ``values`` in rows 1..m; ghost rows unset."""
+    buf = np.empty((values.shape[0] + 2, values.shape[1]))
+    buf[1:-1] = values
+    return buf
+
+
+def _upwind_step(rho: np.ndarray, vel: np.ndarray, flux: np.ndarray,
+                 dt_dx: float, bc: str) -> None:
+    """Advance the interior rows of ``rho`` by one upwind step, in place.
+
+    rho and vel are (m+2, N) with the cell values in rows 1..m; this fills
+    their ghost rows and overwrites vel as scratch.  flux is (m+1, N);
+    flux[i] is the flux through the left face of cell i, upwinded per cell
+    by the sign of v_eff.  The arithmetic is that of
+    rho - dt/dx (F[1:] - F[:-1]) with F = max(v,0) rho + min(v,0) rho taken
+    from the left and right cell, in the same order.
+    """
+    lo, hi = _GHOST_SOURCES[bc]
+    for buf in (rho, vel):
+        buf[0] = buf[lo]
+        buf[-1] = buf[hi]
+    np.maximum(vel[:-1], 0.0, out=flux)
+    flux *= rho[:-1]
+    right = vel[1:]
+    np.minimum(right, 0.0, out=right)
+    right *= rho[1:]
+    flux += right
+    diff = vel[1:-1]
+    np.subtract(flux[1:], flux[:-1], out=diff)
+    diff *= dt_dx
+    rho[1:-1] -= diff
 
 
 def step_upwind(state: FieldState, op: KernelOperator, dt: float,
                 bc: str = OUTFLOW, cfl_max: float = 0.9) -> FieldState:
     """One conservative upwind step of size dt; enforces the CFL bound."""
+    _check_bc(bc)
     v_eff, _ = effective_velocity(op, state.rho_p)
     speed = float(np.max(np.abs(v_eff)))
     if dt * speed / state.dx > cfl_max + 1e-12:
         raise NumericalError(
             f"CFL violation: dt*|v|/dx = {dt * speed / state.dx:.4g} > {cfl_max}")
-    return _step_core(state, v_eff, dt, bc)
+    rho = _padded(state.rho_p)
+    _upwind_step(rho, _padded(v_eff), np.empty_like(rho[1:]), dt / state.dx, bc)
+    return FieldState(state.x_cells, rho[1:-1], state.t + dt)
 
 
 def integrate_upwind(scenario: Scenario, op: KernelOperator, t_end: float,
@@ -110,24 +137,40 @@ def integrate_upwind(scenario: Scenario, op: KernelOperator, t_end: float,
 
     Valid as an oracle on smooth data only; the window defaults to the
     support hint widened by the free transport distance.  dressing_tol
-    controls the warm-started velocity dressing each step; the default is
-    far below the O(dx) scheme error.
+    controls the velocity dressing each step, warm-started from the
+    extrapolation of the previous two steps; the default is far below the
+    O(dx) scheme error.
     """
+    _check_bc(bc)
     if x_window is None:
         lo, hi = scenario.x_support_hint
         vmax = float(np.max(np.abs(op.v)))
         pad = vmax * t_end + 0.1 * (hi - lo)
         x_window = (lo - pad, hi + pad)
     state = initial_field(scenario, op, x_window[0], x_window[1], dx)
-    warm = None
+    t, cell_dx = state.t, state.dx
+    rho = _padded(state.rho_p)
+    rho_p = rho[1:-1]
+    vel = np.empty_like(rho)
+    flux = np.empty_like(rho[1:])
+    guess = np.empty_like(rho_p)
+    warm = prev = None
     for _ in range(max_steps):
-        if state.t >= t_end - 1e-14:
-            return state
-        v_eff, warm = effective_velocity(op, state.rho_p, warm_v_dr=warm,
+        if t >= t_end - 1e-14:
+            return FieldState(state.x_cells, rho_p, t)
+        v_eff, v_dr = effective_velocity(op, rho_p, warm_v_dr=warm,
                                          tol=dressing_tol)
+        if prev is None:
+            warm = v_dr
+        else:
+            warm = np.multiply(v_dr, 2.0, out=guess)
+            warm -= prev
+        prev = v_dr
         speed = float(np.max(np.abs(v_eff)))
-        dt = min(cfl * state.dx / max(speed, 1e-300), t_end - state.t)
-        state = _step_core(state, v_eff, dt, bc)
+        dt = min(cfl * cell_dx / max(speed, 1e-300), t_end - t)
+        vel[1:-1] = v_eff
+        _upwind_step(rho, vel, flux, dt / cell_dx, bc)
+        t += dt
     raise ConvergenceError(f"upwind integration exceeded {max_steps} steps")
 
 

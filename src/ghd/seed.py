@@ -395,7 +395,7 @@ def build_seed(scenario: Scenario, op: KernelOperator,
     envelope = Ns.max(axis=0)
     rate = op.operator_norm(envelope=envelope)
     threshold = sign_threshold(op.sign_class)
-    if rate >= threshold:
+    if not rate < threshold:
         raise AssumptionError(
             f"contraction rate ||T sup_x n0||_op = {rate:.6g} >= {threshold:g} "
             f"({op.sign_class} kernel); seed admissibility fails")
@@ -439,7 +439,7 @@ def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
     envelope = np.maximum(n_left, n_right)
     rate = op.operator_norm(envelope=envelope)
     threshold = sign_threshold(op.sign_class)
-    if rate >= threshold:
+    if not rate < threshold:
         raise AssumptionError(
             f"contraction rate ||T sup_x n0||_op = {rate:.6g} >= {threshold:g} "
             f"({op.sign_class} kernel); seed admissibility fails")

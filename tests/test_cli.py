@@ -114,6 +114,17 @@ def test_invalid_fp_tol_exit2(tmp_path, capsys):
     assert "fp_tol" in capsys.readouterr().err
 
 
+def test_nan_contraction_rate_exit3(tmp_path, capsys):
+    # JSON NaN passes the schema; a NaN rate must fail admissibility like
+    # `ghd check` does, not reach the dressing iteration
+    cfg = _small_ll_config()
+    cfg["scenario"]["gamma"] = float("nan")
+    rc = main(["solve", "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "contraction rate" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit5(tmp_path, monkeypatch, capsys):
     def broken_seed(*args, **kwargs):
         raise NumericalError("seed coordinate change is not strictly increasing")

@@ -236,6 +236,14 @@ def test_dress_batched_rejects_noncontracting_rows(ll_op):
         dress_batched(ll_op, n, np.ones(ll_op.count))
 
 
+def test_nan_occupation_fails_admissibility(ll_op):
+    n = np.full(ll_op.count, np.nan)
+    with pytest.raises(AssumptionError, match="not certified"):
+        DressingProblem(ll_op, n)
+    with pytest.raises(AssumptionError, match="does not contract"):
+        dress_batched(ll_op, n, ll_op.v)
+
+
 def test_dress_batched_past_cap_fails_named(ll_op):
     class Understated(ghd.KernelOperator):
         """Reports a tenth of the true rate, so the predicted cap is too low."""

@@ -4,9 +4,9 @@ import pytest
 import ghd
 from ghd.dressing import DressingProblem
 from ghd.errors import AssumptionError, NumericalError
-from ghd.reference import (FieldState, convergence_order, effective_velocity,
-                           fixed_point_rho, initial_field, integrate_upwind,
-                           l1_gap, step_upwind, total_mass)
+from ghd.reference import (OUTFLOW, PERIODIC, FieldState, convergence_order,
+                           effective_velocity, fixed_point_rho, initial_field,
+                           integrate_upwind, l1_gap, step_upwind, total_mass)
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,84 @@ def test_t_end_zero_returns_initial(free_gas):
     field = integrate_upwind(bump, op, 0.0, dx=0.05, x_window=(-4, 4))
     init = initial_field(bump, op, -4, 4, 0.05)
     np.testing.assert_allclose(field.rho_p, init.rho_p)
+
+
+def test_unknown_bc_rejected_before_work(free_gas, monkeypatch):
+    op, bump = free_gas
+    with pytest.raises(NumericalError, match="boundary condition 'bogus'"):
+        integrate_upwind(bump, op, 0.0, dx=0.05, x_window=(-4, 4), bc="bogus")
+    state = initial_field(bump, op, -4, 4, 0.05)
+
+    def no_dressing(*args, **kwargs):
+        raise AssertionError("velocity dressed before the boundary check")
+
+    monkeypatch.setattr("ghd.reference.effective_velocity", no_dressing)
+    with pytest.raises(NumericalError, match="boundary condition 'bogus'"):
+        step_upwind(state, op, dt=0.01, bc="bogus")
+
+
+@pytest.fixture(scope="module")
+def ll_edge_field():
+    """Lieb-Liniger bump cut off by a narrow window: the field is nonzero at
+    both boundaries, and v_eff (close to p) changes sign across the grid."""
+    grid = ghd.build_momentum_grid(-2.0, 2.0, 10)
+    op = ghd.KernelOperator(ghd.lieb_liniger(1.0), grid)
+    bump = ghd.gaussian_bump(0.5, 0.5, 1.0)
+    return op, initial_field(bump, op, -1.0, 1.0, 0.1)
+
+
+def _concatenate_step(rho_p, v_eff, dt, dx, bc):
+    """The step formula with freshly concatenated ghost cells (test oracle)."""
+    if bc == PERIODIC:
+        rho = np.concatenate([rho_p[-1:], rho_p, rho_p[:1]], axis=0)
+        vel = np.concatenate([v_eff[-1:], v_eff, v_eff[:1]], axis=0)
+    else:
+        rho = np.concatenate([rho_p[:1], rho_p, rho_p[-1:]], axis=0)
+        vel = np.concatenate([v_eff[:1], v_eff, v_eff[-1:]], axis=0)
+    vplus = np.maximum(vel, 0.0)
+    vminus = np.minimum(vel, 0.0)
+    F = vplus[:-1] * rho[:-1] + vminus[1:] * rho[1:]
+    return rho_p - (dt / dx) * (F[1:] - F[:-1])
+
+
+@pytest.mark.parametrize("bc", [OUTFLOW, PERIODIC])
+def test_step_matches_concatenate_formula_bitwise(ll_edge_field, bc):
+    op, state = ll_edge_field
+    v_eff, _ = effective_velocity(op, state.rho_p)
+    assert v_eff.min() < 0 < v_eff.max()
+    dt = 0.5 * state.dx / float(np.max(np.abs(v_eff)))
+    out = step_upwind(state, op, dt, bc=bc)
+    expect = _concatenate_step(state.rho_p, v_eff, dt, state.dx, bc)
+    assert np.array_equal(out.rho_p, expect)
+    assert out.t == state.t + dt
+
+
+def test_periodic_steps_conserve_mass(ll_edge_field):
+    op, state = ll_edge_field
+    mass0 = total_mass(state, op)
+    for _ in range(50):
+        v_eff, _ = effective_velocity(op, state.rho_p)
+        state = step_upwind(state, op, 0.9 * state.dx / float(np.max(np.abs(v_eff))),
+                            bc=PERIODIC)
+        assert abs(total_mass(state, op) - mass0) <= 1e-12 * mass0
+
+
+def test_warm_started_integration_matches_cold_loop():
+    grid = ghd.build_momentum_grid(-2.0, 2.0, 12)
+    op = ghd.KernelOperator(ghd.lieb_liniger(1.0), grid)
+    bump = ghd.gaussian_bump(0.5, 0.5, 1.0)
+    t_end, dx, cfl, window = 0.3, 0.05, 0.9, (-3.0, 3.0)
+    field = integrate_upwind(bump, op, t_end, dx, cfl=cfl, x_window=window)
+    state = initial_field(bump, op, window[0], window[1], dx)
+    steps = 0
+    while state.t < t_end - 1e-14:
+        v_eff, _ = effective_velocity(op, state.rho_p, tol=1e-12)
+        speed = float(np.max(np.abs(v_eff)))
+        state = step_upwind(state, op, min(cfl * state.dx / speed, t_end - state.t))
+        steps += 1
+    assert steps > 3
+    assert abs(field.t - state.t) <= 1e-14
+    assert np.max(np.abs(field.rho_p - state.rho_p)) <= 1e-8
 
 
 def test_free_advection_first_order(free_gas):
@@ -95,6 +173,13 @@ def test_effective_velocity_rejects_noncontracting_field():
     rho_p = np.full((3, op.count), 0.25)
     with pytest.raises(AssumptionError, match=r"\|\|T n\|\|_op = .* >= 1"):
         effective_velocity(op, rho_p)
+
+
+def test_effective_velocity_rejects_nan_field():
+    grid = ghd.build_momentum_grid(-1.0, 1.0, 8)
+    op = ghd.KernelOperator(ghd.lieb_liniger(1.0), grid)
+    with pytest.raises(AssumptionError, match="positivity"):
+        effective_velocity(op, np.full((3, op.count), np.nan))
 
 
 def test_upwind_tracks_fixed_point():
