@@ -60,6 +60,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _momentum_indices(rt, section: str, key: str, default) -> list[int]:
+    """Momentum-node indices from a config key, each below the node count."""
+    indices = list(rt.cfg.get(section, {}).get(key, default))
+    if any(i >= rt.grid.count for i in indices):
+        raise ConfigError(f"config schema violation at $.{section}.{key}: index "
+                          f"{max(indices)} is out of range for {rt.grid.count} nodes")
+    return indices
+
+
 class _Runtime:
     """Objects shared by every command, built once from the config."""
 
@@ -164,7 +173,7 @@ def cmd_conserve(rt: _Runtime, out: Path) -> int:
 def cmd_weakcheck(rt: _Runtime, out: Path) -> int:
     sec = rt.cfg.get("weakcheck", {})
     rects = [tuple(r) for r in sec.get("rectangles", [])]
-    p_indices = list(sec.get("p_indices", []))
+    p_indices = _momentum_indices(rt, "weakcheck", "p_indices", [])
     if "random" in sec:
         rects += config_mod.random_rectangles(sec["random"], rt.scenario)
         rng = np.random.default_rng(sec["random"]["seed"] + 1)
@@ -223,8 +232,8 @@ def cmd_plotdata(rt: _Runtime, out: Path) -> int:
     if sec is None:
         raise ConfigError("config schema violation at $.plotdata: section required")
     xs = np.linspace(sec["x_min"], sec["x_max"], sec["x_count"])
-    probes = sec.get("p_probes", [rt.grid.count // 4, rt.grid.count // 2,
-                                  (3 * rt.grid.count) // 4])
+    n = rt.grid.count
+    probes = _momentum_indices(rt, "plotdata", "p_probes", [n // 4, n // 2, 3 * n // 4])
     w = rt.grid.weights
     per_time = [rt.solver.sweep(float(t), xs) for t in sec["times"]]
     for idx, batch in enumerate(per_time):

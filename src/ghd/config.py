@@ -22,6 +22,7 @@ from .grid import RULES, build_momentum_grid
 
 _NUM = {"type": "number"}
 _POSNUM = {"type": "number", "exclusiveMinimum": 0}
+_INDEX = {"type": "integer", "minimum": 0}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -82,8 +83,8 @@ CONFIG_SCHEMA = {
             "properties": {
                 "fp_tol": _POSNUM,
                 "max_iters": {"type": "integer", "minimum": 1},
-                "warm_start": {"enum": ["from_x", "from_neighbor"]},
-                "inv_tol": _POSNUM,
+                # accepted with no effect: sweeps always warm-start
+                "warm_start": {"enum": ["from_neighbor"]},
             },
         },
         "seed_grid": {
@@ -132,7 +133,7 @@ CONFIG_SCHEMA = {
                     "items": {"type": "array", "items": _NUM,
                               "minItems": 4, "maxItems": 4},
                 },
-                "p_indices": {"type": "array", "items": {"type": "integer"}},
+                "p_indices": {"type": "array", "items": _INDEX},
                 "random": {
                     "type": "object",
                     "required": ["count", "seed"],
@@ -171,7 +172,7 @@ CONFIG_SCHEMA = {
                 "x_min": _NUM,
                 "x_max": _NUM,
                 "x_count": {"type": "integer", "minimum": 2},
-                "p_probes": {"type": "array", "items": {"type": "integer"}},
+                "p_probes": {"type": "array", "items": _INDEX},
             },
         },
     },
@@ -283,9 +284,7 @@ def build_scenario_from(cfg: dict) -> seed_mod.Scenario:
 def build_solver_config_from(cfg: dict) -> SolverConfig:
     s = cfg.get("solver", {})
     return SolverConfig(fp_tol=s.get("fp_tol", 1e-10),
-                        max_iters=s.get("max_iters", 500),
-                        warm_start=s.get("warm_start", "from_neighbor"),
-                        inv_tol=s.get("inv_tol", 1e-10))
+                        max_iters=s.get("max_iters", 500))
 
 
 def build_seed_spec_from(cfg: dict) -> seed_mod.SpatialGridSpec | None:

@@ -10,8 +10,9 @@ entropies S[g](t) = (1/2pi) integral dx dp g(n,p) 1dr are computed from
 warm-started solver sweeps with composite-Simpson spatial integrals; the
 weak-form residual sums the four edge integrals of the conservation
 identity over a space-time rectangle with Gauss-Legendre edge quadrature,
-splitting edges at the contact-discontinuity crossing for partitioning
-data.
+splitting edges where a contact discontinuity of partitioning data, the
+level set Xhat(t,x,q) - v_q t = 0, crosses them; all crossings of an edge
+are found by one batched bisection (``Solver.bisect``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.optimize import brentq
 from scipy.special import xlogy
 
 from .dressing import sign_threshold
@@ -281,57 +281,39 @@ def _x_edge_crossings(solver: Solver, t: float, x_lo: float,
     """Positions where any mode's contact sits at time t, within [x_lo, x_hi].
 
     For each momentum node q, psi_q(x) = Xhat(t,x,q) - v_q t is strictly
-    increasing in x, so each column has at most one crossing; bracketed
-    columns are bisected together in batched solves.
+    increasing in x, so each column has at most one crossing; the two end
+    solves pick the bracketed columns, which are bisected together.
     """
     if solver.tab.scenario.kind != "partitioning":
         return np.empty(0)
-    vt = solver.op.v * t
     ends, _, _, _ = solver.solve_batch(t, np.array([x_lo, x_hi]))
-    psi_lo, psi_hi = ends - vt
+    psi_lo, psi_hi = ends - solver.op.v * t
     cols = np.flatnonzero((psi_lo < 0) & (psi_hi > 0))
-    if cols.size == 0:
-        return np.empty(0)
-    lo = np.full(cols.size, x_lo)
-    hi = np.full(cols.size, x_hi)
-    warm = None
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        xhat, _, _, _ = solver.solve_batch(t, mid, warm)
-        warm = xhat
-        below = xhat[np.arange(cols.size), cols] - vt[cols] < 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < 1e-11 * max(1.0, abs(x_lo), abs(x_hi)):
-            break
-    return 0.5 * (lo + hi)
+    return solver.bisect(lambda x: (t, x), np.full(cols.size, x_lo),
+                         np.full(cols.size, x_hi), cols,
+                         tol=1e-11 * max(1.0, abs(x_lo), abs(x_hi)))
 
 
 def _t_edge_crossings(solver: Solver, x: float, t_lo: float, t_hi: float,
                       scan: int = 96) -> list[float]:
-    """Times at which any mode's contact crosses the line at position x."""
+    """Times at which any mode's contact crosses the line at position x.
+
+    A scan of psi_q(t) = Xhat(t,x,q) - v_q t over the edge brackets every
+    sign change, rising or falling; all brackets are bisected together.
+    """
     if solver.tab.scenario.kind != "partitioning":
         return []
-    lo, hi = min(t_lo, t_hi), max(t_lo, t_hi)
-    ts = np.linspace(lo, hi, scan)
-    v = solver.op.v
+    ts = np.linspace(min(t_lo, t_hi), max(t_lo, t_hi), scan)
     xhat, _, _, _ = solver.solve_batch(ts, x)
-    psis = xhat - np.multiply.outer(ts, v)
-    cuts = []
-    state = {"warm": xhat[-1]}
-    for q in np.flatnonzero(np.any(np.sign(psis[:-1]) != np.sign(psis[1:]), axis=0)):
-        def psi_q(t):
-            res = solver.solve(float(t), x, warm=state["warm"])
-            state["warm"] = res.xhat
-            return float(res.xhat[q]) - float(v[q]) * t
-
-        col = psis[:, q]
-        for i in range(scan - 1):
-            if col[i] == 0.0:
-                cuts.append(float(ts[i]))
-            elif col[i] * col[i + 1] < 0:
-                cuts.append(float(brentq(psi_q, ts[i], ts[i + 1], xtol=1e-11)))
-    return cuts
+    psis = xhat - np.multiply.outer(ts, solver.op.v)
+    changed = np.any(np.sign(psis[:-1]) != np.sign(psis[1:]), axis=0)
+    at_zero, _ = np.nonzero((psis[:-1] == 0.0) & changed)
+    i, cols = np.nonzero(psis[:-1] * psis[1:] < 0)
+    rising = psis[i, cols] < 0
+    lo = np.where(rising, ts[i], ts[i + 1])
+    hi = np.where(rising, ts[i + 1], ts[i])
+    roots = solver.bisect(lambda t: (t, x), lo, hi, cols, tol=1e-11)
+    return [float(t) for t in ts[at_zero]] + [float(t) for t in roots]
 
 
 def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, float],

@@ -11,6 +11,9 @@ norm r = ||T sup_x n0||_op < 1, and the stopping rule is the a-posteriori
 bound ||X_{k+1} - X_k|| * r/(1-r) <= fp_tol.  The measured per-iteration
 ratios are recorded for reporting only, never used to stop.
 
+Contact crossings and the inverse of x -> Xhat(t, x, p) are level sets of
+monotone columns of the solution, all found by the batched ``Solver.bisect``.
+
 Constant kernels (hard rods) collapse the map to one scalar equation that
 is strictly monotone in the unknown, solved by bracketed root finding; the
 scalar solve needs no contraction, but the seed tables it reads are dressed
@@ -36,9 +39,6 @@ from .seed import SeedTables
 
 TWO_PI = 2.0 * np.pi
 
-WARM_FROM_X = "from_x"
-WARM_FROM_NEIGHBOR = "from_neighbor"
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -46,8 +46,6 @@ class SolverConfig:
 
     fp_tol: float = 1e-10
     max_iters: int = 500
-    warm_start: str = WARM_FROM_NEIGHBOR
-    inv_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.fp_tol > 0:
@@ -246,10 +244,11 @@ class Solver:
         """Warm-started sweep over ordered x values at fixed t.
 
         Chunks are seeded from the previous chunk's solution shifted by the
-        x offset, an O(dx) initial guess by the spatial Lipschitz bound.
+        x offset, an O(dx) initial guess by the spatial Lipschitz bound;
+        sweeps of at most two points are solved cold in one batch.
         """
         xs = np.asarray(xs, dtype=float)
-        if self.config.warm_start != WARM_FROM_NEIGHBOR or xs.size <= 2:
+        if xs.size <= 2:
             return self.states_batch(t, xs)
         order = np.argsort(xs)
         slices: list[StateSlice] = [None] * xs.size
@@ -268,31 +267,41 @@ class Solver:
             prev_x = xb[-1]
         return slices
 
-    # -- inversion --------------------------------------------------------------
+    # -- level sets ------------------------------------------------------------
+
+    def bisect(self, at, lo, hi, cols, level=0.0, *, tol: float) -> np.ndarray:
+        """Zeros a_i, within tol/2, of Xhat(t, x)[cols_i] - v[cols_i] t - level_i
+        with (t, x) = at(a), for an array a holding one value per row.
+
+        Brackets are oriented: negative at lo_i, non-negative at hi_i (lo_i >
+        hi_i is allowed).  Each of the ceil(log2(max |hi - lo| / tol)) halvings
+        is one solve over all rows, warm-started from the previous midpoints.
+        """
+        lo, hi = (np.array(b, dtype=float) for b in (lo, hi))
+        width = float(np.max(np.abs(hi - lo), initial=0.0))
+        steps = int(np.ceil(np.log2(width / tol))) if width > tol else 0
+        rows = np.arange(lo.size)
+        warm = None
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            ts, xs = self._rows(*at(mid))
+            warm, _, _, _ = self.solve_batch(ts, xs, warm)
+            below = warm[rows, cols] - self.op.v[cols] * ts - level < 0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
 
     def invert_xhat(self, t: float, xhat_target: float, p_index: int) -> float:
-        """Real position x with Xhat(t, x, p) = xhat_target, within inv_tol.
+        """Real position x with Xhat(t, x, p) = xhat_target, bisected to fp_tol / R.
 
-        Bracketed from the bi-Lipschitz slope bounds and bisected on the
-        monotone map x -> Xhat(t, x, p).
+        x -> Xhat(t, x, p) increases with slope at least R (the lower 1dr
+        bound), so one solve at x = xhat_target brackets the root, and the
+        bracket is bisected to the accuracy the fixed point certifies.
         """
         slope_lo = self.tab.bounds.r_value
-        last = {"x": None, "xhat": None}
-
-        def g(x):
-            warm = None
-            if last["x"] is not None:
-                warm = last["xhat"] + (x - last["x"])
-            res = self.solve(t, x, warm=warm)
-            last["x"], last["xhat"] = x, res.xhat
-            return float(res.xhat[p_index]) - xhat_target
-
-        x0 = xhat_target
-        g0 = g(x0)
-        if abs(g0) <= self.config.inv_tol:
-            return x0
-        if g0 > 0:
-            a, b = x0 - g0 / slope_lo, x0
-        else:
-            a, b = x0, x0 - g0 / slope_lo
-        return brentq(g, a, b, xtol=self.config.inv_tol * slope_lo * 0.5)
+        x0 = float(xhat_target)
+        g0 = float(self.solve_batch(t, x0)[0][0, p_index]) - x0
+        lo, hi = sorted((x0, x0 - g0 / slope_lo))  # Xhat - target < 0 below the root
+        level = x0 - float(self.op.v[p_index]) * t
+        return float(self.bisect(lambda a: (t, a), [lo], [hi], [p_index], level,
+                                 tol=self.config.fp_tol / slope_lo)[0])

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ghd.cli import main
 from ghd.errors import NumericalError
@@ -216,6 +217,31 @@ def test_weakcheck_exit1_when_above_tolerance(tmp_path):
     rc = main(["weakcheck", "--config", _write(tmp_path, "cfg.json", cfg),
                "--out", str(tmp_path)])
     assert rc == 1
+
+
+def _index_config(command, index):
+    if command == "weakcheck":
+        cfg = json.loads((CONFIGS / "partitioning_lieb_liniger.json").read_text())
+        cfg["weakcheck"] = {"rectangles": [[-0.5, 0.5, 0.1, 0.6]],
+                            "p_indices": [index]}
+        return cfg, "$.weakcheck.p_indices"
+    cfg = _small_ll_config(plotdata={"times": [0.3], "x_min": -3.0,
+                                     "x_max": 3.0, "x_count": 11,
+                                     "p_probes": [3, index]})
+    cfg["grid"]["count"] = 128
+    return cfg, "$.plotdata.p_probes"
+
+
+@pytest.mark.parametrize("command, index", [
+    ("weakcheck", 999), ("weakcheck", 64), ("weakcheck", -1),
+    ("plotdata", 500), ("plotdata", 128), ("plotdata", -1)])
+def test_momentum_index_out_of_range_exit2(tmp_path, capsys, command, index):
+    cfg, where = _index_config(command, index)
+    rc = main([command, "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert where in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.dat"))
 
 
 def test_compare_reference_smoke(tmp_path):

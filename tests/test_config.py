@@ -44,6 +44,18 @@ def test_model_specific_requirements():
         build_kernel_from({**base, "kernel": {"model": "hard_rods"}})
 
 
+def test_solver_section_keys():
+    base = {"grid": {"p_min": -1, "p_max": 1, "count": 4},
+            "kernel": {"model": "zero"}, "scenario": {"kind": "zero"}}
+    cfg = {**base, "solver": {"fp_tol": 1e-9, "max_iters": 7,
+                              "warm_start": "from_neighbor"}}
+    validate_config(cfg)
+    assert build_solver_config_from(cfg) == ghd.SolverConfig(1e-9, 7)
+    for bad in ({"warm_start": "from_x"}, {"inv_tol": 1e-10}):
+        with pytest.raises(ConfigError, match=r"\$\.solver"):
+            validate_config({**base, "solver": bad})
+
+
 def test_random_rectangles_deterministic():
     sc = ghd.gaussian_bump(0.5, 1.0, 1.0)
     spec = {"count": 5, "seed": 42, "x_range": [-2, 2], "t_range": [0, 1]}

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ghd
-from ghd.diagnostics import (ENTROPY_FUNCTIONS, boson_entropy,
+from ghd.diagnostics import (ENTROPY_FUNCTIONS, _t_edge_crossings,
+                             _x_edge_crossings, boson_entropy,
                              check_assumptions, classical_entropy,
                              conservation_report, conserved_charge,
                              derivative_identity_check, entropy,
@@ -155,6 +156,40 @@ def test_weak_residual_antisymmetric_in_time(part_setup):
     rev = weak_form_residual(solver, (rect[0], rect[1], rect[3], rect[2]), 28,
                              edge_points=96)
     assert abs(fwd["raw"] + rev["raw"]) <= 1e-12 * max(1.0, fwd["scale"])
+
+
+@pytest.fixture(scope="module")
+def free_partitioning():
+    """Zero kernel on partitioning data: Xhat = x exactly, so the contact of
+    mode q is the line x = v_q t."""
+    grid = ghd.build_momentum_grid(-4.0, 4.0, 40)
+    op = ghd.KernelOperator(ghd.zero_kernel(), grid)
+    sc = ghd.partitioning(ghd.gaussian_profile(0.4, 1.0),
+                          ghd.constant_profile(0.1))
+    return ghd.Solver(ghd.build_seed(sc, op))
+
+
+@pytest.mark.parametrize("t, x_lo, x_hi", [
+    (0.6, -1.3, 0.9), (1.7, 0.4, 5.2), (0.25, -3.0, -0.1)])
+def test_x_edge_crossings_free_oracle(free_partitioning, t, x_lo, x_hi):
+    v = free_partitioning.op.v
+    want = np.sort([c for c in v * t if x_lo < c < x_hi])
+    got = np.sort(_x_edge_crossings(free_partitioning, t, x_lo, x_hi))
+    assert want.size >= 3 and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, abs(x_lo), abs(x_hi))
+
+
+@pytest.mark.parametrize("x, t1, t2", [
+    (0.7, 0.2, 1.5),     # p > 0 modes: psi_q falls, brackets go + -> -
+    (-0.5, 0.1, 1.3),    # p < 0 modes: psi_q rises, brackets go - -> +
+    (0.9, 1.6, 0.3)])    # reversed edge
+def test_t_edge_crossings_free_oracle(free_partitioning, x, t1, t2):
+    v = free_partitioning.op.v
+    lo, hi = min(t1, t2), max(t1, t2)
+    want = np.sort([x / p for p in v if p != 0 and lo < x / p < hi])
+    got = np.sort(_t_edge_crossings(free_partitioning, x, t1, t2))
+    assert want.size >= 3 and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-11
 
 
 def test_derivative_identities_smooth(ll_op, ll_bump):

@@ -190,6 +190,15 @@ def test_invert_xhat_trivial_cases(zero_setup, uniform_hr_setup):
     assert abs(solver.invert_xhat(0.4, 1.0, 5) - 1.12) <= 1e-9
 
 
+def test_bisect_without_brackets_solves_nothing(ll_tables, monkeypatch):
+    solver = ghd.Solver(ll_tables)
+    calls = []
+    monkeypatch.setattr(solver, "solve_batch",
+                        lambda *a, **k: calls.append(a) or None)
+    out = solver.bisect(lambda a: (0.5, a), [], [], [], tol=1e-11)
+    assert out.shape == (0,) and not calls
+
+
 def test_eval_state_module_function(ll_solver):
     s = ll_solver.state(0.3, 0.5)
     assert s.t == 0.3 and s.x == 0.5
