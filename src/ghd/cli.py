@@ -182,6 +182,10 @@ def cmd_weakcheck(rt: _Runtime, out: Path) -> int:
     if not rects:
         raise ConfigError("config schema violation at $.weakcheck.rectangles: "
                           "no rectangles given")
+    if len(p_indices) > len(rects):
+        raise ConfigError(
+            f"config schema violation at $.weakcheck.p_indices: {len(p_indices)} "
+            f"indices for {len(rects)} rectangles")
     if len(p_indices) < len(rects):
         p_indices += [rt.grid.count // 2] * (len(rects) - len(p_indices))
     tol = sec.get("tolerance", 1e-4)

@@ -83,6 +83,22 @@ class StateSlice:
     contraction_ratios: tuple
 
 
+def _ratios(deltas: list, iters: np.ndarray) -> list[tuple]:
+    """Per-row ratios delta_k / delta_{k-1} from the per-iteration increments
+    (one (m,) array per iteration), over each row's own iterations."""
+    if not deltas:
+        return [() for _ in iters]
+    d = np.array(deltas).T                       # (m, iterations)
+    prev, cur = d[:, :-1], d[:, 1:]
+    # below ~1e-12 the increments are dominated by round-off and their
+    # ratios are meaningless
+    keep = (np.isfinite(prev) & (prev > 1e-12)
+            & (np.arange(1, d.shape[1]) < iters[:, None]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = cur / prev
+    return [tuple(r[k].tolist()) for r, k in zip(ratio, keep)]
+
+
 class Solver:
     """Fixed-point solver bound to seed tables and a stopping policy."""
 
@@ -149,21 +165,16 @@ class Solver:
         active = np.ones(m, dtype=bool)
         iters = np.zeros(m, dtype=int)
         resid = np.full(m, np.inf)
-        prev_delta = np.full(m, np.nan)
-        ratios: list[list[float]] = [[] for _ in range(m)]
+        deltas = []               # per iteration, NaN for frozen rows
         for k in range(1, self.config.max_iters + 1):
             f_new = self.apply_G(ts[active], xs[active], f[active])
             delta = np.max(np.abs(f_new - f[active]), axis=1)
             f[active] = f_new
             idx = np.flatnonzero(active)
+            iters[idx] = k
+            deltas.append(np.full(m, np.nan))
+            deltas[-1][idx] = delta
             bound = delta * self._post_factor
-            for j, row in enumerate(idx):
-                iters[row] = k
-                # below ~1e-12 the increments are dominated by round-off and
-                # their ratios are meaningless
-                if np.isfinite(prev_delta[row]) and prev_delta[row] > 1e-12:
-                    ratios[row].append(float(delta[j] / prev_delta[row]))
-                prev_delta[row] = delta[j]
             done = bound <= self.config.fp_tol
             resid[idx[done]] = bound[done]
             active[idx[done]] = False
@@ -175,8 +186,8 @@ class Solver:
                 f"fixed point at (t={float(ts[worst])}, x={float(xs[worst])}) "
                 f"missed tol {self.config.fp_tol:g} after "
                 f"{self.config.max_iters} iterations; ratio history: "
-                f"{[round(r, 4) for r in ratios[worst][-8:]]}")
-        return f, iters, resid, [tuple(r) for r in ratios]
+                f"{[round(r, 4) for r in _ratios(deltas, iters)[worst][-8:]]}")
+        return f, iters, resid, _ratios(deltas, iters)
 
     def _solve_constant_kernel(self, t: float, x: float):
         """Scalar route for kernels constant in (p,q): monotone bracketing.

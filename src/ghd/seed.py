@@ -22,6 +22,15 @@ linearly with the boundary-node slopes, which is exact for scenarios that
 are constant or decayed beyond the window.  Partitioning scenarios bypass
 quadrature entirely: their tables are exactly piecewise linear with one
 slope per side of the jump.
+
+Inversion costs O(1) per query.  The bi-Lipschitz bound dA/dx >= R > 0
+makes every cell of column j at least min_i (A[i+1, j] - A[i, j]) wide in
+zhat, so a uniform guide table of buckets just narrower than that holds at
+most one node per bucket and locates a query's cell with one gather and one
+two-sided compare.  Tables that are two lines through the origin (the
+partitioning tables) skip the cell search and invert in closed form,
+X0 = zhat / 1dr_side and N0hat = n_side zhat, the side being the sign of
+zhat.
 """
 
 from __future__ import annotations
@@ -46,6 +55,9 @@ INV_TOL = 1e-10
 
 _NEWTON_ITERS = 8
 _BISECT_ITERS = 60            # 2^-60 is below the resolution of s in [0, 1]
+_GUIDE_SHRINK = 1.0 - 2.0 ** -20   # margin over round-off in the bucket index
+_GUIDE_BUCKETS_PER_NODE = 16  # caps the guide table at 16 nx N int32 entries
+_LINE_RTOL = 1e-14            # round-off allowed in "two lines through the origin"
 
 
 # ---------------------------------------------------------------------------
@@ -234,25 +246,59 @@ def _bisect_cells(y0, y1, d0, d1, h, target):
     return 0.5 * (lo + hi)
 
 
-def _locate_columns(table: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Cell index per column such that table[i, j] <= z_j <= table[i+1, j].
+# ---------------------------------------------------------------------------
+# O(1) inversion aids
 
-    ``table`` is (nx, N) with strictly increasing columns; ``z`` is (..., N).
-    Out-of-range queries clamp to the boundary cells (callers handle the
-    extrapolation masks separately).  Vectorized bisection on the rows.
+def _guide_table(A: np.ndarray):
+    """Per-column uniform buckets locating zhat among the nodes of A.
+
+    Buckets just narrower than the column's narrowest cell hold at most one
+    node each, so the node count up to a query's bucket, minus one, is its
+    cell or a neighbour: one round of two-sided compares finishes the
+    lookup.  The bi-Lipschitz bounds allow a ratio up to upper/R between the
+    widest and the narrowest cell (1/(1 - r)^2 for a one-signed kernel); a
+    column that would need more than _GUIDE_BUCKETS_PER_NODE buckets per
+    node shares buckets instead and takes one round more than its fullest
+    bucket holds nodes.
+
+    Returns (A[0], widths, guide, rounds), guide being the flat (K, N) int32
+    table of candidate cells clipped to [0, nx - 2].
     """
-    nx = table.shape[0]
-    cols = np.broadcast_to(np.arange(table.shape[1]), z.shape)
-    lo = np.zeros(z.shape, dtype=np.int64)
-    hi = np.full(z.shape, nx - 1, dtype=np.int64)
-    for _ in range(int(math.ceil(math.log2(max(nx, 2)))) + 1):
-        mid = (lo + hi) // 2
-        below = table[mid, cols] <= z
-        lo = np.where(below & (mid > lo), mid, lo)
-        hi = np.where(~below & (mid < hi), mid, hi)
-        if np.all(hi - lo <= 1):
-            break
-    return np.minimum(lo, nx - 2)
+    nx, N = A.shape
+    width = np.min(np.diff(A, axis=0), axis=0) * _GUIDE_SHRINK
+    if not np.all(width > 0):
+        raise NumericalError("seed coordinate change is not strictly increasing")
+    min_width = (A[-1] - A[0]) / (_GUIDE_BUCKETS_PER_NODE * nx)
+    shared = bool(np.any(min_width > width))
+    width = np.maximum(width, min_width)
+    bucket = np.ceil((A - A[0]) / width).astype(np.intp)  # first bucket at or past the node
+    K = int(bucket[-1].max()) + 1
+    counts = np.bincount((bucket * N + np.arange(N)).ravel(), minlength=K * N)
+    rounds = int(counts.max()) + 1 if shared else 1
+    guide = np.cumsum(counts.reshape(K, N), axis=0, dtype=np.int32) - 1
+    return A[0], width, np.clip(guide, 0, nx - 2).ravel(), rounds
+
+
+def _two_slopes(tab) -> tuple[np.ndarray, np.ndarray] | None:
+    """(1dr, n) per side, rows (x < 0, x >= 0), when the LINEAR tables are two
+    lines through the origin whose extensions continue the cells (the
+    partitioning tables); None otherwise.
+
+    Such tables invert in closed form: X0 = z / 1dr_side and N0hat = n_side z,
+    with the side given by the sign of z.
+    """
+    x = tab.x_nodes
+    if tab.mode != LINEAR or x.size != 3 or x[1] != 0.0:
+        return None
+    A, dA, B, dB = tab.A, tab.dA, tab.B, tab.dB
+    lines = (np.all(A[1] == 0.0) and np.all(B[1] == 0.0)
+             and np.array_equal(dA[1], dA[2]) and np.array_equal(dB[1], dB[2])
+             and all(np.allclose(Y[i], x[i] * dY[side], rtol=_LINE_RTOL, atol=0.0)
+                     for Y, dY in ((A, dA), (B, dB)) for i, side in ((0, 0), (2, 1))))
+    if not lines:
+        return None
+    one_dr = dA[:2]
+    return one_dr, dB[:2] / one_dr
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +322,14 @@ class SeedTables:
     vn_sup: float
     bounds: DressingBounds
     min_slope_A: float
+
+    def __post_init__(self):
+        # invert gathers a cell's entries from flat views (copies unless the
+        # tables are in C order)
+        self._flat = tuple(a.ravel() for a in (self.A, self.dA, self.B, self.dB))
+        self._sides = _two_slopes(self)
+        (self._guide_origin, self._guide_width, self._guide,
+         self._guide_rounds) = _guide_table(self.A)
 
     @property
     def x_min(self) -> float:
@@ -309,6 +363,22 @@ class SeedTables:
 
     # -- inverse direction ---------------------------------------------------
 
+    def _cells(self, zhat: np.ndarray) -> np.ndarray:
+        """Cell of each query, clip(searchsorted(A[:, j], zhat_j, "right") - 1,
+        0, nx - 2), from its guide bucket and the two-sided compares."""
+        nx, N = self.A.shape
+        col = np.arange(N)
+        A = self._flat[0]
+        # fmax/fmin send NaN queries to bucket 0
+        u = (zhat - self._guide_origin) / self._guide_width
+        k = np.fmin(np.fmax(u, 0.0), self._guide.size // N - 1).astype(np.intp)
+        cells = self._guide.take(k * N + col)
+        for _ in range(self._guide_rounds):
+            at = cells * N + col
+            cells = np.clip(cells + (A.take(at + N) <= zhat) - (A.take(at) > zhat),
+                            0, nx - 2)
+        return cells
+
     def invert(self, zhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve A(x, p_j) = zhat_j per column; return (x, N0hat(zhat)).
 
@@ -317,16 +387,21 @@ class SeedTables:
         N0hat = B o X0 exactly on the discrete tables.
         """
         zhat = np.asarray(zhat, dtype=float)
-        cells = _locate_columns(self.A, zhat)
-        cols = np.broadcast_to(np.arange(self.A.shape[1]), zhat.shape)
-        a0 = self.A[cells, cols]
-        a1 = self.A[cells + 1, cols]
-        da0 = self.dA[cells, cols]
-        da1 = self.dA[cells + 1, cols]
-        b0 = self.B[cells, cols]
-        b1 = self.B[cells + 1, cols]
-        db0 = self.dB[cells, cols]
-        db1 = self.dB[cells + 1, cols]
+        if self._sides is not None:
+            left = zhat < 0
+            one_dr, n = self._sides
+            return (zhat / np.where(left, one_dr[0], one_dr[1]),
+                    np.where(left, n[0], n[1]) * zhat)
+
+        N = self.A.shape[1]
+        A, dA, B, dB = self._flat
+        cells = self._cells(zhat)
+        at0 = cells * N + np.arange(N)
+        at1 = at0 + N
+        a0, a1 = A.take(at0), A.take(at1)
+        da0, da1 = dA.take(at0), dA.take(at1)
+        b0, b1 = B.take(at0), B.take(at1)
+        db0, db1 = dB.take(at0), dB.take(at1)
         xl = self.x_nodes[cells]
         h = self.x_nodes[cells + 1] - xl
 
@@ -338,9 +413,10 @@ class SeedTables:
                 s = np.clip(s - resid / slope, 0.0, 1.0)
             # Newton from the secant guess can stall on a steep cell; the
             # cell is certified monotone, so bisection finishes those entries
-            bad = np.abs(_hermite(a0, a1, da0, da1, h, s) - zhat) > INV_TOL
+            # (out-of-range entries are overwritten by the extension below)
+            bad = ((np.abs(_hermite(a0, a1, da0, da1, h, s) - zhat) > INV_TOL)
+                   & (zhat >= self.A[0]) & (zhat <= self.A[-1]))
             if np.any(bad):
-                bad &= (zhat >= self.A[0]) & (zhat <= self.A[-1])
                 args = (a0[bad], a1[bad], da0[bad], da1[bad], h[bad])
                 s[bad] = _bisect_cells(*args, zhat[bad])
                 worst = float(np.max(np.abs(_hermite(*args, s[bad]) - zhat[bad]),
@@ -406,8 +482,8 @@ def build_seed(scenario: Scenario, op: KernelOperator,
     i0 = int(np.argmin(np.abs(x_nodes)))
     A_raw = cumulative_simpson(dA, dx=dx, axis=0, initial=0.0)
     B_raw = cumulative_simpson(dB, dx=dx, axis=0, initial=0.0)
-    A = A_raw - A_raw[i0]
-    B = B_raw - B_raw[i0]
+    A = np.subtract(A_raw, A_raw[i0], order="C")   # C order: no copy in SeedTables
+    B = np.subtract(B_raw, B_raw[i0], order="C")
 
     mode_used = mode
     min_slope_A = float(_cell_min_slope(A[:-1], A[1:], dA[:-1], dA[1:], dx).min())

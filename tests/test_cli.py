@@ -244,6 +244,19 @@ def test_momentum_index_out_of_range_exit2(tmp_path, capsys, command, index):
     assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.dat"))
 
 
+@pytest.mark.parametrize("extra", [{}, {"random": {"count": 1, "seed": 7}}])
+def test_weakcheck_more_indices_than_rectangles_exit2(tmp_path, capsys, extra):
+    cfg = json.loads((CONFIGS / "partitioning_lieb_liniger.json").read_text())
+    cfg["grid"]["count"] = 24
+    cfg["weakcheck"] = {"rectangles": [[-0.5, 0.5, 0.1, 0.6]],
+                        "p_indices": [3, 5, 7], **extra}
+    rc = main(["weakcheck", "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "$.weakcheck.p_indices" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_compare_reference_smoke(tmp_path):
     rc = main(["compare-reference",
                "--config", str(CONFIGS / "compare_reference.json"),

@@ -279,3 +279,44 @@ def test_convergence_error_names_failing_row_t(ll_tables):
     solver = ghd.Solver(ll_tables, SolverConfig(max_iters=1))
     with pytest.raises(ConvergenceError, match=r"\(t=0\.37, x=2\.0\)"):
         solver.solve_batch(np.array([0.0, 0.37]), np.array([0.0, 2.0]))
+
+
+def _per_row_ratios(solver, ts, xs, max_iters):
+    """The fixed-point loop with its ratio bookkeeping kept row by row."""
+    m = xs.size
+    f = np.broadcast_to(xs[:, None], (m, solver.op.count)).copy()
+    active = np.ones(m, dtype=bool)
+    prev_delta = np.full(m, np.nan)
+    ratios = [[] for _ in range(m)]
+    for _ in range(max_iters):
+        f_new = solver.apply_G(ts[active], xs[active], f[active])
+        delta = np.max(np.abs(f_new - f[active]), axis=1)
+        f[active] = f_new
+        idx = np.flatnonzero(active)
+        for j, row in enumerate(idx):
+            if np.isfinite(prev_delta[row]) and prev_delta[row] > 1e-12:
+                ratios[row].append(float(delta[j] / prev_delta[row]))
+            prev_delta[row] = delta[j]
+        active[idx[delta * solver._post_factor <= solver.config.fp_tol]] = False
+        if not active.any():
+            break
+    return [tuple(r) for r in ratios]
+
+
+def test_ratio_history_matches_per_row_bookkeeping(ll_solver):
+    rng = np.random.default_rng(53)
+    ts = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 2.0, 10)])
+    xs = np.concatenate([[0.0, 1e-9], rng.uniform(-4.0, 4.0, 10)])
+    _, iters, _, ratios = ll_solver.solve_batch(ts, xs)
+    assert len(set(iters.tolist())) > 2
+    assert ratios == _per_row_ratios(ll_solver, ts, xs, ll_solver.config.max_iters)
+
+
+def test_convergence_error_quotes_last_eight_ratios(ll_tables):
+    solver = ghd.Solver(ll_tables, SolverConfig(fp_tol=1e-30, max_iters=14))
+    ts, xs = np.array([0.6]), np.array([1.5])
+    expect = [round(r, 4) for r in _per_row_ratios(solver, ts, xs, 14)[0][-8:]]
+    assert len(expect) == 8
+    with pytest.raises(ConvergenceError) as err:
+        solver.solve_batch(ts, xs)
+    assert str(err.value).endswith(f"ratio history: {expect}")

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ghd
+import ghd.seed as seed_mod
 from ghd.errors import AssumptionError
-from ghd.seed import (HERMITE, INV_TOL, SeedTables, SpatialGridSpec,
+from ghd.seed import (HERMITE, INV_TOL, LINEAR, SeedTables, SpatialGridSpec,
                       _cell_min_slope, _hermite, build_seed,
                       default_spatial_spec)
 
@@ -176,3 +177,128 @@ def test_forward_inverse_consistency_single_column(ll_tables, xhat):
     N = ll_tables.op.count
     x = ll_tables.invert(np.full((1, N), xhat))[0][0, p_index]
     assert abs(ll_tables.xhat0_cols(np.full(N, x))[p_index] - xhat) <= 1e-9
+
+
+def test_out_of_range_queries_never_bisect_an_empty_selection(ll_tables, monkeypatch):
+    sizes = []
+    bisect = seed_mod._bisect_cells
+
+    def recording(*args):
+        sizes.append(args[-1].size)
+        return bisect(*args)
+
+    monkeypatch.setattr(seed_mod, "_bisect_cells", recording)
+    N = ll_tables.op.count
+    z = np.vstack([np.full(N, ll_tables.A[-1].max() + 3.0),
+                   np.full(N, ll_tables.A[0].min() - 3.0),
+                   np.linspace(-5.0, 5.0, N)])
+    x, _ = ll_tables.invert(z)
+    assert 0 not in sizes
+    assert np.max(np.abs(ll_tables.xhat0_cols(x) - z)) <= 1e-9
+
+
+def _hand_table(A, mode=LINEAR):
+    """Tables with columns A on the nodes 0..nx-1, B = A, secant slopes."""
+    nx = A.shape[0]
+    dA = np.vstack([A[1] - A[0], 0.5 * (A[2:] - A[:-2]), A[-1] - A[-2]]) \
+        if nx > 2 else np.vstack([A[1] - A[0]] * 2)
+    return SeedTables(None, None, np.arange(nx, dtype=float), A, dA, A.copy(),
+                      dA.copy(), mode, None, 0.0, 0.0, 0.0, None, 0.0)
+
+
+_WIDTHS = st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, 1.0), st.floats(1.0, 1e3))
+
+
+@given(st.data())
+def test_guide_cells_match_searchsorted(data):
+    nx = data.draw(st.integers(2, 30))
+    N = data.draw(st.integers(1, 4))
+    widths = np.array(data.draw(st.lists(_WIDTHS, min_size=(nx - 1) * N,
+                                         max_size=(nx - 1) * N))).reshape(nx - 1, N)
+    origin = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=N, max_size=N)))
+    A = origin + np.vstack([np.zeros(N), np.cumsum(widths, axis=0)])
+    tab = _hand_table(A)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        kind = data.draw(st.sampled_from(["node", "inside", "outside"]))
+        row = []
+        for j in range(N):
+            lo, hi = A[0, j], A[-1, j]
+            if kind == "node":
+                row.append(A[data.draw(st.integers(0, nx - 1)), j])
+            elif kind == "inside":
+                row.append(data.draw(st.floats(lo, hi)))
+            else:
+                span = hi - lo
+                row.append(data.draw(st.one_of(st.floats(lo - span - 1.0, lo),
+                                               st.floats(hi, hi + span + 1.0))))
+        rows.append(row)
+    z = np.array(rows)
+    expect = np.column_stack([np.searchsorted(A[:, j], z[:, j], "right")
+                              for j in range(N)]) - 1
+    np.testing.assert_array_equal(tab._cells(z), np.clip(expect, 0, nx - 2))
+
+    # non-finite queries: NaN stays NaN, +-inf runs off along the extension
+    with np.errstate(invalid="ignore"):
+        x, height = tab.invert(np.array([[np.nan] * N, [np.inf] * N, [-np.inf] * N]))
+    assert np.all(np.isnan(x[0])) and np.all(np.isnan(height[0]))
+    assert np.all(x[1] == np.inf) and np.all(height[1] == np.inf)
+    assert np.all(x[2] == -np.inf) and np.all(height[2] == -np.inf)
+
+
+def test_non_finite_queries_on_hermite_tables(ll_tables):
+    N = ll_tables.op.count
+    with np.errstate(invalid="ignore"):
+        x, height = ll_tables.invert(np.array([[np.nan] * N, [np.inf] * N,
+                                               [-np.inf] * N]))
+    assert np.all(np.isnan(x[0])) and np.all(np.isnan(height[0]))
+    assert np.all(x[1] == np.inf) and np.all(height[1] == np.inf)
+    assert np.all(x[2] == -np.inf) and np.all(height[2] == -np.inf)
+
+
+def _linear_inverse(tab, z):
+    """The cell-search LINEAR inverse, with the linear extensions."""
+    A, B, dA, dB, xn = tab.A, tab.B, tab.dA, tab.dB, tab.x_nodes
+    j = np.arange(z.shape[1])
+    c = np.clip(np.column_stack([np.searchsorted(A[:, k], z[:, k], "right")
+                                 for k in j]) - 1, 0, xn.size - 2)
+    a0, a1, b0, b1 = A[c, j], A[c + 1, j], B[c, j], B[c + 1, j]
+    s = (z - a0) / (a1 - a0)
+    x = xn[c] + s * (xn[c + 1] - xn[c])
+    height = b0 + s * (b1 - b0)
+    for end, out in ((0, z < A[0]), (-1, z > A[-1])):
+        x = np.where(out, xn[end] + (z - A[end]) / dA[end], x)
+        height = np.where(out, B[end] + (z - A[end]) * (dB[end] / dA[end]), height)
+    return x, height
+
+
+@pytest.mark.parametrize("amplitudes", [(0.45, 0.12), (0.3, 0.0), (0.05, 0.4)])
+def test_two_slope_inverse_matches_linear_formula(ll_op, amplitudes):
+    sc = ghd.partitioning(*(ghd.gaussian_profile(a, 1.0) for a in amplitudes))
+    tab = build_seed(sc, ll_op)
+    assert tab._sides is not None
+    rng = np.random.default_rng(41)
+    z = rng.uniform(-5.0, 5.0, size=(2000, ll_op.count))
+    z[:200] *= 1e-6
+    z[0] = 0.0
+    x, height = tab.invert(z)
+    x_ref, h_ref = _linear_inverse(tab, z)
+    # ulps of the larger of the value and the table end on the query's side
+    side = np.where(z < 0, 0, 2)
+    x_scale = np.maximum(np.abs(x_ref), np.abs(tab.x_nodes[side]))
+    h_scale = np.maximum(np.abs(h_ref), np.abs(np.take_along_axis(tab.B, side, 0)))
+    assert np.all(np.abs(x - x_ref) <= 2 * np.spacing(x_scale))
+    assert np.all(np.abs(height - h_ref) <= 2 * np.spacing(h_scale))
+    assert np.max(np.abs(tab.xhat0_cols(x) - z)) <= 1e-14
+
+
+def test_tables_off_two_lines_keep_the_cell_inverse(ll_op, ll_bump):
+    tab = build_seed(ll_bump, ll_op, SpatialGridSpec(-9.6, 9.6, 5), mode=LINEAR)
+    assert tab.mode == LINEAR and tab._sides is None
+    A = np.array([[-2.0], [0.0], [3.0]])
+    bent = SeedTables(None, None, np.array([-1.0, 0.0, 1.0]), A,
+                      np.array([[2.0], [3.0], [3.5]]), A, np.array([[2.0], [3.0], [3.5]]),
+                      LINEAR, None, 0.0, 0.0, 0.0, None, 0.0)
+    assert bent._sides is None
+    x, _ = bent.invert(np.array([[4.0]]))
+    assert x[0, 0] == 1.0 + 1.0 / 3.5
