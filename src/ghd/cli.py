@@ -10,10 +10,11 @@ Commands
   plotdata           gnuplot-ready columnar profiles per time
 
 Exit codes: 0 success, 1 diagnostic above tolerance, 2 configuration or
-window error, 3 assumption failure, 4 convergence failure, 5 numerical
-failure (an internal check such as seed monotonicity failed).  Identical
-config (including any RNG seed inside it) produces byte-identical output
-files; floats are written with 17 significant digits.
+window error (an ``--out`` that cannot be made a directory included), 3
+assumption failure, 4 convergence failure, 5 numerical failure (an internal
+check such as seed monotonicity failed).  Identical config (including any
+RNG seed inside it) produces byte-identical output files; floats are
+written with 17 significant digits, one ``%`` operation per table block.
 
 ``--workers N`` (and ``GHD_WORKERS``) is accepted for compatibility and has
 no effect: every command runs in one process.
@@ -53,11 +54,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: str, blocks, keys=None, sep: str = ",") -> None:
+    """Write ``header`` as the first line(s), then the rows of every block.
+
+    ``blocks`` yields ``(prefix, values)`` pairs, ``values`` a 2-D float
+    array.  Row ``j`` of a block is ``prefix``, then ``keys[j]`` when
+    ``keys`` is given, then the fields of ``values[j]`` at 17 significant
+    digits joined by ``sep``.  ``prefix`` and ``keys`` are leading key
+    fields formatted beforehand with ``_fmt``, each ending in ``sep``, so a
+    key repeated down the table is formatted once.  Each block is rendered
+    by one ``%`` operation and written before the next one is taken.
+    """
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(header + "\n")
+        for prefix, values in blocks:
+            line = sep.join(["%.17g"] * values.shape[1]) + "\n"
+            heads = keys if keys is not None else [""] * values.shape[0]
+            fh.write("".join([prefix + k + line for k in heads])
+                     % tuple(values.ravel().tolist()))
 
 
 def _momentum_indices(rt, section: str, key: str, default) -> list[int]:
@@ -116,11 +130,10 @@ def cmd_seed(rt: _Runtime, out: Path) -> int:
                    "upper": tab.bounds.upper},
     }
     _write_json(out / "seed_summary.json", summary)
-    nodes = rt.grid.nodes
-    rows = ((x, nodes[j], tab.A[i, j], tab.B[i, j], tab.dA[i, j], tab.dB[i, j])
-            for i, x in enumerate(tab.x_nodes) for j in range(nodes.size))
-    _write_csv(out / "seed_tables.csv",
-               ["x", "p", "Xhat0", "B", "one_dr", "n_one_dr"], rows)
+    table = np.stack((tab.A, tab.B, tab.dA, tab.dB), axis=-1)   # (x, p, 4)
+    _write_csv(out / "seed_tables.csv", "x,p,Xhat0,B,one_dr,n_one_dr",
+               ((_fmt(x) + ",", block) for x, block in zip(tab.x_nodes, table)),
+               keys=[_fmt(p) + "," for p in rt.grid.nodes])
     print(f"seed tables: {tab.x_nodes.size} x-nodes, mode {tab.mode}, "
           f"rate {tab.rate:.6g}")
     return 0
@@ -131,15 +144,15 @@ def cmd_solve(rt: _Runtime, out: Path) -> int:
     if sec is None:
         raise ConfigError("config schema violation at $.solve: section required")
     xs = np.linspace(sec["x_min"], sec["x_max"], sec["x_count"])
-    nodes = rt.grid.nodes
-    rows = []
+    x_keys = [_fmt(x) + "," for x in xs]
+    blocks = []
     for t in sec["times"]:
-        for s in rt.solver.sweep(float(t), xs):
-            rows.extend((s.t, s.x, p, n, rho_p, rho_s, v_eff, u)
-                        for p, n, rho_p, rho_s, v_eff, u in zip(
-                            nodes, s.n, s.rho_p, s.rho_s, s.v_eff, s.u))
-    _write_csv(out / "solve.csv",
-               ["t", "x", "p", "n", "rho_p", "rho_s", "v_eff", "u"], rows)
+        t_key = _fmt(t) + ","
+        for x_key, s in zip(x_keys, rt.solver.sweep(float(t), xs)):
+            blocks.append((t_key + x_key, np.column_stack(
+                (s.n, s.rho_p, s.rho_s, s.v_eff, s.u))))
+    _write_csv(out / "solve.csv", "t,x,p,n,rho_p,rho_s,v_eff,u", blocks,
+               keys=[_fmt(p) + "," for p in rt.grid.nodes])
     print(f"solved {len(sec['times']) * xs.size} slices "
           f"at {len(sec['times'])} times")
     return 0
@@ -160,9 +173,10 @@ def cmd_conserve(rt: _Runtime, out: Path) -> int:
     for name, series in sorted(report.items()):
         tag = name.replace("[", "_").replace("]", "").replace(":", "-")
         v0 = series.values[0]
-        rows = [(t, v, abs(v - v0) / max(abs(v0), 1e-12))
-                for t, v in zip(series.times, series.values)]
-        _write_csv(out / f"conserve_{tag}.csv", ["t", "value", "drift"], rows)
+        values = np.asarray(series.values, dtype=float)
+        drift = np.abs(values - v0) / max(abs(v0), 1e-12)
+        _write_csv(out / f"conserve_{tag}.csv", "t,value,drift",
+                   [("", np.column_stack((series.times, values, drift)))])
         summary[name] = {"relative_drift": series.relative_drift,
                          "initial": v0}
         print(f"{name}: drift {series.relative_drift:.3e}")
@@ -197,9 +211,8 @@ def cmd_weakcheck(rt: _Runtime, out: Path) -> int:
         worst = max(worst, abs(res["residual"]))
         rows.append((*rect, p_idx, res["momentum"], res["residual"],
                      res["scale"]))
-    _write_csv(out / "weakcheck.csv",
-               ["x1", "x2", "t1", "t2", "p_index", "p", "residual", "scale"],
-               rows)
+    _write_csv(out / "weakcheck.csv", "x1,x2,t1,t2,p_index,p,residual,scale",
+               [("", np.array(rows, dtype=float))])
     print(f"weak-form residuals: {len(rows)} rectangles, worst {worst:.3e}, "
           f"tolerance {tol:g}")
     return 0 if worst <= tol else 1
@@ -220,8 +233,8 @@ def cmd_compare_reference(rt: _Runtime, out: Path) -> int:
         rho_ref = fixed_point_rho(rt.solver, t_end, field.x_cells)
         gaps.append(l1_gap(field, rho_ref, rt.op))
         print(f"dx={dx:g}: L1 gap {gaps[-1]:.6e}")
-    rows = list(zip(sec["dx_list"], gaps))
-    _write_csv(out / "compare_reference.csv", ["dx", "l1_gap"], rows)
+    _write_csv(out / "compare_reference.csv", "dx,l1_gap",
+               [("", np.column_stack((sec["dx_list"], gaps)))])
     order = convergence_order(sec["dx_list"], gaps) if len(gaps) > 1 else None
     _write_json(out / "compare_summary.json",
                 {"t_end": t_end, "dx": list(sec["dx_list"]), "l1_gap": gaps,
@@ -240,18 +253,17 @@ def cmd_plotdata(rt: _Runtime, out: Path) -> int:
     probes = _momentum_indices(rt, "plotdata", "p_probes", [n // 4, n // 2, 3 * n // 4])
     w = rt.grid.weights
     per_time = [rt.solver.sweep(float(t), xs) for t in sec["times"]]
+    columns = "# x  mass_density  mean_v_eff  " + "  ".join(
+        f"n(p={_fmt(rt.grid.nodes[j])})" for j in probes)
     for idx, batch in enumerate(per_time):
-        path = out / f"profile_t{idx:03d}.dat"
-        with open(path, "w") as fh:
-            fh.write(f"# t = {_fmt(batch[0].t)}\n")
-            fh.write("# x  mass_density  mean_v_eff  " +
-                     "  ".join(f"n(p={_fmt(rt.grid.nodes[j])})" for j in probes)
-                     + "\n")
-            for s in batch:
-                mass = float(s.rho_p @ w)
-                mean_v = float((s.rho_p * s.v_eff) @ w) / mass if mass > 1e-300 else 0.0
-                cols = [s.x, mass, mean_v] + [s.n[j] for j in probes]
-                fh.write(" ".join(_fmt(c) for c in cols) + "\n")
+        rows = np.empty((len(batch), 3 + len(probes)))
+        for s, row in zip(batch, rows):
+            mass = float(s.rho_p @ w)
+            mean_v = float((s.rho_p * s.v_eff) @ w) / mass if mass > 1e-300 else 0.0
+            row[:3] = s.x, mass, mean_v
+            row[3:] = s.n[probes]
+        _write_csv(out / f"profile_t{idx:03d}.dat",
+                   f"# t = {_fmt(batch[0].t)}\n{columns}", [("", rows)], sep=" ")
     print(f"wrote {len(per_time)} profile files")
     return 0
 
@@ -284,7 +296,11 @@ def main(argv=None) -> int:
         cfg = config_mod.load_config(args.config)
         rt = _Runtime(cfg)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: cannot create the output "
+                              f"directory ({exc.strerror})") from exc
         return _DISPATCH[args.command](rt, out)
     except (ConfigError, SupportWindowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghd.cli import main
+from ghd import config as config_mod
+from ghd.cli import _Runtime, _write_csv, main
 from ghd.errors import NumericalError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -316,3 +317,81 @@ def test_missing_command_section_exit2(tmp_path):
     rc = main(["solve", "--config", _write(tmp_path, "cfg.json", cfg),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("below", ["taken", "taken/sub"])
+def test_unusable_out_exit2(tmp_path, capsys, below):
+    # --out names an existing file, or a path below one
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / below
+    rc = main(["check", "--config", str(CONFIGS / "zero_kernel_gaussian.json"),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out")
+    assert str(out) in err and len(err.strip().splitlines()) == 1
+
+
+# Output rendering: the block writer must reproduce, byte for byte, the
+# per-value rule every table was once written with.
+
+def _ref_line(values, sep=","):
+    return sep.join(f"{float(v):.17g}" for v in values) + "\n"
+
+
+def test_block_writer_matches_per_value_rule(tmp_path):
+    special = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+               -5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0 ** 52 + 1]
+    rt = _Runtime(_small_ll_config())
+    s = rt.solver.sweep(0.4, np.array([-0.7, 0.2]))[1]
+    blocks = [np.array(special + [0.0]).reshape(4, 3),
+              np.arange(12, dtype=float).reshape(4, 3),          # p_index-like
+              np.column_stack((s.n, s.rho_p, s.v_eff))[:4]]
+    prefixes = ["-0,", "7,", "0.40000000000000002,"]
+    keys = [f"{float(k):.17g}," for k in (0, 3, -2.5, float("nan"))]
+    _write_csv(tmp_path / "t.csv", "a,b,c,d,e", zip(prefixes, blocks), keys=keys)
+    expect = "a,b,c,d,e\n" + "".join(
+        _ref_line([float(pre[:-1]), float(k[:-1]), *row])
+        for pre, block in zip(prefixes, blocks) for k, row in zip(keys, block))
+    assert (tmp_path / "t.csv").read_text() == expect
+    _write_csv(tmp_path / "t.dat", "# h", [("", blocks[0])], sep=" ")
+    assert (tmp_path / "t.dat").read_text() == "# h\n" + "".join(
+        _ref_line(row, " ") for row in blocks[0])
+
+
+def test_outputs_match_per_value_rendering(tmp_path):
+    cfg = _small_ll_config(plotdata={"times": [0.0, 0.3], "x_min": -3.0,
+                                     "x_max": 3.0, "x_count": 21})
+    path = _write(tmp_path, "cfg.json", cfg)
+    for command in ("seed", "solve", "plotdata"):
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+
+    rt = _Runtime(config_mod.load_config(path))
+    nodes, tab = rt.grid.nodes, rt.solver.tab
+    sec = cfg["solve"]
+    xs = np.linspace(sec["x_min"], sec["x_max"], sec["x_count"])
+    solve = "t,x,p,n,rho_p,rho_s,v_eff,u\n" + "".join(
+        _ref_line(row) for t in sec["times"]
+        for s in rt.solver.sweep(float(t), xs)
+        for row in zip([s.t] * nodes.size, [s.x] * nodes.size, nodes,
+                       s.n, s.rho_p, s.rho_s, s.v_eff, s.u))
+    assert (tmp_path / "solve.csv").read_text() == solve
+
+    seed = "x,p,Xhat0,B,one_dr,n_one_dr\n" + "".join(
+        _ref_line((x, nodes[j], tab.A[i, j], tab.B[i, j], tab.dA[i, j],
+                   tab.dB[i, j]))
+        for i, x in enumerate(tab.x_nodes) for j in range(nodes.size))
+    assert (tmp_path / "seed_tables.csv").read_text() == seed
+
+    sec = cfg["plotdata"]
+    xs = np.linspace(sec["x_min"], sec["x_max"], sec["x_count"])
+    probes = [24 // 4, 24 // 2, 3 * 24 // 4]
+    w = rt.grid.weights
+    batch = rt.solver.sweep(0.0, xs)
+    profile = (f"# t = {0.0:.17g}\n# x  mass_density  mean_v_eff  "
+               + "  ".join(f"n(p={nodes[j]:.17g})" for j in probes) + "\n")
+    for s in batch:
+        mass = float(s.rho_p @ w)
+        mean_v = float((s.rho_p * s.v_eff) @ w) / mass if mass > 1e-300 else 0.0
+        profile += _ref_line([s.x, mass, mean_v] + [s.n[j] for j in probes], " ")
+    assert (tmp_path / "profile_t000.dat").read_text() == profile
