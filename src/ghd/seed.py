@@ -31,6 +31,16 @@ two-sided compare.  Tables that are two lines through the origin (the
 partitioning tables) skip the cell search and invert in closed form,
 X0 = zhat / 1dr_side and N0hat = n_side zhat, the side being the sign of
 zhat.
+
+Within a Hermite cell the inverse starts at the cell's inverse cubic
+Hermite (the cubic through (a0, 0) and (a1, 1) with slopes 1/(h dA) at the
+ends), which is accurate to O(h^4) on smooth tables, and takes one clipped
+Newton step.  Each in-table entry's residual |A(x) - zhat| is then tested
+against a rounding floor of 16 ulps of max(|a0|, |a1|); the entries above
+it (cells far from a straight line) are finished by bisection on the
+certified-monotone cell, and a residual above INV_TOL after bisection is a
+NumericalError.  Every entry's result depends only on its own query and
+cell.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ DEFAULT_X_RESOLUTION = 2000   # cells per support length
 SUPPORT_MARGIN = 0.2          # window extension beyond the support hint
 INV_TOL = 1e-10
 
-_NEWTON_ITERS = 8
+_FLOOR_ULPS = 16              # Newton's residual test, in ulps of the cell's |A|
 _BISECT_ITERS = 60            # 2^-60 is below the resolution of s in [0, 1]
 _GUIDE_SHRINK = 1.0 - 2.0 ** -20   # margin over round-off in the bucket index
 _GUIDE_BUCKETS_PER_NODE = 16  # caps the guide table at 16 nx N int32 entries
@@ -234,6 +244,12 @@ def _cell_min_slope(y0, y1, d0, d1, h):
     return np.where(interior, np.minimum(ends, vertex), ends)
 
 
+def _rounding_floor(a0, a1):
+    """Residual test of the Newton inverse: _FLOOR_ULPS ulps of max(|a0|, |a1|),
+    the scale of the cell's A values (written max(-a0, a1), as a0 < a1)."""
+    return (_FLOOR_ULPS * np.finfo(float).eps) * np.maximum(-a0, a1)
+
+
 def _bisect_cells(y0, y1, d0, d1, h, target):
     """Cell parameter s with cubic(s) = target, for cells increasing on [0, 1]."""
     lo = np.zeros_like(target)
@@ -384,7 +400,11 @@ class SeedTables:
 
         ``zhat`` has shape (..., N); both outputs share it.  The height is
         read from B at the same cell parameter, which realizes
-        N0hat = B o X0 exactly on the discrete tables.
+        N0hat = B o X0 exactly on the discrete tables.  On Hermite tables
+        the cell parameter is one Newton step from the inverse-Hermite
+        start; an in-table entry whose residual is then above the rounding
+        floor (_rounding_floor) is bisected.  Queries outside the table
+        follow the linear extensions.
         """
         zhat = np.asarray(zhat, dtype=float)
         if self._sides is not None:
@@ -406,18 +426,21 @@ class SeedTables:
         h = self.x_nodes[cells + 1] - xl
 
         if self.mode == HERMITE:
-            s = np.clip((zhat - a0) / (a1 - a0), 0.0, 1.0)
-            for _ in range(_NEWTON_ITERS):
-                resid = _hermite(a0, a1, da0, da1, h, s) - zhat
-                slope = _hermite_slope(a0, a1, da0, da1, h, s) * h
-                s = np.clip(s - resid / slope, 0.0, 1.0)
-            # Newton from the secant guess can stall on a steep cell; the
-            # cell is certified monotone, so bisection finishes those entries
-            # (out-of-range entries are overwritten by the extension below)
-            bad = ((np.abs(_hermite(a0, a1, da0, da1, h, s) - zhat) > INV_TOL)
+            cell = (a0, a1, da0, da1, h)
+            # inverse-Hermite start, O(h^4) on smooth tables, and one Newton step
+            span = a1 - a0
+            u = np.clip((zhat - a0) / span, 0.0, 1.0)
+            s = np.clip(_hermite(0.0, 1.0, span / (h * da0), span / (h * da1), 1.0, u),
+                        0.0, 1.0)
+            s = np.clip(s - (_hermite(*cell, s) - zhat) / (_hermite_slope(*cell, s) * h),
+                        0.0, 1.0)
+            # a cell far from a straight line can miss the floor; it is certified
+            # monotone, so bisection finishes those entries (out-of-range
+            # entries are overwritten by the extension below)
+            bad = ((np.abs(_hermite(*cell, s) - zhat) > _rounding_floor(a0, a1))
                    & (zhat >= self.A[0]) & (zhat <= self.A[-1]))
             if np.any(bad):
-                args = (a0[bad], a1[bad], da0[bad], da1[bad], h[bad])
+                args = tuple(c[bad] for c in cell)
                 s[bad] = _bisect_cells(*args, zhat[bad])
                 worst = float(np.max(np.abs(_hermite(*args, s[bad]) - zhat[bad]),
                                      initial=0.0))
@@ -442,9 +465,6 @@ class SeedTables:
             x = np.where(above, self.x_nodes[-1] + dz / self.dA[-1], x)
             height = np.where(above, self.B[-1] + dz * (self.dB[-1] / self.dA[-1]), height)
         return x, height
-
-    def n0hat_height(self, zhat: np.ndarray) -> np.ndarray:
-        return self.invert(zhat)[1]
 
 
 def build_seed(scenario: Scenario, op: KernelOperator,

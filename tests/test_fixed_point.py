@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ghd
-from ghd.dressing import compute_R
+from ghd.dressing import compute_R, sign_threshold
 from ghd.errors import ConvergenceError
 from ghd.fixed_point import SolverConfig
+from ghd.kernel import SIGN_MIXED
+from ghd.seed import SpatialGridSpec
 
 
 def test_apply_G_zero_scenario(zero_setup):
@@ -320,3 +323,71 @@ def test_convergence_error_quotes_last_eight_ratios(ll_tables):
     with pytest.raises(ConvergenceError) as err:
         solver.solve_batch(ts, xs)
     assert str(err.value).endswith(f"ratio history: {expect}")
+
+
+def _property_solver(case, count, frac, seed):
+    """(solver, scenario) for one fixed-point property case, with the seed's
+    contraction rate at most frac of the kernel's admissible threshold."""
+    rng = np.random.default_rng(seed)
+    grid = ghd.build_momentum_grid(-rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0), count)
+    if case == "sinh_gordon":
+        kernel = ghd.sinh_gordon()
+    elif case == "relativistic":
+        velocity = ghd.relativistic_velocity(rng.uniform(0.3, 2.0))
+        kernel = (ghd.lieb_liniger(rng.uniform(0.5, 2.0), velocity) if rng.random() < 0.5
+                  else ghd.sinh_gordon(velocity))
+    elif case == "mixed":
+        axis = np.linspace(grid.nodes[0], grid.nodes[-1], 4)
+        table = rng.uniform(0.2, 1.0, (4, 4)) * np.where(rng.random((4, 4)) < 0.5, -1, 1)
+        table[0, 0], table[-1, -1] = 0.5, -0.5
+        kernel = ghd.tabulated_kernel(axis, axis, table)
+    else:
+        kernel = ghd.lieb_liniger(rng.uniform(0.5, 2.0))
+    op = ghd.KernelOperator(kernel, grid)
+    assert (op.sign_class == SIGN_MIXED) == (case == "mixed")
+    target = frac * sign_threshold(op.sign_class)
+    p = grid.nodes
+    if case == "tabulated_xy":
+        # bilinear in x, so every x sits below the largest sampled row
+        x_rows = np.linspace(-2.0, 2.0, 5)
+        p_cols = np.linspace(p[0], p[-1], 4)
+        values = rng.uniform(0.0, 1.0, (5, 4))
+        envelope = np.max([np.interp(p, p_cols, row) for row in values], axis=0)
+        scenario = ghd.tabulated_xy(x_rows, p_cols,
+                                    values * target / op.operator_norm(envelope=envelope))
+        spec = SpatialGridSpec(-3.0, 3.0, 301)
+    else:
+        # the bump's sup over x is at x = 0, a seed node
+        sigma, gamma, p0 = rng.uniform(0.6, 1.4), rng.uniform(0.3, 1.5), rng.uniform(-0.5, 0.5)
+        envelope = np.exp(-gamma * (p - p0) ** 2)
+        scenario = ghd.gaussian_bump(target / op.operator_norm(envelope=envelope),
+                                     sigma, gamma, p0)
+        spec = SpatialGridSpec(-9.6 * sigma, 9.6 * sigma, 385)
+    return ghd.Solver(ghd.build_seed(scenario, op, spec)), scenario
+
+
+@given(case=st.sampled_from(["sinh_gordon", "relativistic", "mixed", "tabulated_xy"]),
+       count=st.integers(min_value=8, max_value=24),
+       frac=st.floats(min_value=0.05, max_value=0.98),
+       t=st.floats(min_value=0.05, max_value=1.5),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_fixed_point_properties(case, count, frac, t, seed):
+    # mixed-sign kernels are pushed towards ||Tn|| = 1/2; one-signed ones stay
+    # at rates where the 1e-8 recovery bound is meaningful
+    frac = 0.9 + 0.08 * frac if case == "mixed" else 0.9 * frac
+    solver, scenario = _property_solver(case, count, frac, seed)
+    op = solver.op
+    r_lo = solver.tab.bounds.r_value
+    xs = np.linspace(-2.5, 2.5, 21)
+    for time in (0.0, t):
+        slices = solver.states_batch(time, xs)
+        for s in slices:
+            # two-sided 1dr bounds at the slice's own ||Tn||
+            assert np.all(s.one_dr >= compute_R(s.tn_norm, op.sign_class) - 1e-9)
+            assert np.all(s.one_dr <= 1.0 / (1.0 - s.tn_norm) + 1e-9)
+            if time == 0.0:
+                recovery = np.max(np.abs(s.n - scenario.n0(s.x, op.grid.nodes)))
+                assert recovery <= 1e-8, recovery
+        # x -> Xhat increases with slope at least R
+        for s1, s2 in zip(slices[:-1], slices[1:]):
+            assert np.all(s2.xhat - s1.xhat >= r_lo * (s2.x - s1.x) - 1e-8)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import ghd
 import ghd.seed as seed_mod
@@ -17,7 +17,7 @@ def test_zero_scenario_tables(zero_setup):
     cols = np.broadcast_to(xs[:, None], (xs.size, op.count))
     assert np.max(np.abs(tab.xhat0_cols(cols) - xs[:, None])) <= 1e-12
     assert np.max(np.abs(tab.B)) == 0.0
-    assert tab.n0hat_height(np.full((1, op.count), 1.3))[0, 2] == 0.0
+    assert tab.invert(np.full((1, op.count), 1.3))[1][0, 2] == 0.0
     assert abs(tab.invert(np.full((1, op.count), 0.7))[0][0, 4] - 0.7) <= 1e-12
 
 
@@ -34,8 +34,8 @@ def test_uniform_hard_rods_closed_forms(uniform_hr_setup):
     N = op.count
     assert abs(tab.xhat0_cols(np.full(N, 1.7))[3] - 1.7 / 1.12) <= 1e-10
     assert abs(tab.invert(np.full((1, N), 1.0))[0][0, 5] - 1.12) <= 1e-10
-    assert abs(tab.n0hat_height(np.full((1, N), 2.0))[0, 7] - 0.4) <= 1e-10
-    assert abs(tab.n0hat_height(np.full((1, N), -2.0))[0, 7] + 0.4) <= 1e-10
+    assert abs(tab.invert(np.full((1, N), 2.0))[1][0, 7] - 0.4) <= 1e-10
+    assert abs(tab.invert(np.full((1, N), -2.0))[1][0, 7] + 0.4) <= 1e-10
 
 
 def test_seed_slope_bounds(ll_tables):
@@ -68,8 +68,9 @@ def test_round_trip_inverse(ll_tables):
 
 
 def test_invert_finishes_stalled_newton_by_bisection():
-    # one steep monotone cell: Newton from the secant guess stalls with a
-    # residual of 3.5e-3, so the entry must be finished by bisection
+    # one steep monotone cell (1dr ratio 6.9 across it): one Newton step from
+    # the inverse-Hermite start leaves a residual of 3.2e-3, far above the
+    # rounding floor, so the entry must be finished by bisection
     x_nodes = np.array([0.0, 1.0])
     A = np.array([[0.0], [0.5367]])
     dA = np.array([[0.3037], [2.1047]])
@@ -88,8 +89,8 @@ def test_n0hat_difference_quotients(ll_tables):
     sup = ll_tables.sup_n0
     z1 = rng.uniform(-7.0, 7.0, size=(50, ll_tables.op.count))
     z2 = z1 + rng.uniform(0.01, 2.0, size=z1.shape)
-    h1 = ll_tables.n0hat_height(z1)
-    h2 = ll_tables.n0hat_height(z2)
+    h1 = ll_tables.invert(z1)[1]
+    h2 = ll_tables.invert(z2)[1]
     q = (h2 - h1) / (z2 - z1)
     assert np.all(q >= -1e-12)
     assert np.all(q <= sup + 1e-6)
@@ -98,7 +99,7 @@ def test_n0hat_difference_quotients(ll_tables):
 def test_n0hat_linear_bound(ll_tables):
     rng = np.random.default_rng(31)
     z = rng.uniform(-8.0, 8.0, size=(40, ll_tables.op.count))
-    h = ll_tables.n0hat_height(z)
+    h = ll_tables.invert(z)[1]
     assert np.all(np.abs(h) <= np.abs(z) * ll_tables.sup_n0 + 1e-9)
 
 
@@ -302,3 +303,81 @@ def test_tables_off_two_lines_keep_the_cell_inverse(ll_op, ll_bump):
     assert bent._sides is None
     x, _ = bent.invert(np.array([[4.0]]))
     assert x[0, 0] == 1.0 + 1.0 / 3.5
+
+
+def _recording_bisect(mp):
+    """Patch seed._bisect_cells to record the (a0, zhat) of every entry it
+    finishes; returns the list of recorded pairs."""
+    seen = []
+    bisect = seed_mod._bisect_cells
+
+    def recording(*args):
+        seen.extend(zip(args[0].tolist(), args[-1].tolist()))
+        return bisect(*args)
+
+    mp.setattr(seed_mod, "_bisect_cells", recording)
+    return seen
+
+
+@given(st.data())
+def test_newton_inverse_reaches_the_floor_or_bisects(data):
+    # random monotone Hermite cells, one per column: widths 2^-10 to 1 (powers
+    # of two, so x / h recovers invert's cell parameter exactly), node and
+    # mid-cell slopes anywhere in the bi-Lipschitz range [1 - r, 1/(1 - r)],
+    # ratios up to 16, and A's cell integral by Simpson as in build_seed
+    N = data.draw(st.integers(1, 6))
+    h = 2.0 ** -data.draw(st.integers(0, 10))
+    r = data.draw(st.floats(0.0, 0.75))
+    lo, hi = 1.0 - r, 1.0 / (1.0 - r)
+    d0, dm, d1 = (lo + (hi - lo) * np.array(data.draw(
+        st.lists(st.floats(0.0, 1.0), min_size=N, max_size=N))) for _ in range(3))
+    delta = (d0 + 4.0 * dm + d1) / 6.0
+    # cells within 16 of the origin: there A is a few cells wide, so rounding
+    # leaves the root itself defined far below 1e-12 h
+    a0 = np.array(data.draw(st.lists(st.integers(-16, 16), min_size=N,
+                                     max_size=N))) * h * delta
+    a1 = a0 + h * delta
+    assume(np.all(_cell_min_slope(a0, a1, d0, d1, h) > 0))
+    s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=N, max_size=4 * N)))
+    s = np.resize(s, (-(-s.size // N), N))
+    z = np.clip(_hermite(a0, a1, d0, d1, h, s), a0, a1)
+    A, dA = np.vstack([a0, a1]), np.vstack([d0, d1])
+    tab = SeedTables(None, None, np.array([0.0, h]), A, dA, 2.0 * A, 2.0 * dA,
+                     HERMITE, None, 0.0, 0.0, 0.0, None, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        bisected = _recording_bisect(mp)
+        x, _ = tab.invert(z)
+    cell = np.broadcast_arrays(a0, a1, d0, d1, h, z)
+    resid = np.abs(_hermite(*cell[:5], x / h) - z)
+    bisected = set(bisected)
+    finished = np.array([(a, q) in bisected for a, q in zip(cell[0].flat, z.flat)])
+    assert np.all((resid.ravel() <= seed_mod._rounding_floor(*cell[:2]).ravel())
+                  | finished)
+    root = seed_mod._bisect_cells(*cell[:5], z) * h
+    assert np.max(np.abs(x - root)) <= 1e-12 * h
+
+
+def test_invert_rows_are_independent(ll_tables):
+    rng = np.random.default_rng(37)
+    N = ll_tables.op.count
+    z = rng.uniform(-9.0, 9.0, size=(40, N))
+    z[::7] = ll_tables.A[rng.integers(0, ll_tables.A.shape[0], size=N), np.arange(N)]
+    x, height = ll_tables.invert(z)
+    for i in range(z.shape[0]):
+        xi, hi = ll_tables.invert(z[i:i + 1])
+        assert xi.tobytes() == x[i:i + 1].tobytes()
+        assert hi.tobytes() == height[i:i + 1].tobytes()
+
+
+def test_newton_start_bisects_only_the_steep_cell(ll_tables, monkeypatch):
+    bisected = _recording_bisect(monkeypatch)
+    z = np.random.default_rng(43).uniform(-7.0, 7.0, size=(64, ll_tables.op.count))
+    x, _ = ll_tables.invert(z)
+    assert not bisected
+    assert np.max(np.abs(ll_tables.xhat0_cols(x) - z)) <= 1e-9
+    # the steep cell of test_invert_finishes_stalled_newton_by_bisection
+    A, dA = np.array([[0.0], [0.5367]]), np.array([[0.3037], [2.1047]])
+    steep = SeedTables(None, None, np.array([0.0, 1.0]), A, dA, 2.0 * A, 2.0 * dA,
+                       HERMITE, None, 0.0, 0.0, 0.0, None, 0.0)
+    steep.invert(np.array([[_hermite(0.0, 0.5367, 0.3037, 2.1047, 1.0, 0.373)]]))
+    assert len(bisected) == 1
