@@ -187,15 +187,21 @@ def cmd_conserve(rt: _Runtime, out: Path) -> int:
 def cmd_weakcheck(rt: _Runtime, out: Path) -> int:
     sec = rt.cfg.get("weakcheck", {})
     rects = [tuple(r) for r in sec.get("rectangles", [])]
+    where = [f"$.weakcheck.rectangles[{i}]" for i in range(len(rects))]
     p_indices = _momentum_indices(rt, "weakcheck", "p_indices", [])
     if "random" in sec:
         rects += config_mod.random_rectangles(sec["random"], rt.scenario)
+        where += ["$.weakcheck.random"] * (len(rects) - len(where))
         rng = np.random.default_rng(sec["random"]["seed"] + 1)
         while len(p_indices) < len(rects):
             p_indices.append(int(rng.integers(0, rt.grid.count)))
     if not rects:
         raise ConfigError("config schema violation at $.weakcheck.rectangles: "
                           "no rectangles given")
+    for rect, at in zip(rects, where):
+        if rect[0] == rect[1] or rect[2] == rect[3]:
+            raise ConfigError(f"config schema violation at {at}: rectangle "
+                              f"{list(rect)} has x1 == x2 or t1 == t2")
     if len(p_indices) > len(rects):
         raise ConfigError(
             f"config schema violation at $.weakcheck.p_indices: {len(p_indices)} "

@@ -11,13 +11,16 @@ warm-started solver sweeps with composite-Simpson spatial integrals; the
 weak-form residual sums the four edge integrals of the conservation
 identity over a space-time rectangle with Gauss-Legendre edge quadrature,
 splitting edges where a contact discontinuity of partitioning data, the
-level set Xhat(t,x,q) - v_q t = 0, crosses them; all crossings of an edge
-are found by one batched bisection (``Solver.bisect``).
+level set Xhat(t,x,q) - v_q t = 0, crosses them.  Per rectangle that takes
+one scan solve (the ends of both x-edges and a 96-point scan of both
+t-edges), one level-set solve over the brackets of all four edges
+(``Solver.bisect``) and one state batch over the nodes of all four edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
@@ -247,8 +250,17 @@ def entropy(solver: Solver, g, times, x_window: tuple[float, float],
 # ---------------------------------------------------------------------------
 # weak-form residual on a space-time rectangle
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference nodes and weights on [-1, 1], read-only.  Cached: leggauss
+    takes about 20 ms at 160 points, and every edge piece needs a rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gl_nodes(a: float, b: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    ref_x, ref_w = np.polynomial.legendre.leggauss(count)
+    ref_x, ref_w = _gauss_legendre(count)
     return a + 0.5 * (b - a) * (ref_x + 1.0), 0.5 * (b - a) * ref_w
 
 
@@ -276,44 +288,57 @@ def _edge_nodes(a: float, b: float, cuts, total_points: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _x_edge_crossings(solver: Solver, t: float, x_lo: float,
-                      x_hi: float) -> np.ndarray:
-    """Positions where any mode's contact sits at time t, within [x_lo, x_hi].
+def _edge_crossings(solver: Solver, x_edges=(), t_edges=(),
+                    scan: int = 96) -> list[np.ndarray]:
+    """Where any mode's contact crosses each edge: one scan solve and one
+    level-set solve for all the edges together.
 
-    For each momentum node q, psi_q(x) = Xhat(t,x,q) - v_q t is strictly
-    increasing in x, so each column has at most one crossing; the two end
-    solves pick the bracketed columns, which are bisected together.
+    x_edges are (t, x_lo, x_hi) and t_edges (x, t_a, t_b).  The contact of
+    momentum node q is a zero of psi_q = Xhat(t,x,q) - v_q t.  On an x-edge
+    psi_q is strictly increasing in x, so its two end values bracket the
+    one crossing a column can have; on a t-edge a scan of psi_q over the
+    edge brackets every sign change, rising or falling.  Returns the
+    crossings of each edge, x-edges first, to within 1e-11 (times
+    max(1, |x|) on x-edges).
     """
+    count = len(x_edges) + len(t_edges)
     if solver.tab.scenario.kind != "partitioning":
-        return np.empty(0)
-    ends, _, _, _ = solver.solve_batch(t, np.array([x_lo, x_hi]))
-    psi_lo, psi_hi = ends - solver.op.v * t
-    cols = np.flatnonzero((psi_lo < 0) & (psi_hi > 0))
-    return solver.bisect(lambda x: (t, x), np.full(cols.size, x_lo),
-                         np.full(cols.size, x_hi), cols,
-                         tol=1e-11 * max(1.0, abs(x_lo), abs(x_hi)))
+        return [np.empty(0) for _ in range(count)]
+    ts = [np.full(2, t) for t, _, _ in x_edges] + [
+        np.linspace(min(a, b), max(a, b), scan) for _, a, b in t_edges]
+    xs = [np.array([lo, hi], dtype=float) for _, lo, hi in x_edges] + [
+        np.full(scan, x) for x, _, _ in t_edges]
+    along_x = np.arange(count) < len(x_edges)
+    # the coordinate that varies along each edge, and the edges' scan rows
+    param = np.concatenate([x if ax else t for ax, t, x in zip(along_x, ts, xs)])
+    first = np.cumsum([0] + [t.size for t in ts])
+    ts, xs = np.concatenate(ts), np.concatenate(xs)
+    tol = np.array([1e-11 * max(1.0, abs(lo), abs(hi)) for _, lo, hi in x_edges]
+                   + [1e-11] * len(t_edges))
+    xhat, _, _, _ = solver.solve_batch(ts, xs)
+    psi = xhat - np.multiply.outer(ts, solver.op.v)
+    zeros, edge, cols, neg, pos = [], [], [], [], []
+    for e in range(count):
+        p = psi[first[e]:first[e + 1]]
+        changed = np.any(np.sign(p[:-1]) != np.sign(p[1:]), axis=0)
+        at_zero, _ = np.nonzero((p[:-1] == 0.0) & changed)
+        zeros.append(param[first[e] + at_zero])
+        i, c = np.nonzero(p[:-1] * p[1:] < 0)
+        rising = p[i, c] < 0
+        edge.append(np.full(c.size, e))
+        cols.append(c)
+        neg.append(first[e] + np.where(rising, i, i + 1))
+        pos.append(first[e] + np.where(rising, i + 1, i))
+    edge, cols, neg, pos = (np.concatenate(v) for v in (edge, cols, neg, pos))
+    on_x, fixed = along_x[edge], np.where(along_x[edge], ts[neg], xs[neg])
 
+    def at(a, rows):
+        return (np.where(on_x[rows], fixed[rows], a),
+                np.where(on_x[rows], a, fixed[rows]))
 
-def _t_edge_crossings(solver: Solver, x: float, t_lo: float, t_hi: float,
-                      scan: int = 96) -> list[float]:
-    """Times at which any mode's contact crosses the line at position x.
-
-    A scan of psi_q(t) = Xhat(t,x,q) - v_q t over the edge brackets every
-    sign change, rising or falling; all brackets are bisected together.
-    """
-    if solver.tab.scenario.kind != "partitioning":
-        return []
-    ts = np.linspace(min(t_lo, t_hi), max(t_lo, t_hi), scan)
-    xhat, _, _, _ = solver.solve_batch(ts, x)
-    psis = xhat - np.multiply.outer(ts, solver.op.v)
-    changed = np.any(np.sign(psis[:-1]) != np.sign(psis[1:]), axis=0)
-    at_zero, _ = np.nonzero((psis[:-1] == 0.0) & changed)
-    i, cols = np.nonzero(psis[:-1] * psis[1:] < 0)
-    rising = psis[i, cols] < 0
-    lo = np.where(rising, ts[i], ts[i + 1])
-    hi = np.where(rising, ts[i + 1], ts[i])
-    roots = solver.bisect(lambda t: (t, x), lo, hi, cols, tol=1e-11)
-    return [float(t) for t in ts[at_zero]] + [float(t) for t in roots]
+    roots = solver.bisect(at, param[neg], param[pos], psi[neg, cols],
+                          psi[pos, cols], cols, tol=tol[edge], warm=xhat[neg])
+    return [np.concatenate((zeros[e], roots[edge == e])) for e in range(count)]
 
 
 def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, float],
@@ -326,30 +351,28 @@ def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, flo
     p_index on that rectangle.  The density and current at every edge node
     are recomputed through the dressing, so the residual genuinely tests
     the conservation identity rather than the height-field bookkeeping.
+    The contact crossings of all four edges come from one scan and one
+    level-set solve, and the states at all edge nodes from one batch.
     """
     x1, x2, t1, t2 = (float(v) for v in rectangle)
-
-    def charge_edge(t: float) -> float:
-        cuts = _x_edge_crossings(solver, t, min(x1, x2), max(x1, x2))
-        xs, wts = _edge_nodes(x1, x2, cuts, edge_points)
-        order = np.argsort(xs)
-        slices = solver.states_batch(t, xs[order])
-        q = np.empty(xs.size)
-        for j, idx in enumerate(order):
-            q[idx] = slices[j].n[p_index] * slices[j].one_dr[p_index]
-        return float(q @ wts)
-
-    def current_edge(x: float) -> float:
-        cuts = _t_edge_crossings(solver, x, t1, t2)
-        ts, wts = _edge_nodes(t1, t2, cuts, edge_points)
-        j = np.array([s.n[p_index] * s.v_dr[p_index]
-                      for s in solver.states_batch(ts, x)])
-        return float(j @ wts)
-
-    q_t2 = charge_edge(t2)
-    q_t1 = charge_edge(t1)
-    j_x2 = current_edge(x2)
-    j_x1 = current_edge(x1)
+    x_lo, x_hi = min(x1, x2), max(x1, x2)
+    cuts = _edge_crossings(solver, [(t2, x_lo, x_hi), (t1, x_lo, x_hi)],
+                           [(x2, t1, t2), (x1, t1, t2)])
+    # edges q_t2, q_t1 (charge n 1dr along x) and j_x2, j_x1 (current n v_dr along t)
+    edges = [_edge_nodes(x1, x2, cuts[0], edge_points),
+             _edge_nodes(x1, x2, cuts[1], edge_points),
+             _edge_nodes(t1, t2, cuts[2], edge_points),
+             _edge_nodes(t1, t2, cuts[3], edge_points)]
+    (xs_2, _), (xs_1, _), (ts_2, _), (ts_1, _) = edges
+    slices = solver.states_batch(
+        np.concatenate((np.full(xs_2.size, t2), np.full(xs_1.size, t1), ts_2, ts_1)),
+        np.concatenate((xs_2, xs_1, np.full(ts_2.size, x2), np.full(ts_1.size, x1))))
+    charge = xs_2.size + xs_1.size
+    density = np.array([s.n[p_index] * (s.one_dr if i < charge else s.v_dr)[p_index]
+                        for i, s in enumerate(slices)])
+    ends = np.cumsum([nodes.size for nodes, _ in edges])[:-1]
+    q_t2, q_t1, j_x2, j_x1 = (float(f @ w) for f, (_, w)
+                              in zip(np.split(density, ends), edges))
     raw = (q_t2 - q_t1) + (j_x2 - j_x1)
     scale = max(abs(q_t2), abs(q_t1), abs(j_x2), abs(j_x1))
     residual = raw / scale if scale > 0 else 0.0

@@ -12,7 +12,12 @@ bound ||X_{k+1} - X_k|| * r/(1-r) <= fp_tol.  The measured per-iteration
 ratios are recorded for reporting only, never used to stop.
 
 Contact crossings and the inverse of x -> Xhat(t, x, p) are level sets of
-monotone columns of the solution, all found by the batched ``Solver.bisect``.
+monotone columns of the solution, all found by the batched bracketed root
+finder ``Solver.bisect``: Illinois false position, one solve over all open
+brackets per step, with a halving safeguard that keeps every row within
+twice bisection's solve count.  The solved columns are exact only to
+fp_tol, so near a root, where their values are fixed-point noise, the
+safeguard's halving steps are what still shrinks the bracket.
 
 Constant kernels (hard rods) collapse the map to one scalar equation that
 is strictly monotone in the unknown, solved by bracketed root finding; the
@@ -280,39 +285,78 @@ class Solver:
 
     # -- level sets ------------------------------------------------------------
 
-    def bisect(self, at, lo, hi, cols, level=0.0, *, tol: float) -> np.ndarray:
-        """Zeros a_i, within tol/2, of Xhat(t, x)[cols_i] - v[cols_i] t - level_i
-        with (t, x) = at(a), for an array a holding one value per row.
+    def bisect(self, at, lo, hi, f_lo, f_hi, cols, level=0.0, *, tol,
+               warm: np.ndarray | None = None) -> np.ndarray:
+        """Zeros a_i, within tol_i/2, of psi_i(a) = Xhat(t, x)[cols_i] -
+        v[cols_i] t - level_i, where (t, x) = at(a, rows) for the values a of
+        the rows (indices into the brackets) still open.
 
-        Brackets are oriented: negative at lo_i, non-negative at hi_i (lo_i >
-        hi_i is allowed).  Each of the ceil(log2(max |hi - lo| / tol)) halvings
-        is one solve over all rows, warm-started from the previous midpoints.
+        Brackets are oriented: psi_i < 0 at lo_i and >= 0 at hi_i (lo_i > hi_i
+        is allowed).  The caller passes the end values f_lo, f_hi it already
+        holds; NaN marks an end whose sign alone is known.  level and tol are
+        scalars or one value per row, and warm is the first step's start.
+
+        Each step is one solve over the open rows, warm-started from each
+        row's last iterate, at the Illinois false-position point (the value
+        at an end kept through two steps in a row is halved; Dowell and
+        Jarratt, BIT 11, 1971).  The bracket always holds the sign change.  A
+        row takes the midpoint instead when the halvings it still needs would
+        otherwise not fit in 2 ceil(log2(|hi - lo| / tol)) steps, twice
+        bisection's count, which no row exceeds.  The safeguard matters near
+        the root: psi is computed only to the fixed point's fp_tol, so within
+        about fp_tol of a root its values are noise, where false position may
+        stall and halving still makes progress.
         """
-        lo, hi = (np.array(b, dtype=float) for b in (lo, hi))
-        width = float(np.max(np.abs(hi - lo), initial=0.0))
-        steps = int(np.ceil(np.log2(width / tol))) if width > tol else 0
-        rows = np.arange(lo.size)
-        warm = None
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            ts, xs = self._rows(*at(mid))
-            warm, _, _, _ = self.solve_batch(ts, xs, warm)
-            below = warm[rows, cols] - self.op.v[cols] * ts - level < 0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+        cols = np.asarray(cols, dtype=int)
+        level, tol = (np.broadcast_to(np.asarray(v, dtype=float), a.shape)
+                      for v in (level, tol))
+        width = np.abs(b - a)
+        cap = 2 * np.ceil(np.log2(np.maximum(width / tol, 1.0)))
+        moved = np.zeros(a.size)   # end the last step moved: -1 lo, 1 hi
+        last = None if warm is None else np.array(warm, dtype=float)
+        rows = np.flatnonzero(width > tol)
+        k = 0
+        while rows.size:
+            k += 1
+            ar, br, far, fbr = a[rows], b[rows], fa[rows], fb[rows]
+            c = ar + far / (far - fbr) * (br - ar)
+            mid = 0.5 * (ar + br)
+            needed = np.ceil(np.log2(np.maximum(width[rows] / tol[rows], 1.0)))
+            # the budget, a NaN end value, or a false-position point not inside
+            halve = (needed > cap[rows] - k) | ~((c - ar) * (c - br) < 0)
+            c = np.where(halve, mid, c)
+            ts, xs = self._rows(*at(c, rows))
+            sol, _, _, _ = self.solve_batch(ts, xs, None if last is None else last[rows])
+            if last is None:
+                last = np.empty((a.size, sol.shape[1]))
+            last[rows] = sol
+            col = cols[rows]
+            fc = sol[np.arange(rows.size), col] - self.op.v[col] * ts - level[rows]
+            neg = fc < 0
+            side = np.where(neg, -1.0, 1.0)
+            kept = np.where(moved[rows] == side, 0.5, 1.0)
+            a[rows], fa[rows] = np.where(neg, c, ar), np.where(neg, fc, kept * far)
+            b[rows], fb[rows] = np.where(neg, br, c), np.where(neg, kept * fbr, fc)
+            moved[rows] = side
+            width[rows] = w = np.abs(b[rows] - a[rows])
+            rows = rows[(w > tol[rows]) & (k < cap[rows])]
+        return 0.5 * (a + b)
 
     def invert_xhat(self, t: float, xhat_target: float, p_index: int) -> float:
-        """Real position x with Xhat(t, x, p) = xhat_target, bisected to fp_tol / R.
+        """Real position x with Xhat(t, x, p) = xhat_target, to within fp_tol / R.
 
         x -> Xhat(t, x, p) increases with slope at least R (the lower 1dr
         bound), so one solve at x = xhat_target brackets the root, and the
-        bracket is bisected to the accuracy the fixed point certifies.
+        bracket is refined to the accuracy the fixed point certifies.
         """
         slope_lo = self.tab.bounds.r_value
         x0 = float(xhat_target)
-        g0 = float(self.solve_batch(t, x0)[0][0, p_index]) - x0
-        lo, hi = sorted((x0, x0 - g0 / slope_lo))  # Xhat - target < 0 below the root
+        xhat = self.solve_batch(t, x0)[0]
+        g0 = float(xhat[0, p_index]) - x0     # Xhat - target < 0 below the root
+        x1 = x0 - g0 / slope_lo               # only the sign of its value is known
+        lo, hi, f_lo, f_hi = (x1, x0, np.nan, g0) if g0 > 0 else (x0, x1, g0, np.nan)
         level = x0 - float(self.op.v[p_index]) * t
-        return float(self.bisect(lambda a: (t, a), [lo], [hi], [p_index], level,
-                                 tol=self.config.fp_tol / slope_lo)[0])
+        return float(self.bisect(lambda a, rows: (t, a), [lo], [hi], [f_lo], [f_hi],
+                                 [p_index], level, tol=self.config.fp_tol / slope_lo,
+                                 warm=xhat)[0])

@@ -8,8 +8,9 @@ it advances the particle density rho_p directly via
 with the effective velocity recomputed each step from the current field
 (rho_s is linear in rho_p; only the velocity dressing needs a solve, done
 by the certified Picard dresser of ``ghd.dressing`` over all cells at
-once).  Each step's dressing starts from the linear extrapolation
-2 v_dr^k - v_dr^(k-1) of the last two steps' solutions; the dresser's
+once).  Each step's dressing starts from the quadratic extrapolation
+3 (v_dr^k - v_dr^(k-1)) + v_dr^(k-2) of the last three steps' solutions
+(linear, 2 v_dr^k - v_dr^(k-1), on the second step); the dresser's
 certificate does not depend on its starting guess.  The step itself,
 ``_upwind_step``, works in place on ghost-padded buffers kept for the whole
 run, so a step allocates no field-sized arrays.  First order is deliberate:
@@ -138,7 +139,7 @@ def integrate_upwind(scenario: Scenario, op: KernelOperator, t_end: float,
     Valid as an oracle on smooth data only; the window defaults to the
     support hint widened by the free transport distance.  dressing_tol
     controls the velocity dressing each step, warm-started from the
-    extrapolation of the previous two steps; the default is far below the
+    extrapolation of the previous three steps; the default is far below the
     O(dx) scheme error.
     """
     _check_bc(bc)
@@ -154,7 +155,7 @@ def integrate_upwind(scenario: Scenario, op: KernelOperator, t_end: float,
     vel = np.empty_like(rho)
     flux = np.empty_like(rho[1:])
     guess = np.empty_like(rho_p)
-    warm = prev = None
+    warm = prev = prev2 = None
     for _ in range(max_steps):
         if t >= t_end - 1e-14:
             return FieldState(state.x_cells, rho_p, t)
@@ -162,10 +163,14 @@ def integrate_upwind(scenario: Scenario, op: KernelOperator, t_end: float,
                                          tol=dressing_tol)
         if prev is None:
             warm = v_dr
-        else:
+        elif prev2 is None:
             warm = np.multiply(v_dr, 2.0, out=guess)
             warm -= prev
-        prev = v_dr
+        else:
+            warm = np.subtract(v_dr, prev, out=guess)
+            warm *= 3.0
+            warm += prev2
+        prev, prev2 = v_dr, prev
         speed = float(np.max(np.abs(v_eff)))
         dt = min(cfl * cell_dx / max(speed, 1e-300), t_end - t)
         vel[1:-1] = v_eff

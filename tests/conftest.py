@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,8 +7,10 @@ from hypothesis import settings
 import ghd
 from ghd.seed import SpatialGridSpec
 
+# "ghd" for local runs; CI sets HYPOTHESIS_PROFILE=ci for four times the examples
 settings.register_profile("ghd", deadline=None, max_examples=50)
-settings.load_profile("ghd")
+settings.register_profile("ci", deadline=None, max_examples=200)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ghd"))
 
 
 @pytest.fixture(scope="session")

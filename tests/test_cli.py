@@ -220,6 +220,24 @@ def test_weakcheck_exit1_when_above_tolerance(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("weak, where", [
+    ({"rectangles": [[-0.5, 0.5, 0.1, 0.6], [0.5, 0.5, 0.2, 0.6]]},
+     "$.weakcheck.rectangles[1]"),
+    ({"rectangles": [[-0.5, 0.5, 0.3, 0.3]]}, "$.weakcheck.rectangles[0]"),
+    ({"random": {"count": 2, "seed": 7, "x_range": [0.4, 0.4]}},
+     "$.weakcheck.random")], ids=["x1==x2", "t1==t2", "random"])
+def test_weakcheck_degenerate_rectangle_exit2(tmp_path, capsys, weak, where):
+    cfg = json.loads((CONFIGS / "partitioning_lieb_liniger.json").read_text())
+    cfg["grid"]["count"] = 24
+    cfg["weakcheck"] = weak
+    rc = main(["weakcheck", "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert where in err and "x1 == x2 or t1 == t2" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def _index_config(command, index):
     if command == "weakcheck":
         cfg = json.loads((CONFIGS / "partitioning_lieb_liniger.json").read_text())

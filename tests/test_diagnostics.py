@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ghd
-from ghd.diagnostics import (ENTROPY_FUNCTIONS, _t_edge_crossings,
-                             _x_edge_crossings, boson_entropy,
+from ghd.diagnostics import (ENTROPY_FUNCTIONS, _edge_crossings, boson_entropy,
                              check_assumptions, classical_entropy,
                              conservation_report, conserved_charge,
                              derivative_identity_check, entropy,
@@ -149,6 +148,23 @@ def test_weak_residual_partitioning(part_setup):
         assert abs(res["residual"]) <= 1e-4
 
 
+@pytest.mark.parametrize("rect, p_idx", [((-0.7, 0.8, 0.1, 0.9), 30),
+                                         ((1.2, 0.2, 1.1, 0.2), 18)])
+def test_weak_residual_batches_per_rectangle(part_setup, rect, p_idx):
+    tab = part_setup[2]
+    solver = ghd.Solver(tab)
+    calls = []
+    for name in ("solve_batch", "states_batch"):
+        method = getattr(solver, name)
+        setattr(solver, name,
+                lambda *a, _m=method, _n=name, **k: calls.append(_n) or _m(*a, **k))
+    res = weak_form_residual(solver, rect, p_idx, edge_points=160)
+    assert abs(res["residual"]) <= 1e-4
+    # the scan, at most 22 level-set steps, and the solve of the state batch
+    assert calls.count("states_batch") == 1
+    assert calls.count("solve_batch") <= 24
+
+
 def test_weak_residual_antisymmetric_in_time(part_setup):
     _, _, _, solver = part_setup
     rect = (-0.6, 0.7, 0.15, 0.85)
@@ -174,7 +190,7 @@ def free_partitioning():
 def test_x_edge_crossings_free_oracle(free_partitioning, t, x_lo, x_hi):
     v = free_partitioning.op.v
     want = np.sort([c for c in v * t if x_lo < c < x_hi])
-    got = np.sort(_x_edge_crossings(free_partitioning, t, x_lo, x_hi))
+    got = np.sort(_edge_crossings(free_partitioning, x_edges=[(t, x_lo, x_hi)])[0])
     assert want.size >= 3 and got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, abs(x_lo), abs(x_hi))
 
@@ -187,9 +203,26 @@ def test_t_edge_crossings_free_oracle(free_partitioning, x, t1, t2):
     v = free_partitioning.op.v
     lo, hi = min(t1, t2), max(t1, t2)
     want = np.sort([x / p for p in v if p != 0 and lo < x / p < hi])
-    got = np.sort(_t_edge_crossings(free_partitioning, x, t1, t2))
+    got = np.sort(_edge_crossings(free_partitioning, t_edges=[(x, t1, t2)])[0])
     assert want.size >= 3 and got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-11
+
+
+def test_edge_crossings_of_all_edges_in_one_batch(free_partitioning):
+    # the three x-edges and three t-edges above, solved together
+    x_edges = [(0.6, -1.3, 0.9), (1.7, 0.4, 5.2), (0.25, -3.0, -0.1)]
+    t_edges = [(0.7, 0.2, 1.5), (-0.5, 0.1, 1.3), (0.9, 1.6, 0.3)]
+    v = free_partitioning.op.v
+    got = _edge_crossings(free_partitioning, x_edges, t_edges)
+    for (t, x_lo, x_hi), cuts in zip(x_edges, got[:3]):
+        want = np.sort([c for c in v * t if x_lo < c < x_hi])
+        assert cuts.shape == want.shape
+        assert np.max(np.abs(np.sort(cuts) - want)) <= 1e-11 * max(1.0, abs(x_lo), abs(x_hi))
+    for (x, t1, t2), cuts in zip(t_edges, got[3:]):
+        lo, hi = min(t1, t2), max(t1, t2)
+        want = np.sort([x / p for p in v if p != 0 and lo < x / p < hi])
+        assert cuts.shape == want.shape
+        assert np.max(np.abs(np.sort(cuts) - want)) <= 1e-11
 
 
 def test_derivative_identities_smooth(ll_op, ll_bump):

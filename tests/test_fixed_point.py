@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, strategies as st
 import ghd
 from ghd.dressing import compute_R, sign_threshold
 from ghd.errors import ConvergenceError
-from ghd.fixed_point import SolverConfig
+from ghd.fixed_point import Solver, SolverConfig
 from ghd.kernel import SIGN_MIXED
 from ghd.seed import SpatialGridSpec
 
@@ -198,8 +200,87 @@ def test_bisect_without_brackets_solves_nothing(ll_tables, monkeypatch):
     calls = []
     monkeypatch.setattr(solver, "solve_batch",
                         lambda *a, **k: calls.append(a) or None)
-    out = solver.bisect(lambda a: (0.5, a), [], [], [], tol=1e-11)
+    out = solver.bisect(lambda a, rows: (0.5, a), [], [], [], [], [], tol=1e-11)
     assert out.shape == (0,) and not calls
+
+
+class _Columns:
+    """Stand-in for a Solver whose level-set column at bracket row r is
+    funcs[r](a): bisect's ``at`` passes the row index as t, and v = 0, so
+    psi is the column itself.  Records every solve."""
+
+    _rows = staticmethod(Solver._rows)
+
+    def __init__(self, funcs, cols):
+        self.funcs, self.cols = funcs, cols
+        self.op = SimpleNamespace(v=np.zeros(int(cols.max()) + 1))
+        self.solves = []
+
+    def solve_batch(self, ts, xs, warm=None):
+        rows = ts.astype(int)
+        values = np.array([self.funcs[r](a) for r, a in zip(rows, xs)])
+        out = np.zeros((rows.size, self.op.v.size))
+        out[np.arange(rows.size), self.cols[rows]] = values
+        self.solves.append((rows, xs.copy(), values))
+        return out, None, None, None
+
+
+def _level_set_row(rng, noisy):
+    """(function, lo, hi, tol) of one bracket: a strictly monotone
+    piecewise-linear column with 1-6 pieces of slope 1e-3 to 1e3, rising or
+    falling, optionally with noise of the column's own size within a narrow
+    band around its root."""
+    left = rng.uniform(-2.0, 1.0)
+    right = left + 10.0 ** rng.uniform(-3.0, 0.5)
+    knots = np.concatenate(([left], np.sort(rng.uniform(left, right, rng.integers(0, 6))),
+                            [right]))
+    slopes = 10.0 ** rng.uniform(-3.0, 3.0, knots.size - 1)
+    values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(knots))))
+    root = left + (right - left) * rng.uniform(0.05, 0.95)
+    values -= np.interp(root, knots, values)
+    band = (right - left) * 10.0 ** rng.uniform(-9.0, -4.0) if noisy else 0.0
+    size = band * slopes[np.searchsorted(knots, root) - 1]
+
+    def rising(a):
+        noise = size * np.sin(a * 7.3e5 / band) if abs(a - root) < band else 0.0
+        return float(np.interp(a, knots, values)) + noise
+
+    tol = (right - left) * 10.0 ** rng.uniform(-10.0, -1.0)
+    if rng.random() < 0.5:
+        return rising, left, right, tol
+    return (lambda a: rising(left + right - a)), right, left, tol
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       count=st.integers(min_value=1, max_value=12),
+       noisy=st.booleans(), nan_ends=st.booleans())
+def test_bisect_keeps_brackets_within_cap(seed, count, noisy, nan_ends):
+    rng = np.random.default_rng(seed)
+    funcs, lo, hi, tol = zip(*(_level_set_row(rng, noisy) for _ in range(count)))
+    lo, hi, tol = (np.array(v) for v in (lo, hi, tol))
+    f_lo = np.array([f(a) for f, a in zip(funcs, lo)])
+    f_hi = np.array([f(a) for f, a in zip(funcs, hi)])
+    assert np.all(f_lo < 0) and np.all(f_hi >= 0)
+    if nan_ends:  # ends whose sign alone is known
+        f_lo[rng.random(count) < 0.5] = np.nan
+        f_hi[rng.random(count) < 0.5] = np.nan
+    cols = rng.integers(0, 5, count)
+    stub = _Columns(funcs, cols)
+    out = Solver.bisect(stub, lambda a, rows: (rows.astype(float), a), lo, hi,
+                        f_lo, f_hi, cols, tol=tol)
+    cap = 2 * np.ceil(np.log2(np.abs(hi - lo) / tol))
+    # rebuild each bracket from the evaluations alone
+    a, b, steps = lo.copy(), hi.copy(), np.zeros(count)
+    for rows, points, values in stub.solves:
+        assert np.all((points - a[rows]) * (points - b[rows]) < 0)
+        a[rows] = np.where(values < 0, points, a[rows])
+        b[rows] = np.where(values < 0, b[rows], points)
+        steps[rows] += 1
+    assert np.all(steps <= cap) and len(stub.solves) <= cap.max()
+    # the result lies within tol/2 of a negative and a non-negative value
+    slack = 4 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    assert np.all(np.abs(out - a) <= 0.5 * tol + slack)
+    assert np.all(np.abs(out - b) <= 0.5 * tol + slack)
 
 
 def test_eval_state_module_function(ll_solver):
