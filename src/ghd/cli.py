@@ -38,8 +38,8 @@ from .errors import (AssumptionError, ConfigError, ConvergenceError,
                      GHDError, SupportWindowError)
 from .fixed_point import Solver
 from .kernel import KernelOperator
-from .reference import (convergence_order, fixed_point_rho, integrate_upwind,
-                        l1_gap)
+from .reference import (cell_count, convergence_order, default_window,
+                        fixed_point_rho, integrate_upwind, l1_gap)
 from .seed import build_seed
 
 COMMANDS = ("check", "seed", "solve", "conserve", "weakcheck",
@@ -229,9 +229,20 @@ def cmd_compare_reference(rt: _Runtime, out: Path) -> int:
     if sec is None:
         raise ConfigError("config schema violation at $.compare: section required")
     t_end = sec["t_end"]
-    window = None
-    if "x_min" in sec and "x_max" in sec:
+    if "x_min" in sec:              # the schema requires x_min and x_max together
         window = (sec["x_min"], sec["x_max"])
+        if not window[0] < window[1]:
+            raise ConfigError(f"config schema violation at $.compare.x_max: "
+                              f"{window[1]:g} is not above x_min {window[0]:g}")
+    else:
+        window = default_window(rt.scenario, rt.op, t_end)
+    for i, dx in enumerate(sec["dx_list"]):
+        cells = cell_count(*window, dx)
+        if cells < 2:
+            raise ConfigError(
+                f"config schema violation at $.compare.dx_list[{i}]: dx {dx:g} "
+                f"leaves {cells} cells in the window [{window[0]:g}, {window[1]:g}]; "
+                f"the oracle needs at least 2")
     gaps = []
     for dx in sec["dx_list"]:
         field = integrate_upwind(rt.scenario, rt.op, t_end, dx,

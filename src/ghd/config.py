@@ -157,11 +157,15 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "t_end": _POSNUM,
-                "dx_list": {"type": "array", "items": _POSNUM, "minItems": 1},
-                "cfl": _POSNUM,
+                # distinct: the convergence order is a fit over log dx
+                "dx_list": {"type": "array", "items": _POSNUM, "minItems": 1,
+                            "uniqueItems": True},
+                # first-order upwind is stable only up to CFL number 1
+                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "x_min": _NUM,
                 "x_max": _NUM,
             },
+            "dependentRequired": {"x_min": ["x_max"], "x_max": ["x_min"]},
         },
         "plotdata": {
             "type": "object",
@@ -205,12 +209,17 @@ def load_config(path) -> dict:
     return raw
 
 
+# built once: jsonschema.validate re-checks the schema against the
+# metaschema and builds a new validator on every call
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def validate_config(raw: dict) -> None:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # best_match picks the error jsonschema.validate would report
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if exc is not None:
         where = exc.json_path if exc.json_path else "$"
-        raise ConfigError(f"config schema violation at {where}: {exc.message}") from exc
+        raise ConfigError(f"config schema violation at {where}: {exc.message}")
 
 
 def build_grid_from(cfg: dict):

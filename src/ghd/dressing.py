@@ -6,8 +6,10 @@ rate is the envelope norm z = ||T sup_rows n||_op, which bounds every row's
 rate; z < 1 makes the map a contraction, and the iteration stops on the
 a-posteriori bound ||x_{k+1} - x_k|| z/(1-z), the same certificate the
 fixed point uses.  It is warm-startable, so neighbouring x nodes and
-successive upwind steps reuse the previous solution.  A dense solve of
-(1 - Tn) f^dr = f is kept only as the test-side oracle.
+successive upwind steps reuse the previous solution.  It can also iterate
+inside buffers its caller owns, so a time-stepping caller dresses every
+step without allocating; the result is then a view into those buffers.
+A dense solve of (1 - Tn) f^dr = f is kept only as the test-side oracle.
 
 ``DressingProblem`` is the single-row front end: it enforces the sign
 threshold on ||Tn|| (< 1, or < 1/2 for mixed-sign kernels) and supplies the
@@ -62,7 +64,7 @@ class DressingBounds:
 
 
 def dress_batched(op: KernelOperator, n_rows: np.ndarray, *fs,
-                  warm=None, tol: float = DRESS_TOL) -> tuple:
+                  warm=None, tol: float = DRESS_TOL, buffers=None) -> tuple:
     """Dress each f in ``fs`` at many points: f^dr = f + T(n f^dr) per row.
 
     n_rows has one occupation row per point, shape (rows, nodes); each f
@@ -70,6 +72,13 @@ def dress_batched(op: KernelOperator, n_rows: np.ndarray, *fs,
     ``warm`` is an initial guess of the same layout (e.g. a previous
     result).  The result is certified to within tol * max(1, |f|)/(1 - z)
     of the exact dressing, z = ||T sup_rows n||_op.
+
+    ``buffers`` is an optional caller-owned stack ``(x, x_new, work)`` of
+    C-contiguous float arrays, each (len(fs), rows, nodes).  The iteration
+    then starts from what ``x`` holds (``warm`` must be None), overwrites
+    all three, and allocates nothing of their size: the returned arrays
+    are views into ``x`` or ``x_new``, valid until the caller reuses that
+    buffer.  Without ``buffers`` the result owns fresh memory.
     """
     n_rows = np.atleast_2d(np.asarray(n_rows, dtype=float))
     m, N = n_rows.shape
@@ -79,14 +88,19 @@ def dress_batched(op: KernelOperator, n_rows: np.ndarray, *fs,
             f"||T n||_op = {z:.6g} >= 1; the dressing iteration does not contract")
     F = np.stack(np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in fs)))
     F = F.reshape(len(fs), -1, N)
-    x = np.broadcast_to(F, (len(fs), m, N)).copy() if warm is None \
-        else np.array(np.broadcast_to(warm, (len(fs), m, N)), dtype=float)
+    if buffers is None:
+        x = np.broadcast_to(F, (len(fs), m, N)).copy() if warm is None \
+            else np.array(np.broadcast_to(warm, (len(fs), m, N)), dtype=float)
+        # reused buffers: fresh temporaries per iteration cost page faults on large batches
+        x_new = np.empty_like(x)
+        work = np.empty_like(x)
+    elif warm is not None:
+        raise TypeError("dress_batched: pass the start in buffers[0] or warm, not both")
+    else:
+        x, x_new, work = buffers
     # stop on delta * z/(1-z) <= tol * max(1, |F|)/(1-z)
     scale = tol * max(1.0, float(np.max(np.abs(F))))
     TWt = op.TW.T
-    # reused buffers: fresh temporaries per iteration cost page faults on large batches
-    x_new = np.empty_like(x)
-    work = np.empty_like(x)
     k = 0
     cap = None
     while True:

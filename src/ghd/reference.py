@@ -11,11 +11,20 @@ by the certified Picard dresser of ``ghd.dressing`` over all cells at
 once).  Each step's dressing starts from the quadratic extrapolation
 3 (v_dr^k - v_dr^(k-1)) + v_dr^(k-2) of the last three steps' solutions
 (linear, 2 v_dr^k - v_dr^(k-1), on the second step); the dresser's
-certificate does not depend on its starting guess.  The step itself,
-``_upwind_step``, works in place on ghost-padded buffers kept for the whole
-run, so a step allocates no field-sized arrays.  First order is deliberate:
-the simplest scheme with a known convergence story, sharing only the
-kernel and dressing modules with the fixed-point path.
+certificate does not depend on its starting guess.
+
+A step allocates no field-sized arrays: ``integrate_upwind`` owns every
+(cells, N) buffer for the whole run.  ``_upwind_step`` works in place on
+ghost-padded rho and velocity buffers, ``effective_velocity`` writes
+rho_s, n and v_eff into caller buffers (v_eff straight into the velocity
+buffer's interior), and the dresser iterates inside a pool of four
+buffers (the iterate, the spare, v_dr^(k-1) and v_dr^(k-2)) that the loop
+rotates by reference.  The dressed v_dr is a view into the pool, so it
+stays valid only until its buffer comes round again as the spare.
+
+First order is deliberate: the simplest scheme with a known convergence
+story, sharing only the kernel and dressing modules with the fixed-point
+path.
 """
 
 from __future__ import annotations
@@ -49,10 +58,24 @@ class FieldState:
         return float(self.x_cells[1] - self.x_cells[0])
 
 
+def default_window(scenario: Scenario, op: KernelOperator,
+                   t_end: float) -> tuple[float, float]:
+    """The support hint widened by the free transport distance."""
+    lo, hi = scenario.x_support_hint
+    vmax = float(np.max(np.abs(op.v)))
+    pad = vmax * t_end + 0.1 * (hi - lo)
+    return (lo - pad, hi + pad)
+
+
+def cell_count(x_min: float, x_max: float, dx: float) -> int:
+    """Number of cells of width about dx that ``initial_field`` lays out."""
+    return int(round((x_max - x_min) / dx))
+
+
 def initial_field(scenario: Scenario, op: KernelOperator, x_min: float,
                   x_max: float, dx: float) -> FieldState:
     """Sample rho_p(0,x,p) = n0 * 1dr_0 / (2 pi) at the cell centers."""
-    m = int(round((x_max - x_min) / dx))
+    m = cell_count(x_min, x_max, dx)
     centers = x_min + dx * (np.arange(m) + 0.5)
     n = np.asarray(scenario.n0(centers[:, None], op.grid.nodes[None, :]), dtype=float)
     one_dr, = dress_batched_iterative(op, n, np.ones(op.count))
@@ -61,15 +84,30 @@ def initial_field(scenario: Scenario, op: KernelOperator, x_min: float,
 
 def effective_velocity(op: KernelOperator, rho_p: np.ndarray,
                        warm_v_dr: np.ndarray | None = None,
-                       tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+                       tol: float = 1e-10, out=None,
+                       dressing=None) -> tuple[np.ndarray, np.ndarray]:
     """(v_eff, v_dr) per cell; validates positivity of rho_s, and the
-    dresser certifies ||Tn|| < 1."""
-    rho_s = 1.0 / TWO_PI + rho_p @ op.TW.T
+    dresser certifies ||Tn|| < 1.
+
+    ``out = (rho_s, n, v_eff)`` are optional caller-owned (cells, N)
+    arrays that this fills instead of fresh ones; rho_s is scratch and
+    ends up holding 2 pi rho_s.  ``dressing = (x, x_new, work)`` is handed
+    to the dresser as its buffer stack: x holds the starting guess
+    (``warm_v_dr`` must be None), and the returned v_dr is a view into x
+    or x_new.  Buffers or not, the bits are the same.
+    """
+    if out is None:
+        out = tuple(np.empty(rho_p.shape) for _ in range(3))
+    rho_s, n, v_eff = out
+    np.matmul(rho_p, op.TW.T, out=rho_s)
+    rho_s += 1.0 / TWO_PI
     if not rho_s.min() > 0:
         raise AssumptionError("state density lost positivity in the upwind field")
-    n = rho_p / rho_s
-    v_dr, = dress_batched_iterative(op, n, op.v, warm=warm_v_dr, tol=tol)
-    return v_dr / (TWO_PI * rho_s), v_dr
+    np.divide(rho_p, rho_s, out=n)
+    v_dr, = dress_batched_iterative(op, n, op.v, warm=warm_v_dr, tol=tol,
+                                    buffers=dressing)
+    rho_s *= TWO_PI
+    return np.divide(v_dr, rho_s, out=v_eff), v_dr
 
 
 # ghost rows per boundary condition: rows copied into padded rows 0 and -1
@@ -144,36 +182,40 @@ def integrate_upwind(scenario: Scenario, op: KernelOperator, t_end: float,
     """
     _check_bc(bc)
     if x_window is None:
-        lo, hi = scenario.x_support_hint
-        vmax = float(np.max(np.abs(op.v)))
-        pad = vmax * t_end + 0.1 * (hi - lo)
-        x_window = (lo - pad, hi + pad)
+        x_window = default_window(scenario, op, t_end)
     state = initial_field(scenario, op, x_window[0], x_window[1], dx)
     t, cell_dx = state.t, state.dx
     rho = _padded(state.rho_p)
     rho_p = rho[1:-1]
     vel = np.empty_like(rho)
     flux = np.empty_like(rho[1:])
-    guess = np.empty_like(rho_p)
-    warm = prev = prev2 = None
-    for _ in range(max_steps):
+    # rho_s and n scratch; v_eff lands in vel's interior rows
+    fields = (np.empty_like(rho_p), np.empty_like(rho_p), vel[1:-1])
+    # dressing pool, rotated by reference: the iterate, the spare,
+    # v_dr^(k-1) and v_dr^(k-2), plus the dresser's work buffer
+    it, spare, prev, prev2, work = (np.empty((1,) + rho_p.shape) for _ in range(5))
+    it[0] = op.v                      # the first step starts cold, from f = v
+    for k in range(max_steps):
         if t >= t_end - 1e-14:
             return FieldState(state.x_cells, rho_p, t)
-        v_eff, v_dr = effective_velocity(op, rho_p, warm_v_dr=warm,
-                                         tol=dressing_tol)
-        if prev is None:
-            warm = v_dr
-        elif prev2 is None:
-            warm = np.multiply(v_dr, 2.0, out=guess)
-            warm -= prev
+        v_eff, v_dr = effective_velocity(op, rho_p, tol=dressing_tol, out=fields,
+                                         dressing=(it, spare, work))
+        if np.may_share_memory(v_dr, spare):
+            it, spare = spare, it
+        # it holds v_dr^k; the next start goes into spare
+        guess = spare[0]
+        if k == 0:
+            guess[...] = v_dr
+        elif k == 1:
+            np.multiply(v_dr, 2.0, out=guess)
+            guess -= prev[0]
         else:
-            warm = np.subtract(v_dr, prev, out=guess)
-            warm *= 3.0
-            warm += prev2
-        prev, prev2 = v_dr, prev
-        speed = float(np.max(np.abs(v_eff)))
+            np.subtract(v_dr, prev[0], out=guess)
+            guess *= 3.0
+            guess += prev2[0]
+        it, spare, prev, prev2 = spare, prev2, it, prev
+        speed = max(float(v_eff.max()), -float(v_eff.min()))
         dt = min(cfl * cell_dx / max(speed, 1e-300), t_end - t)
-        vel[1:-1] = v_eff
         _upwind_step(rho, vel, flux, dt / cell_dx, bc)
         t += dt
     raise ConvergenceError(f"upwind integration exceeded {max_steps} steps")

@@ -287,6 +287,28 @@ def test_compare_reference_smoke(tmp_path):
     assert summary["order"] is not None
 
 
+@pytest.mark.parametrize("compare, where", [
+    ({"x_min": 3.5, "x_max": -3.5}, "$.compare.x_max"),
+    ({"x_min": 1.0, "x_max": 1.0}, "$.compare.x_max"),
+    ({"dx_list": [10]}, "$.compare.dx_list[0]"),
+    ({"dx_list": [0.02, 100], "x_min": None, "x_max": None}, "$.compare.dx_list[1]"),
+    ({"cfl": 5}, "$.compare.cfl"),
+    ({"dx_list": [0.01, 0.01]}, "$.compare.dx_list"),
+    ({"x_max": None}, "$.compare: 'x_max' is a dependency of 'x_min'"),
+    ({"x_min": None}, "$.compare: 'x_min' is a dependency of 'x_max'"),
+], ids=["x_min>x_max", "x_min==x_max", "one_cell", "default_window_one_cell",
+        "cfl>1", "duplicate_dx", "x_min_alone", "x_max_alone"])
+def test_compare_reference_config_holes_exit2(tmp_path, capsys, compare, where):
+    cfg = json.loads((CONFIGS / "compare_reference.json").read_text())
+    cfg["compare"].update(compare)
+    cfg["compare"] = {k: v for k, v in cfg["compare"].items() if v is not None}
+    rc = main(["compare-reference", "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert where in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_plotdata_outputs(tmp_path):
     cfg = _small_ll_config(plotdata={"times": [0.0, 0.3], "x_min": -3.0,
                                      "x_max": 3.0, "x_count": 41})

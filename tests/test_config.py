@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 import ghd
 from ghd.config import (CONFIG_SCHEMA, build_kernel_from, build_scenario_from,
@@ -10,6 +11,31 @@ from ghd.config import (CONFIG_SCHEMA, build_kernel_from, build_scenario_from,
 from ghd.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def test_schema_is_valid_draft_2020_12():
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def test_load_does_not_recheck_schema(monkeypatch):
+    # the validator is built once at import; a load re-checks only the config
+    def no_recheck(*args, **kwargs):
+        raise AssertionError("schema re-checked against the metaschema on load")
+
+    monkeypatch.setattr(Draft202012Validator, "check_schema", no_recheck)
+    load_config(REPO / "configs" / "compare_reference.json")
+    with pytest.raises(ConfigError, match=r"\$\.grid\.count"):
+        validate_config({"grid": {"p_min": 0, "p_max": 1, "count": 1},
+                         "kernel": {"model": "zero"}, "scenario": {"kind": "zero"}})
+
+
+def test_validate_reports_best_match():
+    # two violations: jsonschema.validate's choice (best_match) is reported,
+    # not the first one a validator happens to yield
+    with pytest.raises(ConfigError, match=r"at \$\.scenario: .*'extra'"):
+        validate_config({"grid": {"p_min": 0, "p_max": 1, "count": 1},
+                         "kernel": {"model": "zero"},
+                         "scenario": {"kind": "zero", "extra": 1}})
 
 
 def test_shipped_schema_in_sync():

@@ -255,3 +255,24 @@ def test_dress_batched_past_cap_fails_named(ll_op):
     n = np.full(op.count, 0.9 / ll_op.unit_norm)
     with pytest.raises(ConvergenceError, match=r"\|\|T n\|\|_op = 0.09 .*last bound"):
         dress_batched(op, n, op.v)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_dress_batched_in_caller_buffers_bitwise(ll_op, warm):
+    rng = np.random.default_rng(11)
+    rows = 0.6 * rng.uniform(0.0, 1.0, size=(9, ll_op.count)) \
+        * np.exp(-ll_op.grid.nodes ** 2)[None, :]
+    fs = (np.ones(ll_op.count), ll_op.v)
+    start = np.broadcast_to(np.stack(fs)[:, None, :], (2, 9, ll_op.count)).copy()
+    if warm:
+        start += 0.1 * rng.standard_normal(start.shape)
+    expect = dress_batched(ll_op, rows, *fs, warm=start if warm else None)
+    buffers = (start.copy(), np.empty_like(start), np.empty_like(start))
+    got = dress_batched(ll_op, rows, *fs, buffers=buffers)
+    for g, e in zip(got, expect):
+        assert np.array_equal(g, e)
+        # the result is a view into the iterate or the spare, never fresh
+        assert np.shares_memory(g, buffers[0]) or np.shares_memory(g, buffers[1])
+        assert not np.shares_memory(g, buffers[2])
+    with pytest.raises(TypeError, match="not both"):
+        dress_batched(ll_op, rows, *fs, warm=start, buffers=buffers)
