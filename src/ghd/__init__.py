@@ -12,11 +12,10 @@ from .dressing import (DressingBounds, DressingProblem, check_1dr_bounds,
 from .seed import (Scenario, SeedTables, SpatialGridSpec, build_seed,
                    constant_profile, gaussian_bump, gaussian_profile,
                    partitioning, tabulated_xy, zero_scenario)
-from .fixed_point import SolveResult, Solver, SolverConfig, StateSlice
+from .fixed_point import Solver, SolverConfig, States
 from .diagnostics import (AssumptionReport, ConservationSeries,
                           check_assumptions, conservation_report,
-                          conserved_charge, derivative_identity_check,
-                          entropy, weak_form_residual)
+                          derivative_identity_check, weak_form_residual)
 from .reference import (FieldState, convergence_order, initial_field,
                         integrate_upwind, l1_gap, step_upwind, total_mass)
 

@@ -9,6 +9,7 @@ docs/config-schema.json.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -214,12 +215,37 @@ def load_config(path) -> dict:
 _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
+# JSON NaN and Infinity pass the schema's "number"; a non-finite time,
+# window or step sends a solve or time-step loop to its cap, or past it
+_SPACE_TIME_KEYS = ("times", "x_min", "x_max", "t_end", "dx_list", "cfl",
+                    "rectangles")
+
+
+def _numbers(value, where: str) -> list:
+    """(path, number) pairs of a number or a nested list of numbers."""
+    if not isinstance(value, list):
+        return [(where, value)]
+    return [pair for i, item in enumerate(value) for pair in _numbers(item, f"{where}[{i}]")]
+
+
 def validate_config(raw: dict) -> None:
     # best_match picks the error jsonschema.validate would report
     exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
     if exc is not None:
         where = exc.json_path if exc.json_path else "$"
         raise ConfigError(f"config schema violation at {where}: {exc.message}")
+    for section in ("solve", "conserve", "weakcheck", "compare", "plotdata"):
+        sec = raw.get(section, {})
+        for key in (k for k in sec if k in _SPACE_TIME_KEYS):
+            for where, value in _numbers(sec[key], f"$.{section}.{key}"):
+                if not math.isfinite(value):
+                    raise ConfigError(f"config schema violation at {where}: "
+                                      f"{value} is not a finite number")
+    for section in ("conserve", "compare"):  # windows that are integrated over
+        sec = raw.get(section, {})
+        if "x_min" in sec and not sec["x_min"] < sec["x_max"]:
+            raise ConfigError(f"config schema violation at $.{section}.x_max: "
+                              f"{sec['x_max']:g} is not above x_min {sec['x_min']:g}")
 
 
 def build_grid_from(cfg: dict):

@@ -163,8 +163,6 @@ ENTROPY_FUNCTIONS = {
     "boson_entropy": boson_entropy,
 }
 
-WEIGHT_NAMES = ("one", "momentum", "energy:v")
-
 
 # ---------------------------------------------------------------------------
 # conservation series
@@ -207,44 +205,19 @@ def conservation_report(solver: Solver, times, x_window: tuple[float, float],
     acc: dict[str, list] = {f"Q[{k}]": [] for k in weights}
     acc.update({f"S[{k}]": [] for k in entropies})
     for t in times:
-        slices = solver.sweep(float(t), xs)
-        rho_p = np.stack([s.rho_p for s in slices])
-        one_dr = np.stack([s.one_dr for s in slices])
-        n = np.stack([s.n for s in slices])
+        states = solver.sweep(float(t), xs)
+        rho_p = states.rho_p
         _check_window(xs, rho_p @ w, float(t), solver)
         for key, h in weights.items():
             density = (rho_p * h[None, :]) @ w
             acc[f"Q[{key}]"].append(float(simpson(density, x=xs)))
         for key, g in entropies.items():
-            density = (g(n, solver.op.grid.nodes[None, :]) * one_dr) @ w / TWO_PI
+            density = ((g(states.n, solver.op.grid.nodes[None, :]) * states.one_dr) @ w
+                       / TWO_PI)
             acc[f"S[{key}]"].append(float(simpson(density, x=xs)))
     return {name: ConservationSeries(name, tuple(float(t) for t in times),
                                      tuple(vals))
             for name, vals in acc.items()}
-
-
-def conserved_charge(solver: Solver, h, times, x_window: tuple[float, float],
-                     x_count: int = 400) -> ConservationSeries:
-    """Q[h](t) for a momentum weight given as array, callable or name."""
-    if isinstance(h, str):
-        h = weight_values(h, solver.op)
-    elif callable(h):
-        h = np.asarray(h(solver.op.grid.nodes), dtype=float)
-    else:
-        h = np.asarray(h, dtype=float)
-    report = conservation_report(solver, times, x_window, x_count,
-                                 weights={"h": h})
-    return report["Q[h]"]
-
-
-def entropy(solver: Solver, g, times, x_window: tuple[float, float],
-            x_count: int = 400) -> ConservationSeries:
-    """S[g](t) for an entropy density g(n, p), callable or registry name."""
-    if isinstance(g, str):
-        g = ENTROPY_FUNCTIONS[g]
-    report = conservation_report(solver, times, x_window, x_count,
-                                 entropies={"g": g})
-    return report["S[g]"]
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +337,12 @@ def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, flo
              _edge_nodes(t1, t2, cuts[2], edge_points),
              _edge_nodes(t1, t2, cuts[3], edge_points)]
     (xs_2, _), (xs_1, _), (ts_2, _), (ts_1, _) = edges
-    slices = solver.states_batch(
+    states = solver.states_batch(
         np.concatenate((np.full(xs_2.size, t2), np.full(xs_1.size, t1), ts_2, ts_1)),
         np.concatenate((xs_2, xs_1, np.full(ts_2.size, x2), np.full(ts_1.size, x1))))
     charge = xs_2.size + xs_1.size
-    density = np.array([s.n[p_index] * (s.one_dr if i < charge else s.v_dr)[p_index]
-                        for i, s in enumerate(slices)])
+    density = states.n[:, p_index] * np.concatenate(
+        (states.one_dr[:charge, p_index], states.v_dr[charge:, p_index]))
     ends = np.cumsum([nodes.size for nodes, _ in edges])[:-1]
     q_t2, q_t1, j_x2, j_x1 = (float(f @ w) for f, (_, w)
                               in zip(np.split(density, ends), edges))
@@ -395,18 +368,19 @@ def derivative_identity_check(solver: Solver, t: float, x: float,
     """Max mismatch of central differences of Xhat and N against the
     dressed identities: d_x Xhat = 1dr, d_t Xhat = -(v_dr - v),
     d_x N = n 1dr, d_t N = -n v_dr.  Meaningful for C^1 seed data."""
-    center, xp, xm, tp, tm = solver.states_batch(
-        [t, t, t, t + h, t - h], [x, x + h, x - h, x, x])
+    states = solver.states_batch([t, t, t, t + h, t - h], [x, x + h, x - h, x, x])
+    xhat, height = states.xhat, states.N
+    n, one_dr, v_dr = states.n[0], states.one_dr[0], states.v_dr[0]
     fd = {
-        "dXhat_dx": (xp.xhat - xm.xhat) / (2 * h),
-        "dXhat_dt": (tp.xhat - tm.xhat) / (2 * h),
-        "dN_dx": (xp.N - xm.N) / (2 * h),
-        "dN_dt": (tp.N - tm.N) / (2 * h),
+        "dXhat_dx": (xhat[1] - xhat[2]) / (2 * h),
+        "dXhat_dt": (xhat[3] - xhat[4]) / (2 * h),
+        "dN_dx": (height[1] - height[2]) / (2 * h),
+        "dN_dt": (height[3] - height[4]) / (2 * h),
     }
     model = {
-        "dXhat_dx": center.one_dr,
-        "dXhat_dt": -(center.v_dr - solver.op.v),
-        "dN_dx": center.n * center.one_dr,
-        "dN_dt": -center.n * center.v_dr,
+        "dXhat_dx": one_dr,
+        "dXhat_dt": -(v_dr - solver.op.v),
+        "dN_dx": n * one_dr,
+        "dN_dt": -n * v_dr,
     }
     return {key: float(np.max(np.abs(fd[key] - model[key]))) for key in fd}

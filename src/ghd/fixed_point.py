@@ -28,21 +28,28 @@ From the solved Xhat the full state at (t,x) follows: occupation
 n = n0(X0(Xhat - v t)), height N = N0hat(Xhat - v t), densities
 rho_s = 1dr/(2 pi), rho_p = n rho_s, effective velocity v_eff = v_dr/1dr,
 and the characteristic u = X0(Xhat - v t) (the initial position of the
-trajectory through (t,x)).
+trajectory through (t,x)).  ``states_batch`` returns a batch as one
+``States`` record of arrays (fields below), ``sweep`` one record in input
+order; ``state`` and ``solve`` are one-row views.  The three keep their
+names because the benchmark tracer (ghdbench/tracer.py) wraps them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .dressing import dress_batched, sign_threshold
 from .errors import AssumptionError, ConfigError, ConvergenceError
+from .kernel import KernelOperator
 from .seed import SeedTables
 
 TWO_PI = 2.0 * np.pi
+
+# rows per batch of a sweep: the chunks are cache blocks, not an option
+SWEEP_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -58,50 +65,51 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class SolveResult:
-    """Solved coordinate change at one (t,x) plus iteration statistics."""
+class States:
+    """Reconstructed state at a batch of space-time points, one row per point.
 
-    xhat: np.ndarray
-    iters: int
-    final_residual: float
-    contraction_ratios: tuple
+    Per row, (rows,) arrays: t, x, iters, residual (the a-posteriori bound
+    at the stop) and ratio (the worst measured contraction ratio, 0 when
+    none was measured).  Per entry, (rows, N) arrays: xhat, the height N,
+    the occupation n, one_dr, v_dr and the characteristic u.  rho_s, rho_p,
+    v_eff and tn (||T n||_op of each row) are computed on read.  An int
+    index gives a one-row view; any other index, a sub-record.
+    """
 
-
-@dataclass(frozen=True)
-class StateSlice:
-    """Full reconstructed state at one space-time point."""
-
-    t: float
-    x: float
+    op: KernelOperator = field(repr=False, compare=False)
+    t: np.ndarray
+    x: np.ndarray
+    iters: np.ndarray
+    residual: np.ndarray
+    ratio: np.ndarray
     xhat: np.ndarray
     N: np.ndarray
     n: np.ndarray
-    rho_p: np.ndarray
-    rho_s: np.ndarray
     one_dr: np.ndarray
     v_dr: np.ndarray
-    v_eff: np.ndarray
     u: np.ndarray
-    tn_norm: float
-    iters: int
-    final_residual: float
-    contraction_ratios: tuple
 
+    @property
+    def rho_s(self) -> np.ndarray:
+        return self.one_dr / TWO_PI
 
-def _ratios(deltas: list, iters: np.ndarray) -> list[tuple]:
-    """Per-row ratios delta_k / delta_{k-1} from the per-iteration increments
-    (one (m,) array per iteration), over each row's own iterations."""
-    if not deltas:
-        return [() for _ in iters]
-    d = np.array(deltas).T                       # (m, iterations)
-    prev, cur = d[:, :-1], d[:, 1:]
-    # below ~1e-12 the increments are dominated by round-off and their
-    # ratios are meaningless
-    keep = (np.isfinite(prev) & (prev > 1e-12)
-            & (np.arange(1, d.shape[1]) < iters[:, None]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = cur / prev
-    return [tuple(r[k].tolist()) for r, k in zip(ratio, keep)]
+    @property
+    def rho_p(self) -> np.ndarray:
+        return self.n * self.rho_s
+
+    @property
+    def v_eff(self) -> np.ndarray:
+        return self.v_dr / self.one_dr
+
+    @property
+    def tn(self) -> np.ndarray:
+        return np.max(self.n @ self.op.abs_TW.T, axis=-1)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index) -> States:
+        return States(self.op, *(getattr(self, f.name)[index] for f in fields(self)[1:]))
 
 
 class Solver:
@@ -149,9 +157,10 @@ class Solver:
         """Solve the fixed point at the points (t_i, x_i).
 
         t and xs are scalars or 1-D arrays broadcast against each other.
-        Returns (xhat (m,N), iters (m,), residuals (m,), ratios list of
-        tuples).  Converged rows are frozen so late iterations of slow rows
-        do not pollute their statistics.
+        Returns (xhat (m,N), iters (m,), residuals (m,), ratio (m,)), ratio
+        the worst measured contraction ratio of each row (0 when none was
+        measured).  Converged rows are frozen so late iterations of slow
+        rows do not pollute their statistics.
         """
         ts, xs = self._rows(t, xs)
         m = xs.size
@@ -163,7 +172,7 @@ class Solver:
             for i in range(m):
                 out[i], iters[i], resid[i] = self._solve_constant_kernel(
                     float(ts[i]), float(xs[i]))
-            return out, iters, resid, [() for _ in range(m)]
+            return out, iters, resid, np.zeros(m)
 
         f = np.broadcast_to(xs[:, None], (m, N)).copy() if warm is None \
             else np.array(np.broadcast_to(warm, (m, N)), dtype=float)
@@ -185,14 +194,23 @@ class Solver:
             active[idx[done]] = False
             if not active.any():
                 break
-        else:
+        d = np.array(deltas)
+        # ratios delta_k / delta_{k-1} within each row's own iterations; below
+        # ~1e-12 the increments are dominated by round-off and their ratios
+        # are meaningless
+        keep = (np.isfinite(d[:-1]) & (d[:-1] > 1e-12)
+                & (np.arange(1, d.shape[0])[:, None] < iters))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = d[1:] / d[:-1]
+        if active.any():
             worst = int(np.argmax(resid))
+            history = ratio[keep[:, worst], worst][-8:].tolist()
             raise ConvergenceError(
                 f"fixed point at (t={float(ts[worst])}, x={float(xs[worst])}) "
                 f"missed tol {self.config.fp_tol:g} after "
                 f"{self.config.max_iters} iterations; ratio history: "
-                f"{[round(r, 4) for r in _ratios(deltas, iters)[worst][-8:]]}")
-        return f, iters, resid, _ratios(deltas, iters)
+                f"{[round(r, 4) for r in history]}")
+        return f, iters, resid, np.max(ratio, axis=0, where=keep, initial=0.0)
 
     def _solve_constant_kernel(self, t: float, x: float):
         """Scalar route for kernels constant in (p,q): monotone bracketing.
@@ -223,65 +241,50 @@ class Solver:
                 f"constant-kernel root at (t={t}, x={x}) has defect {residual:g}")
         return np.full(self.op.count, root), evals[0], residual
 
-    def solve(self, t: float, x: float, warm: np.ndarray | None = None) -> SolveResult:
-        xh, iters, resid, ratios = self.solve_batch(
-            t, np.array([x]), None if warm is None else np.asarray(warm)[None, :])
-        return SolveResult(xh[0], int(iters[0]), float(resid[0]), ratios[0])
-
     # -- state reconstruction --------------------------------------------------
 
-    def states_batch(self, t, xs, warm: np.ndarray | None = None) -> list[StateSlice]:
-        """Solve and reconstruct full slices at the points (t_i, x_i), broadcast
+    def states_batch(self, t, xs, warm: np.ndarray | None = None) -> States:
+        """Solve and reconstruct the states at the points (t_i, x_i), broadcast
         as in ``solve_batch``; dressing is batched."""
         ts, xs = self._rows(t, xs)
-        xhat, iters, resid, ratios = self.solve_batch(ts, xs, warm)
+        xhat, iters, resid, ratio = self.solve_batch(ts, xs, warm)
         z = xhat - np.multiply.outer(ts, self.op.v)
         u, height = self.tab.invert(z)
         n = np.asarray(self.tab.scenario.n0(u, self.op.grid.nodes[None, :]), dtype=float)
         one_dr, v_dr = dress_batched(self.op, n, np.ones(self.op.count), self.op.v)
-        tn = np.max(n @ self.op.abs_TW.T, axis=1)
-        rho_s = one_dr / TWO_PI
-        rho_p = n * rho_s
-        v_eff = v_dr / one_dr
-        return [
-            StateSlice(t=float(ts[i]), x=float(xs[i]), xhat=xhat[i], N=height[i],
-                       n=n[i], rho_p=rho_p[i], rho_s=rho_s[i], one_dr=one_dr[i],
-                       v_dr=v_dr[i], v_eff=v_eff[i], u=u[i], tn_norm=float(tn[i]),
-                       iters=int(iters[i]), final_residual=float(resid[i]),
-                       contraction_ratios=ratios[i])
-            for i in range(xs.size)
-        ]
+        return States(self.op, ts.copy(), xs.copy(), iters, resid, ratio,
+                      xhat, height, n, one_dr, v_dr, u)
 
-    def state(self, t: float, x: float, warm: np.ndarray | None = None) -> StateSlice:
+    def state(self, t: float, x: float, warm: np.ndarray | None = None) -> States:
+        """One-row view of ``states_batch`` at (t, x)."""
         return self.states_batch(t, np.array([x]),
                                  None if warm is None else np.asarray(warm)[None, :])[0]
 
-    def sweep(self, t: float, xs: np.ndarray, chunk: int = 64) -> list[StateSlice]:
-        """Warm-started sweep over ordered x values at fixed t.
+    def solve(self, t: float, x: float, warm: np.ndarray | None = None) -> States:
+        """The same one-row view as ``state``, under the name the benchmark
+        tracer wraps."""
+        return self.state(t, x, warm)
 
-        Chunks are seeded from the previous chunk's solution shifted by the
-        x offset, an O(dx) initial guess by the spatial Lipschitz bound;
+    def sweep(self, t: float, xs: np.ndarray) -> States:
+        """Warm-started sweep over x values at fixed t, rows in input order.
+
+        The sorted values are solved in chunks of SWEEP_CHUNK rows, each
+        seeded from the previous chunk's last solution shifted by the x
+        offset, an O(dx) initial guess by the spatial Lipschitz bound;
         sweeps of at most two points are solved cold in one batch.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.size <= 2:
             return self.states_batch(t, xs)
         order = np.argsort(xs)
-        slices: list[StateSlice] = [None] * xs.size
-        prev_xhat = None
-        prev_x = None
-        for lo in range(0, xs.size, chunk):
-            sel = order[lo:lo + chunk]
-            xb = xs[sel]
-            warm = None
-            if prev_xhat is not None:
-                warm = prev_xhat[None, :] + (xb - prev_x)[:, None]
-            batch = self.states_batch(t, xb, warm)
-            for j, idx in enumerate(sel):
-                slices[idx] = batch[j]
-            prev_xhat = batch[-1].xhat
-            prev_x = xb[-1]
-        return slices
+        chunks: list[States] = []
+        for lo in range(0, xs.size, SWEEP_CHUNK):
+            xb = xs[order[lo:lo + SWEEP_CHUNK]]
+            warm = (chunks[-1].xhat[-1][None, :] + (xb - chunks[-1].x[-1])[:, None]
+                    if chunks else None)
+            chunks.append(self.states_batch(t, xb, warm))
+        return States(self.op, *(np.concatenate([getattr(c, f.name) for c in chunks])
+                                 for f in fields(States)[1:]))[np.argsort(order)]
 
     # -- level sets ------------------------------------------------------------
 

@@ -227,8 +227,7 @@ def total_mass(state: FieldState, op: KernelOperator) -> float:
 
 def fixed_point_rho(solver, t: float, x_cells: np.ndarray) -> np.ndarray:
     """rho_p(t, x, p) from the fixed-point solver at the given cell centers."""
-    slices = solver.sweep(float(t), np.asarray(x_cells, dtype=float))
-    return np.stack([s.rho_p for s in slices])
+    return solver.sweep(float(t), np.asarray(x_cells, dtype=float)).rho_p
 
 
 def l1_gap(state: FieldState, rho_ref: np.ndarray, op: KernelOperator) -> float:

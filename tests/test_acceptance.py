@@ -25,11 +25,10 @@ def _report(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def certificate_slices(ll_solver):
-    """>= 10^4 solved slices shared by the contraction and 1dr criteria."""
-    slices = []
-    for t in np.linspace(0.0, 2.0, 25):
-        slices.extend(ll_solver.sweep(float(t), np.linspace(-4.0, 4.0, 404)))
-    return slices
+    """>= 10^4 solved slices shared by the contraction and 1dr criteria, as
+    one States record per time."""
+    return [ll_solver.sweep(float(t), np.linspace(-4.0, 4.0, 404))
+            for t in np.linspace(0.0, 2.0, 25)]
 
 
 def test_criterion_01_free_gas_exactness():
@@ -67,28 +66,32 @@ def test_criterion_03_contraction_certificate(ll_solver, ll_tables,
     cap = rate + 0.01
     worst_ratio = 0.0
     total_iters = 0
-    for s in certificate_slices:
-        if s.contraction_ratios:
-            worst_ratio = max(worst_ratio, max(s.contraction_ratios))
-        total_iters += s.iters
-    mean_iters = total_iters / len(certificate_slices)
+    slices = 0
+    for states in certificate_slices:
+        worst_ratio = max(worst_ratio, float(states.ratio.max()))
+        total_iters += int(states.iters.sum())
+        slices += len(states)
+    mean_iters = total_iters / slices
     budget = math.ceil(math.log(ll_solver.config.fp_tol) / math.log(rate)) + 2
-    ok = (len(certificate_slices) >= 10_000 and worst_ratio <= cap
+    ok = (slices >= 10_000 and worst_ratio <= cap
           and mean_iters <= budget)
     _report("contraction certificate", ok,
-            f"{len(certificate_slices)} slices, worst ratio {worst_ratio:.4f} "
+            f"{slices} slices, worst ratio {worst_ratio:.4f} "
             f"<= {cap:.4f}, mean iters {mean_iters:.2f} <= {budget}")
 
 
 def test_criterion_04_one_dr_bounds(certificate_slices):
     worst = -np.inf
-    for s in certificate_slices:
-        lo = 1.0 - s.tn_norm
-        hi = 1.0 / (1.0 - s.tn_norm)
-        worst = max(worst, float(np.max(lo - s.one_dr)),
-                    float(np.max(s.one_dr - hi)))
+    slices = 0
+    for states in certificate_slices:
+        tn = states.tn[:, None]
+        lo = 1.0 - tn
+        hi = 1.0 / (1.0 - tn)
+        worst = max(worst, float(np.max(lo - states.one_dr)),
+                    float(np.max(states.one_dr - hi)))
+        slices += len(states)
     _report("1dr bounds", worst <= 1e-9,
-            f"worst violation {worst:.3e} over {len(certificate_slices)} slices")
+            f"worst violation {worst:.3e} over {slices} slices")
 
 
 def test_criterion_05_hard_rods_p_collapse(hr_setup):
@@ -183,14 +186,12 @@ def test_criterion_10_monotonicity_sweep(ll_solver, ll_tables):
         x1 = rng.uniform(-4.0, 4.0, size=100)
         x2 = x1 + rng.uniform(0.01, 2.0, size=100)
         xs = np.concatenate([x1, x2])
-        slices = ll_solver.sweep(float(t), xs)
-        for i in range(100):
-            s1, s2 = slices[i], slices[i + 100]
-            dx = s2.x - s1.x
-            worst_slope = min(worst_slope,
-                              float(np.min((s2.xhat - s1.xhat) / dx)))
-            worst_height = min(worst_height, float(np.min(s2.N - s1.N)))
-            pairs += 1
+        states = ll_solver.sweep(float(t), xs)
+        dx = (states.x[100:] - states.x[:100])[:, None]
+        worst_slope = min(worst_slope,
+                          float(np.min((states.xhat[100:] - states.xhat[:100]) / dx)))
+        worst_height = min(worst_height, float(np.min(states.N[100:] - states.N[:100])))
+        pairs += 100
     ok = pairs >= 10_000 and worst_slope >= r_lo - 1e-6 and worst_height >= -1e-10
     _report("monotonicity sweep", ok,
             f"{pairs} pairs, min slope {worst_slope:.6f} >= {r_lo:.6f} - 1e-6, "

@@ -309,6 +309,55 @@ def test_compare_reference_config_holes_exit2(tmp_path, capsys, compare, where):
     assert not list((tmp_path / "out").glob("*"))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, section, where", [
+    ("compare-reference", {"compare": {"t_end": _NAN, "dx_list": [0.02]}}, "$.compare.t_end"),
+    ("compare-reference", {"compare": {"t_end": _INF, "dx_list": [0.02]}}, "$.compare.t_end"),
+    ("compare-reference", {"compare": {"t_end": 0.5, "dx_list": [0.02, _INF]}},
+     "$.compare.dx_list[1]"),
+    ("compare-reference", {"compare": {"t_end": 0.5, "dx_list": [0.02], "cfl": _NAN}},
+     "$.compare.cfl"),
+    ("compare-reference", {"compare": {"t_end": 0.5, "dx_list": [0.02],
+                                       "x_min": -_INF, "x_max": 3.0}}, "$.compare.x_min"),
+    ("solve", {"solve": {"times": [_NAN], "x_min": -3.0, "x_max": 3.0, "x_count": 5}},
+     "$.solve.times[0]"),
+    ("solve", {"solve": {"times": [0.5], "x_min": -3.0, "x_max": _INF, "x_count": 5}},
+     "$.solve.x_max"),
+    ("plotdata", {"plotdata": {"times": [0.0, _NAN], "x_min": -3.0, "x_max": 3.0,
+                               "x_count": 5}}, "$.plotdata.times[1]"),
+    ("conserve", {"conserve": {"times": [0.0], "x_min": -_INF, "x_max": 3.0}},
+     "$.conserve.x_min"),
+    ("weakcheck", {"weakcheck": {"rectangles": [[-0.5, 0.5, 0.1, 0.6],
+                                                [-0.5, _NAN, 0.1, 0.6]]}},
+     "$.weakcheck.rectangles[1][1]"),
+], ids=["t_end_nan", "t_end_inf", "dx_inf", "cfl_nan", "compare_x_min_inf",
+        "solve_times_nan", "solve_x_max_inf", "plotdata_times_nan",
+        "conserve_x_min_inf", "rectangle_nan"])
+def test_non_finite_space_time_number_exit2(tmp_path, capsys, command, section, where):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    cfg = _small_ll_config(**section)
+    rc = main([command, "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{where}: " in err and "is not a finite number" in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("x_min, x_max", [(9.0, -9.0), (2.0, 2.0)],
+                         ids=["x_min>x_max", "x_min==x_max"])
+def test_conserve_empty_window_exit2(tmp_path, capsys, x_min, x_max):
+    cfg = _small_ll_config(conserve={"times": [0.0, 0.5], "x_min": x_min,
+                                     "x_max": x_max, "x_count": 201})
+    rc = main(["conserve", "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "$.conserve.x_max" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_plotdata_outputs(tmp_path):
     cfg = _small_ll_config(plotdata={"times": [0.0, 0.3], "x_min": -3.0,
                                      "x_max": 3.0, "x_count": 41})

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 import ghd
 from ghd.diagnostics import (ENTROPY_FUNCTIONS, _edge_crossings, boson_entropy,
                              check_assumptions, classical_entropy,
-                             conservation_report, conserved_charge,
-                             derivative_identity_check, entropy,
+                             conservation_report, derivative_identity_check,
                              fermi_entropy, weak_form_residual, weight_values)
 from ghd.errors import SupportWindowError
 from ghd.seed import SpatialGridSpec
@@ -67,14 +66,15 @@ def test_report_round_trips_to_dict(ll_op):
 def test_conserved_charge_zero_scenario(zero_setup):
     op, _, _, _ = zero_setup
     tab = ghd.build_seed(ghd.zero_scenario(), op)
-    series = conserved_charge(ghd.Solver(tab), "one", [0.0, 0.5],
-                              (-3.0, 3.0), 101)
+    series = conservation_report(ghd.Solver(tab), [0.0, 0.5], (-3.0, 3.0), 101,
+                                 weights={"one": weight_values("one", op)})["Q[one]"]
     assert all(abs(v) <= 1e-14 for v in series.values)
 
 
 def test_conserved_charge_free_gas(zero_setup):
     _, _, _, solver = zero_setup
-    series = conserved_charge(solver, "one", [0.0, 0.4, 0.8], (-9.0, 9.0), 257)
+    series = conservation_report(solver, [0.0, 0.4, 0.8], (-9.0, 9.0), 257,
+                                 weights={"one": weight_values("one", solver.op)})["Q[one]"]
     assert series.relative_drift <= 1e-10
 
 
@@ -92,9 +92,10 @@ def test_conservation_lieb_liniger(ll_solver):
 
 def test_entropy_reproduces_charge(ll_solver):
     h = weight_values("momentum", ll_solver.op)
-    charge = conserved_charge(ll_solver, h, [0.0, 0.6], (-12.0, 12.0), 201)
-    series = entropy(ll_solver, lambda n, p: n * h[None, :], [0.0, 0.6],
-                     (-12.0, 12.0), 201)
+    charge = conservation_report(ll_solver, [0.0, 0.6], (-12.0, 12.0), 201,
+                                 weights={"h": h})["Q[h]"]
+    series = conservation_report(ll_solver, [0.0, 0.6], (-12.0, 12.0), 201,
+                                 entropies={"g": lambda n, p: n * h[None, :]})["S[g]"]
     for a, b in zip(charge.values, series.values):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
@@ -122,7 +123,8 @@ def test_weight_registry(ll_op):
 
 def test_window_escape_detected(ll_solver):
     with pytest.raises(SupportWindowError, match="widen"):
-        conserved_charge(ll_solver, "one", [0.0, 2.0], (-3.0, 3.0), 101)
+        conservation_report(ll_solver, [0.0, 2.0], (-3.0, 3.0), 101,
+                            weights={"one": weight_values("one", ll_solver.op)})
 
 
 def test_weak_residual_zero_scenario(zero_setup):

@@ -47,7 +47,7 @@ def test_zero_scenario_one_iteration(zero_setup):
     res = ghd.Solver(tab).solve(0.8, 2.5)
     np.testing.assert_allclose(res.xhat, 2.5, atol=1e-14)
     assert res.iters == 1
-    assert res.final_residual == 0.0
+    assert res.residual == 0.0
 
 
 def test_hard_rods_p_collapse(hr_setup):
@@ -98,7 +98,7 @@ def test_zero_kernel_free_advection(zero_setup):
 
 def test_state_invariants(ll_solver, ll_tables):
     s = ll_solver.state(0.7, 1.2)
-    assert s.final_residual <= ll_solver.config.fp_tol
+    assert s.residual <= ll_solver.config.fp_tol
     assert np.all(s.n >= 0) and np.all(s.n <= ll_tables.sup_n0 + 1e-10)
     assert np.all(s.rho_s > 0)
     assert np.all(s.rho_p >= 0)
@@ -112,18 +112,17 @@ def test_one_dr_bounds_at_slices(ll_solver):
     sign = ll_solver.op.sign_class
     for t, x in ((0.0, 0.3), (0.5, -1.0), (1.5, 2.0)):
         s = ll_solver.state(t, x)
-        lo = compute_R(s.tn_norm, sign)
-        hi = 1.0 / (1.0 - s.tn_norm)
+        lo = compute_R(s.tn, sign)
+        hi = 1.0 / (1.0 - s.tn)
         assert np.all(s.one_dr >= lo - 1e-9)
         assert np.all(s.one_dr <= hi + 1e-9)
 
 
 def test_contraction_ratios_bounded(ll_solver, ll_tables):
-    slices = ll_solver.sweep(0.6, np.linspace(-3, 3, 101))
+    states = ll_solver.sweep(0.6, np.linspace(-3, 3, 101))
     cap = ll_tables.rate + 0.01
-    for s in slices:
-        assert all(r <= cap for r in s.contraction_ratios)
-        assert s.final_residual <= ll_solver.config.fp_tol
+    assert np.all(states.ratio <= cap)
+    assert np.all(states.residual <= ll_solver.config.fp_tol)
 
 
 def test_spatial_lipschitz(ll_solver, ll_tables):
@@ -155,18 +154,16 @@ def test_monotonicity_in_x(ll_solver, ll_tables):
     t = 1.1
     r_lo = ll_tables.bounds.r_value
     xs = np.linspace(-3, 3, 41)
-    slices = ll_solver.sweep(t, xs)
-    for s1, s2 in zip(slices[:-1], slices[1:]):
-        dx = s2.x - s1.x
-        assert np.all(s2.xhat - s1.xhat >= r_lo * dx - 1e-8)
-        assert np.all(s2.N - s1.N >= -1e-10)
+    states = ll_solver.sweep(t, xs)
+    dx = np.diff(states.x)[:, None]
+    assert np.all(np.diff(states.xhat, axis=0) >= r_lo * dx - 1e-8)
+    assert np.all(np.diff(states.N, axis=0) >= -1e-10)
 
 
 def test_occupation_norm_preserved(ll_solver, ll_tables):
     worst = 0.0
     for t in (0.0, 0.7, 1.9):
-        for s in ll_solver.sweep(t, np.linspace(-4, 4, 31)):
-            worst = max(worst, float(s.n.max()))
+        worst = max(worst, float(ll_solver.sweep(t, np.linspace(-4, 4, 31)).n.max()))
     assert worst <= ll_tables.sup_n0 + 1e-10
 
 
@@ -319,12 +316,12 @@ def test_invalid_fp_tol_is_config_error():
 def _assert_rows_match_points(solver, ts, xs):
     tol = 2.0 * solver.config.fp_tol
     xhat, _, _, _ = solver.solve_batch(ts, xs)
-    slices = solver.states_batch(ts, xs)
+    states = solver.states_batch(ts, xs)
     for i, (t, x) in enumerate(zip(ts, xs)):
         one = solver.solve(float(t), float(x)).xhat
         assert np.max(np.abs(xhat[i] - one)) <= tol
-        assert np.max(np.abs(slices[i].xhat - solver.state(float(t), float(x)).xhat)) <= tol
-        assert slices[i].t == float(t) and slices[i].x == float(x)
+        assert np.max(np.abs(states.xhat[i] - solver.state(float(t), float(x)).xhat)) <= tol
+        assert states.t[i] == float(t) and states.x[i] == float(x)
 
 
 def test_mixed_rows_match_single_points_ll(ll_solver):
@@ -350,12 +347,12 @@ def test_mixed_rows_match_single_points_hard_rods(hr_setup):
 
 def test_per_row_t_broadcasts_against_scalar_x(ll_solver):
     ts = np.array([0.0, 0.3, 1.1, 1.7])
-    slices = ll_solver.states_batch(ts, 0.4)
-    assert [s.t for s in slices] == ts.tolist()
-    assert all(s.x == 0.4 for s in slices)
-    for s in slices:
-        one = ll_solver.state(s.t, 0.4).xhat
-        assert np.max(np.abs(s.xhat - one)) <= 2.0 * ll_solver.config.fp_tol
+    states = ll_solver.states_batch(ts, 0.4)
+    assert states.t.tolist() == ts.tolist()
+    assert np.all(states.x == 0.4)
+    for t, xhat in zip(states.t, states.xhat):
+        one = ll_solver.state(t, 0.4).xhat
+        assert np.max(np.abs(xhat - one)) <= 2.0 * ll_solver.config.fp_tol
 
 
 def test_convergence_error_names_failing_row_t(ll_tables):
@@ -363,6 +360,38 @@ def test_convergence_error_names_failing_row_t(ll_tables):
     solver = ghd.Solver(ll_tables, SolverConfig(max_iters=1))
     with pytest.raises(ConvergenceError, match=r"\(t=0\.37, x=2\.0\)"):
         solver.solve_batch(np.array([0.0, 0.37]), np.array([0.0, 2.0]))
+
+
+_FIELDS = ("t", "x", "iters", "residual", "ratio", "xhat", "N", "n", "one_dr",
+           "v_dr", "u", "rho_s", "rho_p", "v_eff")
+
+
+def test_sweep_rows_in_input_order_match_chunked_batches(ll_solver):
+    rng = np.random.default_rng(59)
+    xs = rng.uniform(-4.0, 4.0, 150)
+    states = ll_solver.sweep(0.7, xs)
+    assert len(states) == xs.size
+    # the sorted points in chunks of 64, each warm-started from the last
+    # solution of the chunk before, shifted by the x offset
+    order = np.argsort(xs)
+    warm = None
+    for lo in range(0, xs.size, 64):
+        rows = order[lo:lo + 64]
+        chunk = ll_solver.states_batch(0.7, xs[rows], warm)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(states, name)[rows], getattr(chunk, name)), name
+        warm = chunk.xhat[-1][None, :] + (xs[order[lo + 64:lo + 128]] - chunk.x[-1])[:, None]
+
+
+def test_derived_fields_are_their_expressions(ll_solver):
+    states = ll_solver.states_batch(np.linspace(0.0, 1.5, 7), np.linspace(-2.0, 2.0, 7))
+    assert np.array_equal(states.rho_s, states.one_dr / (2 * np.pi))
+    assert np.array_equal(states.rho_p, states.n * (states.one_dr / (2 * np.pi)))
+    assert np.array_equal(states.v_eff, states.v_dr / states.one_dr)
+    assert np.array_equal(states.tn, np.max(states.n @ ll_solver.op.abs_TW.T, axis=1))
+    row = states[3]
+    for name in _FIELDS:
+        assert np.array_equal(getattr(row, name), getattr(states, name)[3]), name
 
 
 def _per_row_ratios(solver, ts, xs, max_iters):
@@ -391,9 +420,11 @@ def test_ratio_history_matches_per_row_bookkeeping(ll_solver):
     rng = np.random.default_rng(53)
     ts = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 2.0, 10)])
     xs = np.concatenate([[0.0, 1e-9], rng.uniform(-4.0, 4.0, 10)])
-    _, iters, _, ratios = ll_solver.solve_batch(ts, xs)
+    _, iters, _, ratio = ll_solver.solve_batch(ts, xs)
     assert len(set(iters.tolist())) > 2
-    assert ratios == _per_row_ratios(ll_solver, ts, xs, ll_solver.config.max_iters)
+    per_row = _per_row_ratios(ll_solver, ts, xs, ll_solver.config.max_iters)
+    assert not per_row[0] and all(per_row[2:])
+    assert ratio.tolist() == [max(r, default=0.0) for r in per_row]
 
 
 def test_convergence_error_quotes_last_eight_ratios(ll_tables):
@@ -461,14 +492,15 @@ def test_fixed_point_properties(case, count, frac, t, seed):
     r_lo = solver.tab.bounds.r_value
     xs = np.linspace(-2.5, 2.5, 21)
     for time in (0.0, t):
-        slices = solver.states_batch(time, xs)
-        for s in slices:
+        states = solver.states_batch(time, xs)
+        for one_dr, tn in zip(states.one_dr, states.tn):
             # two-sided 1dr bounds at the slice's own ||Tn||
-            assert np.all(s.one_dr >= compute_R(s.tn_norm, op.sign_class) - 1e-9)
-            assert np.all(s.one_dr <= 1.0 / (1.0 - s.tn_norm) + 1e-9)
-            if time == 0.0:
-                recovery = np.max(np.abs(s.n - scenario.n0(s.x, op.grid.nodes)))
-                assert recovery <= 1e-8, recovery
+            assert np.all(one_dr >= compute_R(tn, op.sign_class) - 1e-9)
+            assert np.all(one_dr <= 1.0 / (1.0 - tn) + 1e-9)
+        if time == 0.0:
+            recovery = np.max(np.abs(
+                states.n - scenario.n0(states.x[:, None], op.grid.nodes[None, :])))
+            assert recovery <= 1e-8, recovery
         # x -> Xhat increases with slope at least R
-        for s1, s2 in zip(slices[:-1], slices[1:]):
-            assert np.all(s2.xhat - s1.xhat >= r_lo * (s2.x - s1.x) - 1e-8)
+        assert np.all(np.diff(states.xhat, axis=0)
+                      >= r_lo * np.diff(states.x)[:, None] - 1e-8)
