@@ -12,15 +12,17 @@ With ``--base``, each command runs once on this tree and once on the
 checkout at DIR, as ``python -m ghd.cli`` with PYTHONPATH at that tree's
 ``src`` and this tree's configs.  A table of the output files whose sha256
 differ, and of the exit codes that differ, goes to $GITHUB_STEP_SUMMARY
-(stdout when unset).  Differences are reported, never failed on; a ``ghd``
-that imports from outside the tree under test fails the run, since an
-editable install can shadow PYTHONPATH.
+(stdout when unset); for a differing ``.csv`` or ``.dat`` file it gives the
+largest absolute difference over the numeric fields.  Differences are
+reported, never failed on; a ``ghd`` that imports from outside the tree
+under test fails the run, since an editable install can shadow PYTHONPATH.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -81,6 +83,26 @@ def smoke() -> int:
     return 1 if wrong else 0
 
 
+def max_abs_diff(new: Path, old: Path) -> str:
+    """Largest absolute difference over the numeric fields of two tables, or
+    why there is none."""
+    if new.suffix not in (".csv", ".dat") or not (new.is_file() and old.is_file()):
+        return ""
+    fields = [path.read_text().replace(",", " ").split() for path in (new, old)]
+    if len(fields[0]) != len(fields[1]):
+        return "field count differs"
+    worst = 0.0
+    for a, b in zip(*fields):
+        if a == b:
+            continue
+        try:
+            diff = abs(float(a) - float(b))
+        except ValueError:
+            return "text differs"
+        worst = max(worst, diff if not math.isnan(diff) else math.inf)
+    return f"{worst:.3g}"
+
+
 def tree_env(tree: Path) -> dict:
     """Environment that imports ghd from ``tree``/src, checked by importing it."""
     src = (tree / "src").resolve()
@@ -96,21 +118,23 @@ def compare(base: Path) -> int:
     envs = {"head": tree_env(ROOT), "base": tree_env(base)}
     rows = []
     for cfg, cmd, _ in EXPECTED:
+        outs = {side: Path(f"out_compare/{side}/{cfg}/{cmd}") for side in envs}
         (rc, _, head), (rc_base, _, old) = (
-            run([sys.executable, "-m", "ghd.cli"], cfg, cmd,
-                Path(f"out_compare/{side}/{cfg}/{cmd}"), env)
+            run([sys.executable, "-m", "ghd.cli"], cfg, cmd, outs[side], env)
             for side, env in envs.items())
         exits = f"{rc}/{rc_base}"
         if rc != rc_base:
-            rows.append(f"| {cfg} | {cmd} | {exits} | (exit code) | | |")
+            rows.append(f"| {cfg} | {cmd} | {exits} | (exit code) | | | |")
         for name in sorted(head.keys() | old.keys()):
             if head.get(name) != old.get(name):
                 new_sha, old_sha = (d.get(name, "missing")[:12] for d in (head, old))
-                rows.append(f"| {cfg} | {cmd} | {exits} | {name} | {new_sha} | {old_sha} |")
+                diff = max_abs_diff(outs["head"] / name, outs["base"] / name)
+                rows.append(f"| {cfg} | {cmd} | {exits} | {name} | {new_sha} | {old_sha}"
+                            f" | {diff} |")
     lines = [f"### Outputs against the base tree ({len(EXPECTED)} commands)", ""]
     if rows:
-        lines += ["| config | command | exit head/base | file | head sha256 | base sha256 |",
-                  "|---|---|---|---|---|---|", *rows]
+        lines += ["| config | command | exit head/base | file | head sha256 | base sha256"
+                  " | max abs diff |", "|---|---|---|---|---|---|---|", *rows]
     else:
         lines.append("Every command gives the same exit code and byte-identical "
                      "output files.")

@@ -216,9 +216,10 @@ _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 # JSON NaN and Infinity pass the schema's "number"; a non-finite time,
-# window or step sends a solve or time-step loop to its cap, or past it
-_SPACE_TIME_KEYS = ("times", "x_min", "x_max", "t_end", "dx_list", "cfl",
-                    "rectangles")
+# window or step sends a solve or time-step loop to its cap, or past it,
+# and a NaN tolerance fails every comparison
+_FINITE_KEYS = ("times", "x_min", "x_max", "t_end", "dx_list", "cfl",
+                "rectangles", "tolerance")
 
 
 def _numbers(value, where: str) -> list:
@@ -234,13 +235,22 @@ def validate_config(raw: dict) -> None:
     if exc is not None:
         where = exc.json_path if exc.json_path else "$"
         raise ConfigError(f"config schema violation at {where}: {exc.message}")
-    for section in ("solve", "conserve", "weakcheck", "compare", "plotdata"):
-        sec = raw.get(section, {})
-        for key in (k for k in sec if k in _SPACE_TIME_KEYS):
-            for where, value in _numbers(sec[key], f"$.{section}.{key}"):
-                if not math.isfinite(value):
-                    raise ConfigError(f"config schema violation at {where}: "
-                                      f"{value} is not a finite number")
+    keys = [(f"$.{section}.{key}", value)
+            for section in ("solve", "conserve", "weakcheck", "compare", "plotdata")
+            for key, value in raw.get(section, {}).items() if key in _FINITE_KEYS]
+    sample = raw.get("weakcheck", {}).get("random", {})
+    ranges = [(f"$.weakcheck.random.{key}", sample[key])
+              for key in ("x_range", "t_range") if key in sample]
+    for where, value in (pair for path, v in keys + ranges for pair in _numbers(v, path)):
+        if not math.isfinite(value):
+            raise ConfigError(f"config schema violation at {where}: "
+                              f"{value} is not a finite number")
+    # the sampler fails on hi < lo and on an overflowing hi - lo; lo == hi
+    # gives rectangles that cmd_weakcheck rejects as degenerate
+    for where, (lo, hi) in ranges:
+        if not 0.0 <= hi - lo < math.inf:
+            raise ConfigError(f"config schema violation at {where}: [{lo:g}, {hi:g}] "
+                              "is not a range lo <= hi of finite width")
     for section in ("conserve", "compare"):  # windows that are integrated over
         sec = raw.get(section, {})
         if "x_min" in sec and not sec["x_min"] < sec["x_max"]:

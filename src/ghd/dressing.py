@@ -11,9 +11,10 @@ inside buffers its caller owns, so a time-stepping caller dresses every
 step without allocating; the result is then a view into those buffers.
 A dense solve of (1 - Tn) f^dr = f is kept only as the test-side oracle.
 
-``DressingProblem`` is the single-row front end: it enforces the sign
-threshold on ||Tn|| (< 1, or < 1/2 for mixed-sign kernels) and supplies the
-dressed unit function that ``check_1dr_bounds`` certifies.
+``DressingProblem`` is a single-row reference kept for the tests: it
+enforces the sign threshold on ||Tn|| (< 1, or < 1/2 for mixed-sign
+kernels) and supplies the dressed unit function that ``check_1dr_bounds``
+certifies.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, ConvergenceError, NumericalError
-from .grid import GridFunction
 from .kernel import SIGN_MIXED, KernelOperator
 
 BOUND_EPS = 1e-9
@@ -154,13 +154,6 @@ class DressingProblem:
         if self._one_dr is None:
             self._one_dr = self.dress_values(np.ones(self.op.count))
         return self._one_dr
-
-
-def dress(prob: DressingProblem, f):
-    """Solve f^dr = f + T n f^dr; accepts GridFunction or raw values."""
-    if isinstance(f, GridFunction):
-        return GridFunction(f.grid, prob.dress_values(f.values))
-    return prob.dress_values(f)
 
 
 def check_1dr_bounds(prob: DressingProblem) -> tuple[DressingBounds, bool, dict]:

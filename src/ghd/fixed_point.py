@@ -8,8 +8,10 @@ by Banach iteration.  The map works row by row, so points with different
 t and x are solved together in one batch, t entering each row only
 through Xhat - v t; the rigorous contraction rate is the seed envelope
 norm r = ||T sup_x n0||_op < 1, and the stopping rule is the a-posteriori
-bound ||X_{k+1} - X_k|| * r/(1-r) <= fp_tol.  The measured per-iteration
-ratios are recorded for reporting only, never used to stop.
+bound ||X_{k+1} - X_k|| * r/(1-r) <= fp_tol.  Every kernel takes this one
+route: r < 1 is required of all of them, hard rods included.  The
+measured per-iteration ratios are recorded for reporting only, never used
+to stop.
 
 Contact crossings and the inverse of x -> Xhat(t, x, p) are level sets of
 monotone columns of the solution, all found by the batched bracketed root
@@ -18,11 +20,6 @@ brackets per step, with a halving safeguard that keeps every row within
 twice bisection's solve count.  The solved columns are exact only to
 fp_tol, so near a root, where their values are fixed-point noise, the
 safeguard's halving steps are what still shrinks the bracket.
-
-Constant kernels (hard rods) collapse the map to one scalar equation that
-is strictly monotone in the unknown, solved by bracketed root finding; the
-scalar solve needs no contraction, but the seed tables it reads are dressed
-under r < 1 all the same.
 
 From the solved Xhat the full state at (t,x) follows: occupation
 n = n0(X0(Xhat - v t)), height N = N0hat(Xhat - v t), densities
@@ -39,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dressing import dress_batched, sign_threshold
 from .errors import AssumptionError, ConfigError, ConvergenceError
@@ -120,10 +116,6 @@ class Solver:
         self.op = tab.op
         self.config = config or SolverConfig()
         self.rate = tab.rate
-        # zero kernels contract trivially; a genuine constant kernel takes
-        # the scalar route
-        self.constant_kernel = (self.op.kernel.constant_in_pq
-                                and self.op.kernel.constant_value != 0.0)
         threshold = sign_threshold(self.op.sign_class)
         if not self.rate < threshold:
             raise AssumptionError(
@@ -165,15 +157,6 @@ class Solver:
         ts, xs = self._rows(t, xs)
         m = xs.size
         N = self.op.count
-        if self.constant_kernel:
-            out = np.empty((m, N))
-            iters = np.empty(m, dtype=int)
-            resid = np.empty(m)
-            for i in range(m):
-                out[i], iters[i], resid[i] = self._solve_constant_kernel(
-                    float(ts[i]), float(xs[i]))
-            return out, iters, resid, np.zeros(m)
-
         f = np.broadcast_to(xs[:, None], (m, N)).copy() if warm is None \
             else np.array(np.broadcast_to(warm, (m, N)), dtype=float)
         active = np.ones(m, dtype=bool)
@@ -211,35 +194,6 @@ class Solver:
                 f"{self.config.max_iters} iterations; ratio history: "
                 f"{[round(r, 4) for r in history]}")
         return f, iters, resid, np.max(ratio, axis=0, where=keep, initial=0.0)
-
-    def _solve_constant_kernel(self, t: float, x: float):
-        """Scalar route for kernels constant in (p,q): monotone bracketing.
-
-        The map value is p-independent, so the fixed point is the root of
-        phi(xi) = xi - x - tau * sum_q w_q N0hat(xi - v_q t, q), with
-        phi' >= 1; no contraction hypothesis is needed.
-        """
-        tau = self.op.kernel.constant_value
-        w = self.op.grid.weights
-        vt = self.op.v * t
-        evals = [0]
-
-        def phi(xi):
-            evals[0] += 1
-            _, height = self.tab.invert(xi - vt)
-            return xi - x - tau * float(w @ height)
-
-        phi0 = phi(x)
-        if phi0 == 0.0:
-            root = x
-        else:
-            a, b = (x - phi0, x) if phi0 > 0 else (x, x - phi0)
-            root = brentq(phi, a, b, xtol=1e-14, rtol=8.9e-16)
-        residual = abs(phi(root))
-        if residual > self.config.fp_tol:
-            raise ConvergenceError(
-                f"constant-kernel root at (t={t}, x={x}) has defect {residual:g}")
-        return np.full(self.op.count, root), evals[0], residual
 
     # -- state reconstruction --------------------------------------------------
 

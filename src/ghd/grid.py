@@ -7,7 +7,7 @@ integrals over momentum become weighted sums over the grid nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,23 +68,6 @@ class MomentumGrid:
         return values @ self.weights
 
 
-@dataclass
-class GridFunction:
-    """A function of momentum sampled on a grid, one value per node."""
-
-    grid: MomentumGrid
-    values: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.nodes.shape:
-            raise ConfigError("GridFunction values must match grid nodes")
-
-    @classmethod
-    def from_callable(cls, grid: MomentumGrid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-
 def build_momentum_grid(p_min: float, p_max: float, count: int,
                         rule: str = GAUSS_LEGENDRE) -> MomentumGrid:
     """Build a quadrature grid on [p_min, p_max] with the given rule."""
@@ -110,8 +93,3 @@ def build_momentum_grid(p_min: float, p_max: float, count: int,
     else:
         raise ConfigError(f"unknown quadrature rule {rule!r}, expected one of {RULES}")
     return MomentumGrid(p_min, p_max, nodes, weights, rule)
-
-
-def integrate(f: GridFunction) -> float:
-    """Integral of a sampled momentum function over its window."""
-    return f.grid.integrate_values(f.values)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridFunction, MomentumGrid
+from .grid import MomentumGrid
 
 SIGN_NON_NEGATIVE = "nonnegative"
 SIGN_NON_POSITIVE = "nonpositive"
@@ -107,19 +107,6 @@ class ScatteringKernel:
             table = np.asarray(self.table, dtype=float)
             if table.shape != (len(self.table_p), len(self.table_q)):
                 raise ConfigError("tabulated kernel dimensions do not match its axes")
-
-    @property
-    def constant_in_pq(self) -> bool:
-        """True when T(p,q) does not depend on (p,q) (hard rods, zero)."""
-        return self.model in ("hard_rods", "zero")
-
-    @property
-    def constant_value(self) -> float:
-        if self.model == "hard_rods":
-            return -self.d
-        if self.model == "zero":
-            return 0.0
-        raise ConfigError(f"{self.model} kernel is not constant in (p,q)")
 
 
 def lieb_liniger(c: float, velocity: Velocity | None = None) -> ScatteringKernel:
@@ -224,23 +211,6 @@ class KernelOperator:
 
     def energy_weights(self) -> np.ndarray:
         return self.kernel.velocity.energy(self.grid.nodes)
-
-
-def operator_norm(op: KernelOperator, envelope=None) -> float:
-    if isinstance(envelope, GridFunction):
-        envelope = envelope.values
-    return op.operator_norm(envelope)
-
-
-def sign_class(op: KernelOperator) -> str:
-    return op.sign_class
-
-
-def apply_T(op: KernelOperator, f):
-    """Apply the discretized operator; accepts GridFunction or raw values."""
-    if isinstance(f, GridFunction):
-        return GridFunction(f.grid, op.apply(f.values))
-    return op.apply(f)
 
 
 def load_tabulated_kernel_csv(path, velocity: Velocity | None = None) -> ScatteringKernel:

@@ -332,9 +332,11 @@ _NAN, _INF = float("nan"), float("inf")
     ("weakcheck", {"weakcheck": {"rectangles": [[-0.5, 0.5, 0.1, 0.6],
                                                 [-0.5, _NAN, 0.1, 0.6]]}},
      "$.weakcheck.rectangles[1][1]"),
+    ("weakcheck", {"weakcheck": {"rectangles": [[-0.5, 0.5, 0.1, 0.6]],
+                                 "tolerance": _NAN}}, "$.weakcheck.tolerance"),
 ], ids=["t_end_nan", "t_end_inf", "dx_inf", "cfl_nan", "compare_x_min_inf",
         "solve_times_nan", "solve_x_max_inf", "plotdata_times_nan",
-        "conserve_x_min_inf", "rectangle_nan"])
+        "conserve_x_min_inf", "rectangle_nan", "tolerance_nan"])
 def test_non_finite_space_time_number_exit2(tmp_path, capsys, command, section, where):
     # json.dumps writes NaN and Infinity, which json.loads reads back
     cfg = _small_ll_config(**section)
@@ -343,6 +345,24 @@ def test_non_finite_space_time_number_exit2(tmp_path, capsys, command, section, 
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{where}: " in err and "is not a finite number" in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("key, value, where, message", [
+    ("x_range", [_NAN, 1.0], "x_range[0]", "nan is not a finite number"),
+    ("t_range", [0.1, _INF], "t_range[1]", "inf is not a finite number"),
+    ("x_range", [1.0, -1.0], "x_range", "[1, -1] is not a range lo <= hi of finite width"),
+    ("t_range", [-1e308, 1e308], "t_range",
+     "[-1e+308, 1e+308] is not a range lo <= hi of finite width"),
+], ids=["x_range_nan", "t_range_inf", "x_range_reversed", "t_range_overflow"])
+def test_weakcheck_random_range_holes_exit2(tmp_path, capsys, key, value, where, message):
+    cfg = json.loads((CONFIGS / "partitioning_lieb_liniger.json").read_text())
+    cfg["grid"]["count"] = 24
+    cfg["weakcheck"] = {"random": {"count": 2, "seed": 7, key: value}}
+    rc = main(["weakcheck", "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"$.weakcheck.random.{where}: {message}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*"))
 
 

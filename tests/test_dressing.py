@@ -25,13 +25,13 @@ def ll_gaussian_n(ll_op):
 def test_dress_empty_interaction(ll_op):
     prob = DressingProblem(ll_op, np.zeros(ll_op.count))
     f = np.sin(ll_op.grid.nodes)
-    np.testing.assert_array_equal(ghd.dress(prob, f), f)
+    np.testing.assert_array_equal(prob.dress_values(f), f)
 
 
 def test_rank_one_closed_form(hr_rank_one):
     op, n = hr_rank_one
     prob = DressingProblem(op, n)
-    out = ghd.dress(prob, np.ones(op.count))
+    out = prob.dress_values(np.ones(op.count))
     np.testing.assert_allclose(out, 1.0 / 1.12, atol=1e-12)
     assert abs(prob.tn_norm - 0.12) <= 1e-13
 
@@ -113,7 +113,7 @@ def test_seminorm_bound(ll_op, ll_gaussian_n):
 
 def test_bounded_part_bound(ll_op, ll_gaussian_n):
     prob = DressingProblem(ll_op, ll_gaussian_n)
-    unit = ghd.operator_norm(ll_op)
+    unit = ll_op.operator_norm()
     rng = np.random.default_rng(22)
     for f in rng.uniform(-2, 2, size=(200, ll_op.count)):
         fdr = prob.dress_values(f)

@@ -140,7 +140,7 @@ def test_spatial_lipschitz(ll_solver, ll_tables):
 def test_temporal_lipschitz(ll_solver, ll_tables):
     x = 0.4
     rng = np.random.default_rng(8)
-    unit = ghd.operator_norm(ll_solver.op)
+    unit = ll_solver.op.operator_norm()
     const = unit * ll_tables.vn_sup / (1.0 - ll_tables.rate)
     for _ in range(20):
         t1, t2 = rng.uniform(0, 2, size=2)
@@ -339,10 +339,23 @@ def test_mixed_rows_match_single_points_partitioning(part_setup):
 
 def test_mixed_rows_match_single_points_hard_rods(hr_setup):
     _, _, _, solver = hr_setup
-    assert solver.constant_kernel
     rng = np.random.default_rng(47)
     _assert_rows_match_points(solver, rng.uniform(0.0, 2.0, 8),
                               rng.uniform(-3.0, 3.0, 8))
+
+
+def test_hard_rods_batch_inverts_once_per_iteration(hr_setup, monkeypatch):
+    # hard rods take the same batched contraction as every kernel: one seed
+    # inversion per iteration for the whole batch, measured ratios within r
+    _, _, tab, solver = hr_setup
+    calls = []
+    invert = tab.invert
+    monkeypatch.setattr(tab, "invert", lambda z: calls.append(z.shape) or invert(z))
+    rng = np.random.default_rng(59)
+    _, iters, _, ratio = solver.solve_batch(rng.uniform(0.0, 2.0, 64),
+                                            rng.uniform(-3.0, 3.0, 64))
+    assert len(calls) == iters.max()
+    assert np.all((ratio > 0) & (ratio <= solver.rate + 0.01))
 
 
 def test_per_row_t_broadcasts_against_scalar_x(ll_solver):

@@ -43,68 +43,61 @@ def test_symmetry(p, q, model):
 def test_operator_norm_zero():
     g = ghd.build_momentum_grid(-1, 1, 8)
     op = ghd.KernelOperator(ghd.zero_kernel(), g)
-    assert ghd.operator_norm(op) == 0.0
+    assert op.operator_norm() == 0.0
 
 
 def test_operator_norm_hard_rods():
     g = ghd.build_momentum_grid(-1, 1, 16)
     op = ghd.KernelOperator(ghd.hard_rods(0.3), g)
-    assert abs(ghd.operator_norm(op) - 0.6) <= 1e-13
+    assert abs(op.operator_norm() - 0.6) <= 1e-13
 
 
 def test_operator_norm_lieb_liniger_window():
     g = ghd.build_momentum_grid(-40, 40, 400)
     op = ghd.KernelOperator(ghd.lieb_liniger(1.0), g)
     target = 2 / math.pi * math.atan(40.0)
-    assert abs(ghd.operator_norm(op) - target) <= 1e-5
-    assert ghd.operator_norm(op) < 1.0
+    assert abs(op.operator_norm() - target) <= 1e-5
+    assert op.operator_norm() < 1.0
 
 
 def test_operator_norm_envelope_negative_rejected():
     g = ghd.build_momentum_grid(-1, 1, 8)
     op = ghd.KernelOperator(ghd.lieb_liniger(1.0), g)
     with pytest.raises(ConfigError):
-        ghd.operator_norm(op, envelope=-np.ones(8))
+        op.operator_norm(envelope=-np.ones(8))
 
 
 def test_sign_classes():
     g = ghd.build_momentum_grid(-1, 1, 12)
-    assert ghd.sign_class(ghd.KernelOperator(ghd.lieb_liniger(1.0), g)) == SIGN_NON_NEGATIVE
-    assert ghd.sign_class(ghd.KernelOperator(ghd.hard_rods(0.2), g)) == SIGN_NON_POSITIVE
+    assert ghd.KernelOperator(ghd.lieb_liniger(1.0), g).sign_class == SIGN_NON_NEGATIVE
+    assert ghd.KernelOperator(ghd.hard_rods(0.2), g).sign_class == SIGN_NON_POSITIVE
     tab = ghd.tabulated_kernel([-1, 1], [-1, 1], [[-1.0, 1.0], [1.0, -1.0]])
-    assert ghd.sign_class(ghd.KernelOperator(tab, g)) == SIGN_MIXED
+    assert ghd.KernelOperator(tab, g).sign_class == SIGN_MIXED
 
 
 def test_sign_class_roundoff_tolerance():
     # entries below 1e-14 must not flip the classification
     g = ghd.build_momentum_grid(-1, 1, 6)
     tab = ghd.tabulated_kernel([-1, 1], [-1, 1], [[1e-16, 0.5], [0.5, 1.0]])
-    assert ghd.sign_class(ghd.KernelOperator(tab, g)) == SIGN_NON_NEGATIVE
+    assert ghd.KernelOperator(tab, g).sign_class == SIGN_NON_NEGATIVE
 
 
 def test_apply_T_zero_function(ll_op):
-    out = ghd.apply_T(ll_op, np.zeros(ll_op.count))
+    out = ll_op.apply(np.zeros(ll_op.count))
     assert np.all(out == 0)
 
 
 def test_apply_T_hard_rods_constant():
     g = ghd.build_momentum_grid(-1, 1, 16)
     op = ghd.KernelOperator(ghd.hard_rods(0.3), g)
-    out = ghd.apply_T(op, np.ones(16))
+    out = op.apply(np.ones(16))
     np.testing.assert_allclose(out, -0.6, atol=1e-13)
 
 
 def test_apply_T_preserves_parity(ll_op):
     f = np.exp(-ll_op.grid.nodes ** 2)
-    out = ghd.apply_T(ll_op, f)
+    out = ll_op.apply(f)
     assert np.max(np.abs(out - out[::-1])) <= 1e-12
-
-
-def test_apply_T_grid_function_round_trip(ll_op):
-    f = ghd.GridFunction.from_callable(ll_op.grid, lambda p: np.cos(p))
-    out = ghd.apply_T(ll_op, f)
-    assert isinstance(out, ghd.GridFunction)
-    np.testing.assert_allclose(out.values, ll_op.apply(f.values))
 
 
 @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
@@ -122,7 +115,7 @@ def test_apply_T_norm_bound(ll_op):
     rng = np.random.default_rng(12)
     fs = rng.uniform(-1, 1, size=(1000, ll_op.count))
     out = ll_op.apply(fs)
-    bound = ghd.operator_norm(ll_op) * np.max(np.abs(fs), axis=1)
+    bound = ll_op.operator_norm() * np.max(np.abs(fs), axis=1)
     assert np.all(np.max(np.abs(out), axis=1) <= bound + 1e-12)
 
 
