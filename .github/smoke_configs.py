@@ -13,7 +13,8 @@ checkout at DIR, as ``python -m ghd.cli`` with PYTHONPATH at that tree's
 ``src`` and this tree's configs.  A table of the output files whose sha256
 differ, and of the exit codes that differ, goes to $GITHUB_STEP_SUMMARY
 (stdout when unset); for a differing ``.csv`` or ``.dat`` file it gives the
-largest absolute difference over the numeric fields.  Differences are
+largest absolute difference over the numeric fields and the largest
+difference scaled by max(1, |base value|).  Differences are
 reported, never failed on; a ``ghd`` that imports from outside the tree
 under test fails the run, since an editable install can shadow PYTHONPATH.
 """
@@ -83,24 +84,27 @@ def smoke() -> int:
     return 1 if wrong else 0
 
 
-def max_abs_diff(new: Path, old: Path) -> str:
-    """Largest absolute difference over the numeric fields of two tables, or
-    why there is none."""
+def max_diffs(new: Path, old: Path) -> tuple[str, str]:
+    """Largest absolute difference, and largest difference scaled by
+    max(1, |old value|), over the numeric fields of two tables; or why there
+    is none."""
     if new.suffix not in (".csv", ".dat") or not (new.is_file() and old.is_file()):
-        return ""
+        return "", ""
     fields = [path.read_text().replace(",", " ").split() for path in (new, old)]
     if len(fields[0]) != len(fields[1]):
-        return "field count differs"
-    worst = 0.0
+        return "field count differs", ""
+    worst = scaled = 0.0
     for a, b in zip(*fields):
         if a == b:
             continue
         try:
             diff = abs(float(a) - float(b))
         except ValueError:
-            return "text differs"
-        worst = max(worst, diff if not math.isnan(diff) else math.inf)
-    return f"{worst:.3g}"
+            return "text differs", ""
+        diff = diff if not math.isnan(diff) else math.inf
+        worst = max(worst, diff)
+        scaled = max(scaled, diff / max(1.0, abs(float(b))))
+    return f"{worst:.3g}", f"{scaled:.3g}"
 
 
 def tree_env(tree: Path) -> dict:
@@ -124,17 +128,18 @@ def compare(base: Path) -> int:
             for side, env in envs.items())
         exits = f"{rc}/{rc_base}"
         if rc != rc_base:
-            rows.append(f"| {cfg} | {cmd} | {exits} | (exit code) | | | |")
+            rows.append(f"| {cfg} | {cmd} | {exits} | (exit code) | | | | |")
         for name in sorted(head.keys() | old.keys()):
             if head.get(name) != old.get(name):
                 new_sha, old_sha = (d.get(name, "missing")[:12] for d in (head, old))
-                diff = max_abs_diff(outs["head"] / name, outs["base"] / name)
+                diff, scaled = max_diffs(outs["head"] / name, outs["base"] / name)
                 rows.append(f"| {cfg} | {cmd} | {exits} | {name} | {new_sha} | {old_sha}"
-                            f" | {diff} |")
+                            f" | {diff} | {scaled} |")
     lines = [f"### Outputs against the base tree ({len(EXPECTED)} commands)", ""]
     if rows:
         lines += ["| config | command | exit head/base | file | head sha256 | base sha256"
-                  " | max abs diff |", "|---|---|---|---|---|---|---|", *rows]
+                  " | max abs diff | max scaled diff |", "|---|---|---|---|---|---|---|---|",
+                  *rows]
     else:
         lines.append("Every command gives the same exit code and byte-identical "
                      "output files.")

@@ -3,7 +3,7 @@
 Commands
   check              admissibility report (JSON), exit 3 on a fail verdict
   seed               seed-table summary (JSON) and CSV dump
-  solve              state sweep CSV: t,x,p,n,rho_p,rho_s,v_eff,u
+  solve              state table CSV: t,x,p,n,rho_p,rho_s,v_eff,u
   conserve           charge/entropy series CSV (t, value, drift)
   weakcheck          weak-form residual table, exit 1 if above tolerance
   compare-reference  upwind-oracle L1 gaps and convergence order
@@ -148,7 +148,7 @@ def cmd_solve(rt: _Runtime, out: Path) -> int:
     blocks = []
     for t in sec["times"]:
         t_key = _fmt(t) + ","
-        st = rt.solver.sweep(float(t), xs)
+        st = rt.solver.states_batch(float(t), xs)
         table = np.stack((st.n, st.rho_p, st.rho_s, st.v_eff, st.u), axis=-1)
         blocks += [(t_key + x_key, rows) for x_key, rows in zip(x_keys, table)]
     _write_csv(out / "solve.csv", "t,x,p,n,rho_p,rho_s,v_eff,u", blocks,
@@ -265,7 +265,7 @@ def cmd_plotdata(rt: _Runtime, out: Path) -> int:
     n = rt.grid.count
     probes = _momentum_indices(rt, "plotdata", "p_probes", [n // 4, n // 2, 3 * n // 4])
     w = rt.grid.weights
-    per_time = [rt.solver.sweep(float(t), xs) for t in sec["times"]]
+    per_time = [rt.solver.states_batch(float(t), xs) for t in sec["times"]]
     columns = "# x  mass_density  mean_v_eff  " + "  ".join(
         f"n(p={_fmt(rt.grid.nodes[j])})" for j in probes)
     for idx, st in enumerate(per_time):

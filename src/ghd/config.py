@@ -84,7 +84,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "fp_tol": _POSNUM,
                 "max_iters": {"type": "integer", "minimum": 1},
-                # accepted with no effect: sweeps always warm-start
+                # accepted with no effect: every row is solved cold
                 "warm_start": {"enum": ["from_neighbor"]},
             },
         },
@@ -236,7 +236,8 @@ def validate_config(raw: dict) -> None:
         where = exc.json_path if exc.json_path else "$"
         raise ConfigError(f"config schema violation at {where}: {exc.message}")
     keys = [(f"$.{section}.{key}", value)
-            for section in ("solve", "conserve", "weakcheck", "compare", "plotdata")
+            for section in ("seed_grid", "solve", "conserve", "weakcheck", "compare",
+                            "plotdata")
             for key, value in raw.get(section, {}).items() if key in _FINITE_KEYS]
     sample = raw.get("weakcheck", {}).get("random", {})
     ranges = [(f"$.weakcheck.random.{key}", sample[key])

@@ -13,11 +13,10 @@ route: r < 1 is required of all of them, hard rods included.  The
 measured per-iteration ratios are recorded for reporting only, never used
 to stop.
 
-Contact crossings and the inverse of x -> Xhat(t, x, p) are level sets of
-monotone columns of the solution, all found by the batched bracketed root
-finder ``Solver.bisect``: Illinois false position, one solve over all open
-brackets per step, with a halving safeguard that keeps every row within
-twice bisection's solve count.  The solved columns are exact only to
+Contact crossings are level sets of monotone columns of the solution,
+found by the batched bracketed root finder ``Solver.bisect``: Illinois
+false position, one solve over all open brackets per step, with a halving
+safeguard that keeps every row within twice bisection's solve count.  The solved columns are exact only to
 fp_tol, so near a root, where their values are fixed-point noise, the
 safeguard's halving steps are what still shrinks the bracket.
 
@@ -26,13 +25,17 @@ n = n0(X0(Xhat - v t)), height N = N0hat(Xhat - v t), densities
 rho_s = 1dr/(2 pi), rho_p = n rho_s, effective velocity v_eff = v_dr/1dr,
 and the characteristic u = X0(Xhat - v t) (the initial position of the
 trajectory through (t,x)).  ``states_batch`` returns a batch as one
-``States`` record of arrays (fields below), ``sweep`` one record in input
-order; ``state`` and ``solve`` are one-row views.  The three keep their
-names because the benchmark tracer (ghdbench/tracer.py) wraps them.
+``States`` record of arrays (fields below), every row solved cold from
+Xhat = x: no point's fixed point needs a neighbour's.  It is the one state
+entry point; ``sweep`` is the same call and ``state`` and ``solve`` are
+one-row views, kept because the benchmark tracer (ghdbench/tracer.py)
+wraps them by name.  The working set of a large batch is bounded inside
+``SeedTables.invert``, which walks its cell path in blocks of rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -44,9 +47,6 @@ from .seed import SeedTables
 
 TWO_PI = 2.0 * np.pi
 
-# rows per batch of a sweep: the chunks are cache blocks, not an option
-SWEEP_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -56,8 +56,8 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not self.fp_tol > 0:
-            raise ConfigError(f"fp_tol must be positive, got {self.fp_tol}")
+        if not 0 < self.fp_tol < math.inf:
+            raise ConfigError(f"fp_tol must be positive and finite, got {self.fp_tol}")
 
 
 @dataclass(frozen=True)
@@ -197,11 +197,11 @@ class Solver:
 
     # -- state reconstruction --------------------------------------------------
 
-    def states_batch(self, t, xs, warm: np.ndarray | None = None) -> States:
+    def states_batch(self, t, xs) -> States:
         """Solve and reconstruct the states at the points (t_i, x_i), broadcast
-        as in ``solve_batch``; dressing is batched."""
+        as in ``solve_batch``; every row starts cold and dressing is batched."""
         ts, xs = self._rows(t, xs)
-        xhat, iters, resid, ratio = self.solve_batch(ts, xs, warm)
+        xhat, iters, resid, ratio = self.solve_batch(ts, xs)
         z = xhat - np.multiply.outer(ts, self.op.v)
         u, height = self.tab.invert(z)
         n = np.asarray(self.tab.scenario.n0(u, self.op.grid.nodes[None, :]), dtype=float)
@@ -209,36 +209,18 @@ class Solver:
         return States(self.op, ts.copy(), xs.copy(), iters, resid, ratio,
                       xhat, height, n, one_dr, v_dr, u)
 
-    def state(self, t: float, x: float, warm: np.ndarray | None = None) -> States:
+    def state(self, t: float, x: float) -> States:
         """One-row view of ``states_batch`` at (t, x)."""
-        return self.states_batch(t, np.array([x]),
-                                 None if warm is None else np.asarray(warm)[None, :])[0]
+        return self.states_batch(t, np.array([x]))[0]
 
-    def solve(self, t: float, x: float, warm: np.ndarray | None = None) -> States:
+    def solve(self, t: float, x: float) -> States:
         """The same one-row view as ``state``, under the name the benchmark
         tracer wraps."""
-        return self.state(t, x, warm)
+        return self.states_batch(t, np.array([x]))[0]
 
     def sweep(self, t: float, xs: np.ndarray) -> States:
-        """Warm-started sweep over x values at fixed t, rows in input order.
-
-        The sorted values are solved in chunks of SWEEP_CHUNK rows, each
-        seeded from the previous chunk's last solution shifted by the x
-        offset, an O(dx) initial guess by the spatial Lipschitz bound;
-        sweeps of at most two points are solved cold in one batch.
-        """
-        xs = np.asarray(xs, dtype=float)
-        if xs.size <= 2:
-            return self.states_batch(t, xs)
-        order = np.argsort(xs)
-        chunks: list[States] = []
-        for lo in range(0, xs.size, SWEEP_CHUNK):
-            xb = xs[order[lo:lo + SWEEP_CHUNK]]
-            warm = (chunks[-1].xhat[-1][None, :] + (xb - chunks[-1].x[-1])[:, None]
-                    if chunks else None)
-            chunks.append(self.states_batch(t, xb, warm))
-        return States(self.op, *(np.concatenate([getattr(c, f.name) for c in chunks])
-                                 for f in fields(States)[1:]))[np.argsort(order)]
+        """``states_batch`` at one t, under the name the benchmark tracer wraps."""
+        return self.states_batch(t, xs)
 
     # -- level sets ------------------------------------------------------------
 
@@ -250,8 +232,8 @@ class Solver:
 
         Brackets are oriented: psi_i < 0 at lo_i and >= 0 at hi_i (lo_i > hi_i
         is allowed).  The caller passes the end values f_lo, f_hi it already
-        holds; NaN marks an end whose sign alone is known.  level and tol are
-        scalars or one value per row, and warm is the first step's start.
+        holds.  level and tol are scalars or one value per row, and warm is
+        the first step's start.
 
         Each step is one solve over the open rows, warm-started from each
         row's last iterate, at the Illinois false-position point (the value
@@ -299,21 +281,3 @@ class Solver:
             width[rows] = w = np.abs(b[rows] - a[rows])
             rows = rows[(w > tol[rows]) & (k < cap[rows])]
         return 0.5 * (a + b)
-
-    def invert_xhat(self, t: float, xhat_target: float, p_index: int) -> float:
-        """Real position x with Xhat(t, x, p) = xhat_target, to within fp_tol / R.
-
-        x -> Xhat(t, x, p) increases with slope at least R (the lower 1dr
-        bound), so one solve at x = xhat_target brackets the root, and the
-        bracket is refined to the accuracy the fixed point certifies.
-        """
-        slope_lo = self.tab.bounds.r_value
-        x0 = float(xhat_target)
-        xhat = self.solve_batch(t, x0)[0]
-        g0 = float(xhat[0, p_index]) - x0     # Xhat - target < 0 below the root
-        x1 = x0 - g0 / slope_lo               # only the sign of its value is known
-        lo, hi, f_lo, f_hi = (x1, x0, np.nan, g0) if g0 > 0 else (x0, x1, g0, np.nan)
-        level = x0 - float(self.op.v[p_index]) * t
-        return float(self.bisect(lambda a, rows: (t, a), [lo], [hi], [f_lo], [f_hi],
-                                 [p_index], level, tol=self.config.fp_tol / slope_lo,
-                                 warm=xhat)[0])

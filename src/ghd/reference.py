@@ -227,7 +227,7 @@ def total_mass(state: FieldState, op: KernelOperator) -> float:
 
 def fixed_point_rho(solver, t: float, x_cells: np.ndarray) -> np.ndarray:
     """rho_p(t, x, p) from the fixed-point solver at the given cell centers."""
-    return solver.sweep(float(t), np.asarray(x_cells, dtype=float)).rho_p
+    return solver.states_batch(float(t), np.asarray(x_cells, dtype=float)).rho_p
 
 
 def l1_gap(state: FieldState, rho_ref: np.ndarray, op: KernelOperator) -> float:

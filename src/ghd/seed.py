@@ -40,7 +40,9 @@ against a rounding floor of 16 ulps of max(|a0|, |a1|); the entries above
 it (cells far from a straight line) are finished by bisection on the
 certified-monotone cell, and a residual above INV_TOL after bisection is a
 NumericalError.  Every entry's result depends only on its own query and
-cell.
+cell, so a large query is inverted in blocks of whole rows of at most
+_INVERT_BLOCK entries: that bounds the cell path's working set and moves
+no bit.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ _BISECT_ITERS = 60            # 2^-60 is below the resolution of s in [0, 1]
 _GUIDE_SHRINK = 1.0 - 2.0 ** -20   # margin over round-off in the bucket index
 _GUIDE_BUCKETS_PER_NODE = 16  # caps the guide table at 16 nx N int32 entries
 _LINE_RTOL = 1e-14            # round-off allowed in "two lines through the origin"
+_INVERT_BLOCK = 1 << 14       # entries per block of invert's cell path
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +106,8 @@ def gaussian_bump(a: float, sigma: float, gamma: float,
     """
     if a <= 0 or sigma <= 0 or gamma <= 0:
         raise ConfigError("gaussian_bump requires a, sigma, gamma > 0")
+    if not math.isfinite(sigma):  # the seed window is +-8 sigma
+        raise ConfigError(f"gaussian_bump sigma: {sigma} is not a finite number")
 
     def n0(x, p):
         x = np.asarray(x, dtype=float)
@@ -404,7 +409,8 @@ class SeedTables:
         the cell parameter is one Newton step from the inverse-Hermite
         start; an in-table entry whose residual is then above the rounding
         floor (_rounding_floor) is bisected.  Queries outside the table
-        follow the linear extensions.
+        follow the linear extensions.  The cell path runs over blocks of
+        whole rows of at most _INVERT_BLOCK entries.
         """
         zhat = np.asarray(zhat, dtype=float)
         if self._sides is not None:
@@ -412,7 +418,18 @@ class SeedTables:
             one_dr, n = self._sides
             return (zhat / np.where(left, one_dr[0], one_dr[1]),
                     np.where(left, n[0], n[1]) * zhat)
+        # the cell path holds ~20 temporaries the size of its query, so it
+        # walks whole rows, at most _INVERT_BLOCK entries at a time
+        N = self.A.shape[1]
+        rows = zhat.reshape(-1, N)
+        x, height = np.empty_like(rows), np.empty_like(rows)
+        step = max(1, _INVERT_BLOCK // N)
+        for lo in range(0, rows.shape[0], step):
+            x[lo:lo + step], height[lo:lo + step] = self._invert_cells(rows[lo:lo + step])
+        return x.reshape(zhat.shape), height.reshape(zhat.shape)
 
+    def _invert_cells(self, zhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``invert`` on the cell path for one block of rows (m, N)."""
         N = self.A.shape[1]
         A, dA, B, dB = self._flat
         cells = self._cells(zhat)

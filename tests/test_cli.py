@@ -75,6 +75,18 @@ def test_check_failing_scenario_exit3(tmp_path):
     assert payload["verdict"] == "fail"
 
 
+def test_check_nan_operator_norm_exit3(tmp_path):
+    # an infinite coupling gives a NaN norm, which must fail the bound
+    cfg = json.loads((CONFIGS / "lieb_liniger_gaussian.json").read_text())
+    cfg["kernel"]["c"] = float("inf")
+    rc = main(["check", "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path)])
+    assert rc == 3
+    payload = json.loads((tmp_path / "assumptions.json").read_text())
+    assert payload["verdict"] == "fail"
+    assert payload["failed_clause"].startswith("operator-norm bound")
+
+
 def test_schema_violation_exit2(tmp_path, capsys):
     cfg = _small_zero_config()
     cfg["grid"]["count"] = 1
@@ -107,13 +119,15 @@ def test_convergence_failure_exit4(tmp_path):
 
 
 def test_invalid_fp_tol_exit2(tmp_path, capsys):
-    # JSON NaN passes the schema's exclusiveMinimum; the solver config
-    # rejects it and the CLI maps the rejection to a configuration error
+    # JSON NaN and Infinity pass the schema's exclusiveMinimum; the solver
+    # config rejects them and the CLI maps the rejection to a configuration
+    # error
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_small_ll_config(solver={"fp_tol": float("nan")})))
-    rc = main(["solve", "--config", str(path), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "fp_tol" in capsys.readouterr().err
+    for bad in (float("nan"), float("inf")):
+        path.write_text(json.dumps(_small_ll_config(solver={"fp_tol": bad})))
+        rc = main(["solve", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "fp_tol" in capsys.readouterr().err
 
 
 def test_nan_contraction_rate_exit3(tmp_path, capsys):
@@ -334,9 +348,15 @@ _NAN, _INF = float("nan"), float("inf")
      "$.weakcheck.rectangles[1][1]"),
     ("weakcheck", {"weakcheck": {"rectangles": [[-0.5, 0.5, 0.1, 0.6]],
                                  "tolerance": _NAN}}, "$.weakcheck.tolerance"),
+    ("solve", {"seed_grid": {"x_min": -8.0, "x_max": _INF, "count": 300}},
+     "$.seed_grid.x_max"),
+    # the scenario builder rejects it: the seed window is +-8 sigma
+    ("solve", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": _INF,
+                            "gamma": 1.0}}, "gaussian_bump sigma"),
 ], ids=["t_end_nan", "t_end_inf", "dx_inf", "cfl_nan", "compare_x_min_inf",
         "solve_times_nan", "solve_x_max_inf", "plotdata_times_nan",
-        "conserve_x_min_inf", "rectangle_nan", "tolerance_nan"])
+        "conserve_x_min_inf", "rectangle_nan", "tolerance_nan", "seed_grid_x_max_inf",
+        "scenario_sigma_inf"])
 def test_non_finite_space_time_number_exit2(tmp_path, capsys, command, section, where):
     # json.dumps writes NaN and Infinity, which json.loads reads back
     cfg = _small_ll_config(**section)

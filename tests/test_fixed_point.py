@@ -177,21 +177,6 @@ def test_characteristic_u(ll_solver, ll_tables):
     assert all(b - a >= -1e-9 for a, b in zip(us[:-1], us[1:]))
 
 
-def test_invert_xhat_round_trip(ll_solver, ll_tables):
-    t, x_true, p_index = 0.7, 1.3, 30
-    target = float(ll_solver.solve(t, x_true).xhat[p_index])
-    x_rec = ll_solver.invert_xhat(t, target, p_index)
-    assert abs(x_rec - x_true) <= 1e-8
-
-
-def test_invert_xhat_trivial_cases(zero_setup, uniform_hr_setup):
-    op, _, _, _ = zero_setup
-    tabz = ghd.build_seed(ghd.zero_scenario(), op)
-    assert abs(ghd.Solver(tabz).invert_xhat(0.5, 1.9, 3) - 1.9) <= 1e-10
-    _, _, tabu, solver = uniform_hr_setup
-    assert abs(solver.invert_xhat(0.4, 1.0, 5) - 1.12) <= 1e-9
-
-
 def test_bisect_without_brackets_solves_nothing(ll_tables, monkeypatch):
     solver = ghd.Solver(ll_tables)
     calls = []
@@ -293,9 +278,9 @@ def test_max_iters_exceeded(ll_tables):
 
 
 def test_warm_start_agrees(ll_solver):
-    cold = ll_solver.solve(0.5, 1.0)
-    warm = ll_solver.solve(0.5, 1.0, warm=cold.xhat + 0.3)
-    assert np.max(np.abs(cold.xhat - warm.xhat)) <= 1e-9
+    cold, _, _, _ = ll_solver.solve_batch(0.5, 1.0)
+    warm, _, _, _ = ll_solver.solve_batch(0.5, 1.0, warm=cold + 0.3)
+    assert np.max(np.abs(cold - warm)) <= 1e-9
 
 
 def test_inadmissible_solver_rejected(ll_op):
@@ -306,7 +291,7 @@ def test_inadmissible_solver_rejected(ll_op):
 
 
 def test_invalid_fp_tol_is_config_error():
-    for bad in (0.0, -1e-10, float("nan")):
+    for bad in (0.0, -1e-10, float("nan"), float("inf")):
         with pytest.raises(ghd.ConfigError, match="fp_tol"):
             SolverConfig(fp_tol=bad)
 
@@ -377,23 +362,6 @@ def test_convergence_error_names_failing_row_t(ll_tables):
 
 _FIELDS = ("t", "x", "iters", "residual", "ratio", "xhat", "N", "n", "one_dr",
            "v_dr", "u", "rho_s", "rho_p", "v_eff")
-
-
-def test_sweep_rows_in_input_order_match_chunked_batches(ll_solver):
-    rng = np.random.default_rng(59)
-    xs = rng.uniform(-4.0, 4.0, 150)
-    states = ll_solver.sweep(0.7, xs)
-    assert len(states) == xs.size
-    # the sorted points in chunks of 64, each warm-started from the last
-    # solution of the chunk before, shifted by the x offset
-    order = np.argsort(xs)
-    warm = None
-    for lo in range(0, xs.size, 64):
-        rows = order[lo:lo + 64]
-        chunk = ll_solver.states_batch(0.7, xs[rows], warm)
-        for name in _FIELDS:
-            assert np.array_equal(getattr(states, name)[rows], getattr(chunk, name)), name
-        warm = chunk.xhat[-1][None, :] + (xs[order[lo + 64:lo + 128]] - chunk.x[-1])[:, None]
 
 
 def test_derived_fields_are_their_expressions(ll_solver):

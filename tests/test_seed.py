@@ -358,10 +358,14 @@ def test_newton_inverse_reaches_the_floor_or_bisects(data):
 
 
 def test_invert_rows_are_independent(ll_tables):
+    # the query spans several of invert's row blocks, with entries on the
+    # table's nodes and past both of its ends
     rng = np.random.default_rng(37)
     N = ll_tables.op.count
-    z = rng.uniform(-9.0, 9.0, size=(40, N))
+    z = rng.uniform(-12.0, 12.0, size=(1200, N))
     z[::7] = ll_tables.A[rng.integers(0, ll_tables.A.shape[0], size=N), np.arange(N)]
+    assert z.size > 3 * seed_mod._INVERT_BLOCK
+    assert np.any(z < ll_tables.A[0]) and np.any(z > ll_tables.A[-1])
     x, height = ll_tables.invert(z)
     for i in range(z.shape[0]):
         xi, hi = ll_tables.invert(z[i:i + 1])
