@@ -364,6 +364,27 @@ _FIELDS = ("t", "x", "iters", "residual", "ratio", "xhat", "N", "n", "one_dr",
            "v_dr", "u", "rho_s", "rho_p", "v_eff")
 
 
+def test_sweep_rows_in_input_order_match_chunked_batches(ll_solver):
+    rng = np.random.default_rng(59)
+    xs = rng.uniform(-4.0, 4.0, 150)
+    states = ll_solver.sweep(0.7, xs)
+    assert len(states) == xs.size
+    assert np.array_equal(states.x, xs) and np.all(states.t == 0.7)
+    whole = ll_solver.states_batch(0.7, xs)
+    for name in _FIELDS:
+        assert np.array_equal(getattr(states, name), getattr(whole, name)), name
+    # every row starts cold, so the sorted points solved in chunks of 64 give
+    # the same fixed points at the input positions; the batch size changes
+    # only the blocking of the matrix products, so they agree to 2 fp_tol
+    tol = 2.0 * ll_solver.config.fp_tol
+    order = np.argsort(xs)
+    for lo in range(0, xs.size, 64):
+        rows = order[lo:lo + 64]
+        chunk = ll_solver.states_batch(0.7, xs[rows])
+        assert np.array_equal(states.x[rows], chunk.x)
+        assert np.max(np.abs(states.xhat[rows] - chunk.xhat)) <= tol
+
+
 def test_derived_fields_are_their_expressions(ll_solver):
     states = ll_solver.states_batch(np.linspace(0.0, 1.5, 7), np.linspace(-2.0, 2.0, 7))
     assert np.array_equal(states.rho_s, states.one_dr / (2 * np.pi))
