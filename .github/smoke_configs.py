@@ -3,19 +3,24 @@
     python .github/smoke_configs.py              # exit codes and determinism
     python .github/smoke_configs.py --base DIR   # outputs against the tree at DIR
 
-Run from the root of a ghd checkout.  Without ``--base``, each command in
-EXPECTED runs twice through the installed ``ghd`` into two directories, and
-the check fails on a wrong exit code or on output files whose sha256 differ
-between the two runs.
+Run from the root of a ghd checkout.  Besides the bundled configs, both modes
+run the command of each benchmark workload on its seed-101 config, generated
+into a temporary directory by ``ghdbench/workloads.py``; bump_solve's table
+has values with three-digit exponents, which no bundled config writes.
+
+Without ``--base``, each command in EXPECTED and each workload command runs
+twice through the installed ``ghd`` into two directories, and the check fails
+on a wrong exit code or on output files whose sha256 differ between the two
+runs.
 
 With ``--base``, each command runs once on this tree and once on the
 checkout at DIR, as ``python -m ghd.cli`` with PYTHONPATH at that tree's
-``src`` and this tree's configs.  A table of the output files whose sha256
-differ, and of the exit codes that differ, goes to $GITHUB_STEP_SUMMARY
-(stdout when unset); for a differing ``.csv`` or ``.dat`` file it gives the
-largest absolute difference over the numeric fields and the largest
-difference scaled by max(1, |base value|).  Differences are
-reported, never failed on; a ``ghd`` that imports from outside the tree
+``src`` and this tree's configs and workloads.  A table of the output files
+whose sha256 differ, and of the exit codes that differ, goes to
+$GITHUB_STEP_SUMMARY (stdout when unset); for a differing ``.csv`` or
+``.dat`` file it gives the largest absolute difference over the numeric
+fields and the largest difference scaled by max(1, |base value|).
+Differences are reported, never failed on; a ``ghd`` that imports from outside the tree
 under test fails the run, since an editable install can shadow PYTHONPATH.
 """
 
@@ -23,14 +28,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOAD_SEED = 101
 
 # (config, command, expected exit code): every command a config has a
 # section for, plus check and seed
@@ -61,25 +69,39 @@ def digests(out: Path) -> dict:
             for f in sorted(out.iterdir())} if out.is_dir() else {}
 
 
-def run(program: list, cfg: str, cmd: str, out: Path, env=None):
+def run(program: list, cfg: Path, cmd: str, out: Path, env=None):
     """(exit code, wall seconds, output digests) of one command."""
     start = time.perf_counter()
-    rc = subprocess.run([*program, cmd, "--config", str(ROOT / "configs" / f"{cfg}.json"),
-                         "--out", str(out)], stdout=subprocess.DEVNULL, env=env).returncode
+    rc = subprocess.run([*program, cmd, "--config", str(cfg), "--out", str(out)],
+                        stdout=subprocess.DEVNULL, env=env).returncode
     return rc, time.perf_counter() - start, digests(out)
 
 
-def smoke() -> int:
+def commands(workdir: Path) -> list:
+    """(config path, command, expected exit code): EXPECTED, then each
+    benchmark workload's command on its seed-101 config, written to workdir."""
+    sys.path.insert(0, str(ROOT / "ghdbench"))
+    from workloads import WORKLOADS
+
+    runs = [(ROOT / "configs" / f"{cfg}.json", cmd, want) for cfg, cmd, want in EXPECTED]
+    for name, workload in WORKLOADS.items():
+        path = workdir / f"{name}_{WORKLOAD_SEED}.json"
+        path.write_text(json.dumps(workload.make_config(WORKLOAD_SEED)))
+        runs.append((path, workload.command, 0))
+    return runs
+
+
+def smoke(runs: list) -> int:
     wrong = 0
-    for cfg, cmd, want in EXPECTED:
+    for cfg, cmd, want in runs:
         # two processes into two directories: identical config must give
         # byte-identical output files
         (rc, wall, first), (rc2, _, second) = (
-            run(["ghd"], cfg, cmd, Path(f"out_smoke/{rep}/{cfg}/{cmd}")) for rep in "ab")
+            run(["ghd"], cfg, cmd, Path(f"out_smoke/{rep}/{cfg.stem}/{cmd}")) for rep in "ab")
         differ = sorted(name for name in first.keys() | second.keys()
                         if first.get(name) != second.get(name))
         wrong += rc != want or rc2 != rc or bool(differ)
-        print(f"{cfg:26} {cmd:18} exit {rc}/{rc2} (expected {want}) {wall:6.2f} s"
+        print(f"{cfg.stem:26} {cmd:18} exit {rc}/{rc2} (expected {want}) {wall:6.2f} s"
               f" {len(first)} files" + (f", differ: {differ}" if differ else ""))
     return 1 if wrong else 0
 
@@ -118,24 +140,24 @@ def tree_env(tree: Path) -> dict:
     return env
 
 
-def compare(base: Path) -> int:
+def compare(base: Path, runs: list) -> int:
     envs = {"head": tree_env(ROOT), "base": tree_env(base)}
     rows = []
-    for cfg, cmd, _ in EXPECTED:
-        outs = {side: Path(f"out_compare/{side}/{cfg}/{cmd}") for side in envs}
+    for cfg, cmd, _ in runs:
+        outs = {side: Path(f"out_compare/{side}/{cfg.stem}/{cmd}") for side in envs}
         (rc, _, head), (rc_base, _, old) = (
             run([sys.executable, "-m", "ghd.cli"], cfg, cmd, outs[side], env)
             for side, env in envs.items())
         exits = f"{rc}/{rc_base}"
         if rc != rc_base:
-            rows.append(f"| {cfg} | {cmd} | {exits} | (exit code) | | | | |")
+            rows.append(f"| {cfg.stem} | {cmd} | {exits} | (exit code) | | | | |")
         for name in sorted(head.keys() | old.keys()):
             if head.get(name) != old.get(name):
                 new_sha, old_sha = (d.get(name, "missing")[:12] for d in (head, old))
                 diff, scaled = max_diffs(outs["head"] / name, outs["base"] / name)
-                rows.append(f"| {cfg} | {cmd} | {exits} | {name} | {new_sha} | {old_sha}"
+                rows.append(f"| {cfg.stem} | {cmd} | {exits} | {name} | {new_sha} | {old_sha}"
                             f" | {diff} | {scaled} |")
-    lines = [f"### Outputs against the base tree ({len(EXPECTED)} commands)", ""]
+    lines = [f"### Outputs against the base tree ({len(runs)} commands)", ""]
     if rows:
         lines += ["| config | command | exit head/base | file | head sha256 | base sha256"
                   " | max abs diff | max scaled diff |", "|---|---|---|---|---|---|---|---|",
@@ -157,7 +179,9 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path,
                         help="checkout of the base commit to compare outputs against")
     args = parser.parse_args(argv)
-    return compare(args.base) if args.base else smoke()
+    with tempfile.TemporaryDirectory() as workdir:
+        runs = commands(Path(workdir))
+        return compare(args.base, runs) if args.base else smoke(runs)
 
 
 if __name__ == "__main__":

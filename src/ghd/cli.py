@@ -14,7 +14,7 @@ window error (an ``--out`` that cannot be made a directory included), 3
 assumption failure, 4 convergence failure, 5 numerical failure (an internal
 check such as seed monotonicity failed).  Identical config (including any
 RNG seed inside it) produces byte-identical output files; floats are
-written with 17 significant digits, one ``%`` operation per table block.
+written with 17 significant digits, as ``"%.17g" % v`` renders them.
 
 ``--workers N`` (and ``GHD_WORKERS``) is accepted for compatibility and has
 no effect: every command runs in one process.
@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
+from .csvfmt import write_rows
 from .diagnostics import (ENTROPY_FUNCTIONS, check_assumptions,
                           conservation_report, weak_form_residual,
                           weight_values)
@@ -62,16 +63,12 @@ def _write_csv(path: Path, header: str, blocks, keys=None, sep: str = ",") -> No
     ``keys`` is given, then the fields of ``values[j]`` at 17 significant
     digits joined by ``sep``.  ``prefix`` and ``keys`` are leading key
     fields formatted beforehand with ``_fmt``, each ending in ``sep``, so a
-    key repeated down the table is formatted once.  Each block is rendered
-    by one ``%`` operation and written before the next one is taken.
+    key repeated down the table is formatted once.  The value fields are
+    rendered by ``csvfmt.write_rows``, byte for byte as ``"%.17g" % v``.
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for prefix, values in blocks:
-            line = sep.join(["%.17g"] * values.shape[1]) + "\n"
-            heads = keys if keys is not None else [""] * values.shape[0]
-            fh.write("".join([prefix + k + line for k in heads])
-                     % tuple(values.ravel().tolist()))
+        write_rows(fh, blocks, keys, sep)
 
 
 def _momentum_indices(rt, section: str, key: str, default) -> list[int]:

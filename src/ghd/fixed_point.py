@@ -152,48 +152,59 @@ class Solver:
         Returns (xhat (m,N), iters (m,), residuals (m,), ratio (m,)), ratio
         the worst measured contraction ratio of each row (0 when none was
         measured).  Converged rows are frozen so late iterations of slow
-        rows do not pollute their statistics.
+        rows do not pollute their statistics: the loop iterates on compacted
+        arrays of the rows still open, in input order, and writes a row out
+        when it freezes.
         """
         ts, xs = self._rows(t, xs)
         m = xs.size
         N = self.op.count
-        f = np.broadcast_to(xs[:, None], (m, N)).copy() if warm is None \
+        xhat = np.broadcast_to(xs[:, None], (m, N)).copy() if warm is None \
             else np.array(np.broadcast_to(warm, (m, N)), dtype=float)
-        active = np.ones(m, dtype=bool)
         iters = np.zeros(m, dtype=int)
         resid = np.full(m, np.inf)
-        deltas = []               # per iteration, NaN for frozen rows
+        ratio = np.zeros(m)
+        # the open rows: input indices, (t, x), iterate, last increment and
+        # worst ratio so far
+        rows, t_open, x_open, f = np.arange(m), ts, xs, xhat
+        prev, worst = None, np.zeros(m)
+        history = []              # (rows, increments) per iteration
         for k in range(1, self.config.max_iters + 1):
-            f_new = self.apply_G(ts[active], xs[active], f[active])
-            delta = np.max(np.abs(f_new - f[active]), axis=1)
-            f[active] = f_new
-            idx = np.flatnonzero(active)
-            iters[idx] = k
-            deltas.append(np.full(m, np.nan))
-            deltas[-1][idx] = delta
+            f_new = self.apply_G(t_open, x_open, f)
+            delta = np.max(np.abs(f_new - f), axis=1)
+            history.append((rows, delta))
+            if k > 1:
+                # below ~1e-12 the increments are dominated by round-off and
+                # their ratios are meaningless
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.maximum(worst, delta / prev, out=worst,
+                               where=np.isfinite(prev) & (prev > 1e-12))
             bound = delta * self._post_factor
             done = bound <= self.config.fp_tol
-            resid[idx[done]] = bound[done]
-            active[idx[done]] = False
-            if not active.any():
-                break
-        d = np.array(deltas)
-        # ratios delta_k / delta_{k-1} within each row's own iterations; below
-        # ~1e-12 the increments are dominated by round-off and their ratios
-        # are meaningless
-        keep = (np.isfinite(d[:-1]) & (d[:-1] > 1e-12)
-                & (np.arange(1, d.shape[0])[:, None] < iters))
+            if done.any():
+                frozen = rows[done]
+                xhat[frozen] = f_new[done]
+                iters[frozen] = k
+                resid[frozen] = bound[done]
+                ratio[frozen] = worst[done]
+                left = ~done
+                rows, t_open, x_open = rows[left], t_open[left], x_open[left]
+                f_new, delta, worst = f_new[left], delta[left], worst[left]
+            f, prev = f_new, delta
+            if not rows.size:
+                return xhat, iters, resid, ratio
+        # the first open row; its increments over every iteration
+        first = rows[0]
+        d = np.array([inc[np.searchsorted(open_rows, first)]
+                      for open_rows, inc in history])
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = d[1:] / d[:-1]
-        if active.any():
-            worst = int(np.argmax(resid))
-            history = ratio[keep[:, worst], worst][-8:].tolist()
-            raise ConvergenceError(
-                f"fixed point at (t={float(ts[worst])}, x={float(xs[worst])}) "
-                f"missed tol {self.config.fp_tol:g} after "
-                f"{self.config.max_iters} iterations; ratio history: "
-                f"{[round(r, 4) for r in history]}")
-        return f, iters, resid, np.max(ratio, axis=0, where=keep, initial=0.0)
+            steps = d[1:] / d[:-1]
+        last = steps[np.isfinite(d[:-1]) & (d[:-1] > 1e-12)][-8:].tolist()
+        raise ConvergenceError(
+            f"fixed point at (t={float(ts[first])}, x={float(xs[first])}) "
+            f"missed tol {self.config.fp_tol:g} after "
+            f"{self.config.max_iters} iterations; ratio history: "
+            f"{[round(r, 4) for r in last]}")
 
     # -- state reconstruction --------------------------------------------------
 

@@ -108,6 +108,11 @@ def gaussian_bump(a: float, sigma: float, gamma: float,
         raise ConfigError("gaussian_bump requires a, sigma, gamma > 0")
     if not math.isfinite(sigma):  # the seed window is +-8 sigma
         raise ConfigError(f"gaussian_bump sigma: {sigma} is not a finite number")
+    # an infinite gamma or p0 zeroes the seed, a vacuum no check would flag;
+    # a NaN gamma or p0 makes the contraction rate NaN, which fails admissibility
+    for name, value in (("gamma", gamma), ("p0", p0)):
+        if math.isinf(value):
+            raise ConfigError(f"gaussian_bump {name}: {value} is not a finite number")
 
     def n0(x, p):
         x = np.asarray(x, dtype=float)

@@ -353,10 +353,18 @@ _NAN, _INF = float("nan"), float("inf")
     # the scenario builder rejects it: the seed window is +-8 sigma
     ("solve", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": _INF,
                             "gamma": 1.0}}, "gaussian_bump sigma"),
+    # an infinite gamma or p0 would zero the seed: a silent vacuum
+    ("check", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
+                            "gamma": _INF}}, "gaussian_bump gamma"),
+    ("solve", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
+                            "gamma": 1.0, "p0": _INF}}, "gaussian_bump p0"),
+    ("check", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
+                            "gamma": 1.0, "p0": -_INF}}, "gaussian_bump p0"),
 ], ids=["t_end_nan", "t_end_inf", "dx_inf", "cfl_nan", "compare_x_min_inf",
         "solve_times_nan", "solve_x_max_inf", "plotdata_times_nan",
         "conserve_x_min_inf", "rectangle_nan", "tolerance_nan", "seed_grid_x_max_inf",
-        "scenario_sigma_inf"])
+        "scenario_sigma_inf", "scenario_gamma_inf", "scenario_p0_inf",
+        "scenario_p0_minus_inf"])
 def test_non_finite_space_time_number_exit2(tmp_path, capsys, command, section, where):
     # json.dumps writes NaN and Infinity, which json.loads reads back
     cfg = _small_ll_config(**section)
@@ -470,10 +478,16 @@ def _ref_line(values, sep=","):
 
 def test_block_writer_matches_per_value_rule(tmp_path):
     special = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
-               -5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0 ** 52 + 1]
+               -5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0 ** 52 + 1,
+               # the edges of the vectorized renderer: the fixed/exponent
+               # switch, the 1e16 and 1e-290 range ends, a three-digit
+               # exponent and two values whose 18th digit is an exact tie
+               9.999999999999999e-05, 1e-05, 0.0001, 9999999999999998.0, 1e16,
+               1.2345678901234568e17, 1000000000000000.25, 100000000000000.125,
+               1e-290, 1e-300, -3.9648941489463e-131, 1e100]
     rt = _Runtime(_small_ll_config())
     s = rt.solver.sweep(0.4, np.array([-0.7, 0.2]))[1]
-    blocks = [np.array(special + [0.0]).reshape(4, 3),
+    blocks = [np.array(special + [0.0]).reshape(4, 6),
               np.arange(12, dtype=float).reshape(4, 3),          # p_index-like
               np.column_stack((s.n, s.rho_p, s.v_eff))[:4]]
     prefixes = ["-0,", "7,", "0.40000000000000002,"]

@@ -439,6 +439,69 @@ def test_convergence_error_quotes_last_eight_ratios(ll_tables):
     assert str(err.value).endswith(f"ratio history: {expect}")
 
 
+def _full_size_solve_batch(solver, ts, xs, warm=None):
+    """``solve_batch``'s loop as it was before it compacted the open rows:
+    every iteration gathers and scatters the active rows of full-size
+    arrays and keeps a full-size row of increments."""
+    m, N = xs.size, solver.op.count
+    f = np.broadcast_to(xs[:, None], (m, N)).copy() if warm is None \
+        else np.array(np.broadcast_to(warm, (m, N)), dtype=float)
+    active = np.ones(m, dtype=bool)
+    iters = np.zeros(m, dtype=int)
+    resid = np.full(m, np.inf)
+    deltas = []
+    for k in range(1, solver.config.max_iters + 1):
+        f_new = solver.apply_G(ts[active], xs[active], f[active])
+        delta = np.max(np.abs(f_new - f[active]), axis=1)
+        f[active] = f_new
+        idx = np.flatnonzero(active)
+        iters[idx] = k
+        deltas.append(np.full(m, np.nan))
+        deltas[-1][idx] = delta
+        bound = delta * solver._post_factor
+        done = bound <= solver.config.fp_tol
+        resid[idx[done]] = bound[done]
+        active[idx[done]] = False
+        if not active.any():
+            break
+    d = np.array(deltas)
+    keep = (np.isfinite(d[:-1]) & (d[:-1] > 1e-12)
+            & (np.arange(1, d.shape[0])[:, None] < iters))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = d[1:] / d[:-1]
+    if active.any():
+        worst = int(np.argmax(resid))
+        history = ratio[keep[:, worst], worst][-8:].tolist()
+        raise ConvergenceError(
+            f"fixed point at (t={float(ts[worst])}, x={float(xs[worst])}) "
+            f"missed tol {solver.config.fp_tol:g} after "
+            f"{solver.config.max_iters} iterations; ratio history: "
+            f"{[round(r, 4) for r in history]}")
+    return f, iters, resid, np.max(ratio, axis=0, where=keep, initial=0.0)
+
+
+def test_compacted_loop_is_bitwise_the_full_size_loop(ll_tables, ll_solver):
+    rng = np.random.default_rng(61)
+    # the origin row freezes after one iteration, the others at several
+    ts = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 2.5, 40)])
+    xs = np.concatenate([[0.0, 1e-9], rng.uniform(-5.0, 5.0, 40)])
+    warm = xs[:, None] + rng.uniform(-0.5, 0.5, (xs.size, ll_solver.op.count))
+    for start in (None, warm):
+        new = ll_solver.solve_batch(ts, xs, start)
+        old = _full_size_solve_batch(ll_solver, ts, xs, start)
+        assert len(set(new[1].tolist())) > 3
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+    # a failure names the same row and ratios
+    solver = ghd.Solver(ll_tables, SolverConfig(fp_tol=1e-14, max_iters=12))
+    with pytest.raises(ConvergenceError) as new_err:
+        solver.solve_batch(ts, xs)
+    with pytest.raises(ConvergenceError) as old_err:
+        _full_size_solve_batch(solver, ts, xs)
+    assert str(new_err.value) == str(old_err.value)
+    assert "ratio history: []" not in str(new_err.value)
+
+
 def _property_solver(case, count, frac, seed):
     """(solver, scenario) for one fixed-point property case, with the seed's
     contraction rate at most frac of the kernel's admissible threshold."""
