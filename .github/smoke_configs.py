@@ -19,7 +19,8 @@ checkout at DIR, as ``python -m ghd.cli`` with PYTHONPATH at that tree's
 whose sha256 differ, and of the exit codes that differ, goes to
 $GITHUB_STEP_SUMMARY (stdout when unset); for a differing ``.csv`` or
 ``.dat`` file it gives the largest absolute difference over the numeric
-fields and the largest difference scaled by max(1, |base value|).
+fields and the largest difference scaled by max(1, |base value|), and for
+a differing ``.json`` file the same over its numeric leaves.
 Differences are reported, never failed on; a ``ghd`` that imports from outside the tree
 under test fails the run, since an editable install can shadow PYTHONPATH.
 """
@@ -106,26 +107,51 @@ def smoke(runs: list) -> int:
     return 1 if wrong else 0
 
 
+def _leaves(value, path: str = "") -> list:
+    """(path, leaf) pairs of a parsed JSON value, objects in key order."""
+    if isinstance(value, dict):
+        return [leaf for key in sorted(value) for leaf in _leaves(value[key], f"{path}.{key}")]
+    if isinstance(value, list):
+        return [leaf for i, item in enumerate(value) for leaf in _leaves(item, f"{path}[{i}]")]
+    return [(path, value)]
+
+
+def _number(field) -> float:
+    """A numeric table field or JSON leaf as a float; ValueError otherwise."""
+    if isinstance(field, bool) or not isinstance(field, (str, int, float)):
+        raise ValueError(field)
+    return float(field)
+
+
 def max_diffs(new: Path, old: Path) -> tuple[str, str]:
     """Largest absolute difference, and largest difference scaled by
-    max(1, |old value|), over the numeric fields of two tables; or why there
-    is none."""
-    if new.suffix not in (".csv", ".dat") or not (new.is_file() and old.is_file()):
+    max(1, |old value|), over the numeric fields of two tables or the
+    numeric leaves of two JSON files; or why there is none."""
+    if not (new.is_file() and old.is_file()):
         return "", ""
-    fields = [path.read_text().replace(",", " ").split() for path in (new, old)]
-    if len(fields[0]) != len(fields[1]):
-        return "field count differs", ""
+    if new.suffix == ".json":
+        leaves = [_leaves(json.loads(path.read_text())) for path in (new, old)]
+        if [key for key, _ in leaves[0]] != [key for key, _ in leaves[1]]:
+            return "keys differ", ""
+        fields = [[value for _, value in side] for side in leaves]
+    elif new.suffix in (".csv", ".dat"):
+        fields = [path.read_text().replace(",", " ").split() for path in (new, old)]
+        if len(fields[0]) != len(fields[1]):
+            return "field count differs", ""
+    else:
+        return "", ""
     worst = scaled = 0.0
     for a, b in zip(*fields):
         if a == b:
             continue
         try:
-            diff = abs(float(a) - float(b))
+            a, b = _number(a), _number(b)
         except ValueError:
             return "text differs", ""
+        diff = abs(a - b)
         diff = diff if not math.isnan(diff) else math.inf
         worst = max(worst, diff)
-        scaled = max(scaled, diff / max(1.0, abs(float(b))))
+        scaled = max(scaled, diff / max(1.0, abs(b)))
     return f"{worst:.3g}", f"{scaled:.3g}"
 
 

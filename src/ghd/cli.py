@@ -142,13 +142,19 @@ def cmd_solve(rt: _Runtime, out: Path) -> int:
         raise ConfigError("config schema violation at $.solve: section required")
     xs = np.linspace(sec["x_min"], sec["x_max"], sec["x_count"])
     x_keys = [_fmt(x) + "," for x in xs]
-    blocks = []
-    for t in sec["times"]:
-        t_key = _fmt(t) + ","
-        st = rt.solver.states_batch(float(t), xs)
-        table = np.stack((st.n, st.rho_p, st.rho_s, st.v_eff, st.u), axis=-1)
-        blocks += [(t_key + x_key, rows) for x_key, rows in zip(x_keys, table)]
-    _write_csv(out / "solve.csv", "t,x,p,n,rho_p,rho_s,v_eff,u", blocks,
+    times = np.array(sec["times"], dtype=float)
+    # one state batch over every (t, x); each time's table is built only when
+    # the writer reaches it, so one is held at a time
+    st = rt.solver.states_batch(np.repeat(times, xs.size), np.tile(xs, times.size))
+
+    def blocks():
+        for i, t in enumerate(sec["times"]):
+            s = st[i * xs.size:(i + 1) * xs.size]
+            table = np.stack((s.n, s.rho_p, s.rho_s, s.v_eff, s.u), axis=-1)
+            t_key = _fmt(t) + ","
+            yield from ((t_key + x_key, rows) for x_key, rows in zip(x_keys, table))
+
+    _write_csv(out / "solve.csv", "t,x,p,n,rho_p,rho_s,v_eff,u", blocks(),
                keys=[_fmt(p) + "," for p in rt.grid.nodes])
     print(f"solved {len(sec['times']) * xs.size} slices "
           f"at {len(sec['times'])} times")

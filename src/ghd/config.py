@@ -84,7 +84,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "fp_tol": _POSNUM,
                 "max_iters": {"type": "integer", "minimum": 1},
-                # accepted with no effect: every row is solved cold
+                # accepted with no effect: the neighbour start is always on
                 "warm_start": {"enum": ["from_neighbor"]},
             },
         },

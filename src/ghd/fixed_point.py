@@ -25,12 +25,17 @@ n = n0(X0(Xhat - v t)), height N = N0hat(Xhat - v t), densities
 rho_s = 1dr/(2 pi), rho_p = n rho_s, effective velocity v_eff = v_dr/1dr,
 and the characteristic u = X0(Xhat - v t) (the initial position of the
 trajectory through (t,x)).  ``states_batch`` returns a batch as one
-``States`` record of arrays (fields below), every row solved cold from
-Xhat = x: no point's fixed point needs a neighbour's.  It is the one state
-entry point; ``sweep`` is the same call and ``state`` and ``solve`` are
-one-row views, kept because the benchmark tracer (ghdbench/tracer.py)
-wraps them by name.  The working set of a large batch is bounded inside
-``SeedTables.invert``, which walks its cell path in blocks of rows.
+``States`` record of arrays (fields below).  It solves the points of each
+time coarse to fine in x: every STRIDE-th point cold from Xhat = x, then
+the others from the cubic Hermite of (Xhat, d_x Xhat = 1dr) between solved
+neighbours (Doyon, Spohn and Yoshimura, Nucl. Phys. B 926 (2018), give the
+coordinate change; d_x Xhat = 1dr is acceptance criterion 06).  The start
+only saves iterations: every row stops on the same a-posteriori bound.  It
+is the one state entry point; ``sweep`` is the same call and ``state`` and
+``solve`` are one-row views, kept because the benchmark tracer
+(ghdbench/tracer.py) wraps them by name.  The working set of a large batch
+is bounded inside ``SeedTables.invert``, which walks its cell path in
+blocks of rows.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ from .kernel import KernelOperator
 from .seed import SeedTables
 
 TWO_PI = 2.0 * np.pi
+
+STRIDE = 8                   # every STRIDE-th point of a time is solved cold
+MIN_GROUP = 2 * STRIDE + 1   # times with fewer distinct points are all cold
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,54 @@ class States:
 
     def __getitem__(self, index) -> States:
         return States(self.op, *(getattr(self, f.name)[index] for f in fields(self)[1:]))
+
+
+def _levels(ts: np.ndarray, xs: np.ndarray):
+    """The distinct points of a batch and the level each is solved at.
+
+    Points are sorted by (t, x); equal points (0.0 and -0.0 alike) are one.
+    Returns (home, point, level, left, right) over the distinct points in
+    that order: home, the input row of each; point, the distinct point of
+    each input row; level 0, 1 or 2; and for a level-1 or level-2 point the
+    nearest points of lower levels on its left and right in its t.  Within
+    a t, position j is level 0 when j % STRIDE == 0 or it is the last,
+    level 1 when j is even and level 2 when j is odd; a t with fewer than
+    MIN_GROUP distinct points is all level 0.
+    """
+    m = xs.size
+    order = np.lexsort((xs, ts))
+    sorted_t, sorted_x = ts[order], xs[order]
+    new_t = np.ones(m, dtype=bool)
+    new_t[1:] = sorted_t[1:] != sorted_t[:-1]
+    distinct = new_t.copy()
+    distinct[1:] |= sorted_x[1:] != sorted_x[:-1]
+    point = np.empty(m, dtype=int)
+    point[order] = np.cumsum(distinct) - 1
+    home, new_t = order[distinct], new_t[distinct]
+    pos = np.arange(home.size)
+    first = np.flatnonzero(new_t)
+    group = np.cumsum(new_t) - 1
+    start, end = first[group], np.r_[first[1:], home.size][group] - 1
+    j = pos - start
+    level = np.where(j % 2 == 0, 1, 2)
+    level[(j % STRIDE == 0) | (pos == end) | (end - start + 1 < MIN_GROUP)] = 0
+    step = np.where(level == 1, STRIDE, 2)
+    left = pos - j % step
+    return home, point, level, left, np.minimum(left + step, end)
+
+
+def _blend(terms, out=None, work=None) -> np.ndarray:
+    """The sum of weight * values[rows] over the (values, rows, weight)
+    terms, written to out; work holds one gathered term at a time."""
+    (values, rows, weight), *rest = terms
+    out = np.take(values, rows, axis=0, out=out)
+    out *= weight
+    work = np.empty_like(out) if work is None else work
+    for values, rows, weight in rest:
+        np.take(values, rows, axis=0, out=work)
+        work *= weight
+        out += work
+    return out
 
 
 class Solver:
@@ -210,15 +266,77 @@ class Solver:
 
     def states_batch(self, t, xs) -> States:
         """Solve and reconstruct the states at the points (t_i, x_i), broadcast
-        as in ``solve_batch``; every row starts cold and dressing is batched."""
+        as in ``solve_batch``, returned in input order.
+
+        Equal points (0.0 and -0.0 alike) are solved once.  The distinct
+        points of each t are sorted by x and solved in three levels: level 0
+        is every STRIDE-th point and the last, level 1 every 2nd point left,
+        level 2 the rest.  A level-0 row starts cold; a row of a later level
+        starts at the per-column cubic Hermite of (xhat, one_dr) between its
+        nearest solved neighbours, and its dressing at their linear
+        interpolant.  A t with fewer than MIN_GROUP distinct points is all
+        level 0.  Each level is one ``solve_batch`` and one invert, n0 and
+        dressing pass over its rows, taken in input order and written to its
+        own block of preallocated arrays; one gather per field puts the rows
+        in input order at the end.  A batch of small groups only is one cold
+        pass, bit for bit.
+        """
         ts, xs = self._rows(t, xs)
-        xhat, iters, resid, ratio = self.solve_batch(ts, xs)
-        z = xhat - np.multiply.outer(ts, self.op.v)
-        u, height = self.tab.invert(z)
-        n = np.asarray(self.tab.scenario.n0(u, self.op.grid.nodes[None, :]), dtype=float)
-        one_dr, v_dr = dress_batched(self.op, n, np.ones(self.op.count), self.op.v)
-        return States(self.op, ts.copy(), xs.copy(), iters, resid, ratio,
-                      xhat, height, n, one_dr, v_dr, u)
+        N = self.op.count
+        home, point, level, left, right = _levels(ts, xs)
+        # the levels' rows, level by level and each in input order, and the
+        # slot of each distinct point in that order
+        solve = np.lexsort((home, level))
+        slot = np.empty(home.size, dtype=int)
+        slot[solve] = np.arange(home.size)
+        ends = np.searchsorted(level[solve], [0, 1, 2, 3])
+
+        fields = tuple(np.empty((home.size, N)) for _ in range(6))
+        xhat, height, n, one_dr, v_dr, u = fields
+        iters = np.zeros(home.size, dtype=int)
+        resid, ratio = np.empty(home.size), np.empty(home.size)
+        unit = np.ones(N)
+        for lev in range(3):
+            block = slice(ends[lev], ends[lev + 1])
+            sel = solve[block]
+            if not sel.size:
+                continue
+            rows = home[sel]
+            warm = buffers = None
+            if lev:
+                a, b = slot[left[sel]], slot[right[sel]]
+                xa = xs[home[left[sel]]]
+                h = (xs[home[right[sel]]] - xa)[:, None]
+                s = (xs[rows] - xa)[:, None] / h
+                s2 = s * s
+                w = s2 * (3.0 - 2.0 * s)
+                # cubic Hermite weights of xhat(a), xhat(b), one_dr(a), one_dr(b)
+                warm = _blend(((xhat, a, 1.0 - w), (xhat, b, w),
+                               (one_dr, a, h * (s - 2.0 * s2 + s2 * s)),
+                               (one_dr, b, h * (s2 * s - s2))))
+            xhat[block], iters[block], resid[block], ratio[block] = \
+                self.solve_batch(ts[rows], xs[rows], warm)
+            del warm
+            u[block], height[block] = self.tab.invert(
+                xhat[block] - np.multiply.outer(ts[rows], self.op.v))
+            n[block] = self.tab.scenario.n0(u[block], self.op.grid.nodes[None, :])
+            if lev:
+                # the dressing starts at the linear interpolant of (one_dr, v_dr)
+                buffers = np.empty((3, 2, sel.size, N))
+                for k, f in enumerate((one_dr, v_dr)):
+                    _blend(((f, a, 1.0 - s), (f, b, s)), out=buffers[0, k], work=buffers[1, k])
+            one_dr[block], v_dr[block] = dress_batched(self.op, n[block], unit, self.op.v,
+                                                       buffers=buffers)
+            del buffers
+        del xhat, height, n, one_dr, v_dr, u
+        # back to input order, one field at a time
+        where = slot[point]
+        if not np.array_equal(where, np.arange(where.size)):
+            iters, resid, ratio = iters[where], resid[where], ratio[where]
+            fields = list(fields)
+            for k, values in enumerate(fields):
+                fields[k] = values[where]
+        return States(self.op, ts.copy(), xs.copy(), iters, resid, ratio, *fields)
 
     def state(self, t: float, x: float) -> States:
         """One-row view of ``states_batch`` at (t, x)."""

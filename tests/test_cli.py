@@ -174,6 +174,23 @@ def test_solve_deterministic_bytes(tmp_path):
                        tmp_path / "b" / "solve.csv", shallow=False)
 
 
+def test_solve_duplicate_times_give_identical_rows(tmp_path):
+    # equal times, 0.0 and -0.0, and a descending x range in one batch
+    cfg = _small_ll_config(solve={"times": [0.4, 0.4, 0.0, -0.0], "x_min": 3.0,
+                                  "x_max": -3.0, "x_count": 31})
+    assert main(["solve", "--config", _write(tmp_path, "cfg.json", cfg),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "solve.csv").read_text().splitlines()[1:]
+    size = 31 * 24
+    blocks = [lines[i * size:(i + 1) * size] for i in range(4)]
+    assert len(lines) == 4 * size and blocks[0] == blocks[1]
+    assert [line.split(",", 1)[1] for line in blocks[2]] \
+        == [line.split(",", 1)[1] for line in blocks[3]]
+    assert blocks[3][0].startswith("-0,3,")
+    _, data = _read_csv(tmp_path / "solve.csv")
+    assert np.all(np.diff(data[:size:24, 1]) < 0)
+
+
 def test_workers_do_not_change_output(tmp_path):
     cfg = _write(tmp_path, "cfg.json", _small_ll_config())
     assert main(["solve", "--config", cfg, "--workers", "1",
@@ -513,9 +530,12 @@ def test_outputs_match_per_value_rendering(tmp_path):
     nodes, tab = rt.grid.nodes, rt.solver.tab
     sec = cfg["solve"]
     xs = np.linspace(sec["x_min"], sec["x_max"], sec["x_count"])
+    # the same one batch over every (t, x) that cmd_solve makes: the batch's
+    # composition moves the values within fp_tol, not bitwise
+    times = np.array(sec["times"], dtype=float)
+    batch = rt.solver.states_batch(np.repeat(times, xs.size), np.tile(xs, times.size))
     solve = "t,x,p,n,rho_p,rho_s,v_eff,u\n" + "".join(
-        _ref_line(row) for t in sec["times"]
-        for s in rt.solver.sweep(float(t), xs)
+        _ref_line(row) for s in batch
         for row in zip([s.t] * nodes.size, [s.x] * nodes.size, nodes,
                        s.n, s.rho_p, s.rho_s, s.v_eff, s.u))
     assert (tmp_path / "solve.csv").read_text() == solve

@@ -162,7 +162,8 @@ def test_weak_residual_batches_per_rectangle(part_setup, rect, p_idx):
                 lambda *a, _m=method, _n=name, **k: calls.append(_n) or _m(*a, **k))
     res = weak_form_residual(solver, rect, p_idx, edge_points=160)
     assert abs(res["residual"]) <= 1e-4
-    # the scan, at most 22 level-set steps, and the solve of the state batch
+    # the scan, the level-set steps and the state batch's solves, one per
+    # start level (19 and 17 calls on these rectangles)
     assert calls.count("states_batch") == 1
     assert calls.count("solve_batch") <= 24
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import ghd
 from ghd.dressing import compute_R, sign_threshold
 from ghd.errors import ConvergenceError
-from ghd.fixed_point import Solver, SolverConfig
+from ghd.fixed_point import MIN_GROUP, Solver, SolverConfig
 from ghd.kernel import SIGN_MIXED
 from ghd.seed import SpatialGridSpec
 
@@ -373,9 +373,9 @@ def test_sweep_rows_in_input_order_match_chunked_batches(ll_solver):
     whole = ll_solver.states_batch(0.7, xs)
     for name in _FIELDS:
         assert np.array_equal(getattr(states, name), getattr(whole, name)), name
-    # every row starts cold, so the sorted points solved in chunks of 64 give
-    # the same fixed points at the input positions; the batch size changes
-    # only the blocking of the matrix products, so they agree to 2 fp_tol
+    # the sorted points solved in chunks of 64 give the same fixed points at
+    # the input positions: the start and the batch's composition change only
+    # where each row stops within fp_tol, so they agree to 2 fp_tol
     tol = 2.0 * ll_solver.config.fp_tol
     order = np.argsort(xs)
     for lo in range(0, xs.size, 64):
@@ -569,3 +569,84 @@ def test_fixed_point_properties(case, count, frac, t, seed):
         # x -> Xhat increases with slope at least R
         assert np.all(np.diff(states.xhat, axis=0)
                       >= r_lo * np.diff(states.x)[:, None] - 1e-8)
+
+
+# -- coarse-to-fine starts: one batch over a uniform sweep at three times ------
+
+_SWEEP_TIMES = (0.0, 0.7, 2.0)
+
+
+@pytest.fixture(scope="module")
+def sweep_points():
+    xs = np.linspace(-4.0, 4.0, 201)
+    return np.repeat(_SWEEP_TIMES, xs.size), np.tile(xs, len(_SWEEP_TIMES))
+
+
+@pytest.fixture(scope="module")
+def sweep_states(ll_solver, sweep_points):
+    return ll_solver.states_batch(*sweep_points)
+
+
+def test_coarse_to_fine_rows_match_cold_one_row_states(ll_solver, sweep_states):
+    tol = 2.0 * ll_solver.config.fp_tol
+    for t, x, xhat in zip(sweep_states.t, sweep_states.x, sweep_states.xhat):
+        assert np.max(np.abs(xhat - ll_solver.state(float(t), float(x)).xhat)) <= tol
+
+
+def test_coarse_to_fine_shuffled_input_comes_back_in_input_order(
+        ll_solver, sweep_points, sweep_states):
+    perm = np.random.default_rng(67).permutation(sweep_states.x.size)
+    ts, xs = (v[perm] for v in sweep_points)
+    states = ll_solver.states_batch(ts, xs)
+    assert np.array_equal(states.t, ts) and np.array_equal(states.x, xs)
+    tol = 2.0 * ll_solver.config.fp_tol
+    assert np.max(np.abs(states.xhat - sweep_states.xhat[perm])) <= tol
+
+
+def test_coarse_to_fine_certificates(ll_solver, sweep_states):
+    assert np.all(sweep_states.residual <= ll_solver.config.fp_tol)
+    assert np.all(sweep_states.ratio <= ll_solver.rate + 0.01)
+    sign = ll_solver.op.sign_class
+    for one_dr, tn in zip(sweep_states.one_dr, sweep_states.tn):
+        assert np.all(one_dr >= compute_R(tn, sign) - 1e-9)
+        assert np.all(one_dr <= 1.0 / (1.0 - tn) + 1e-9)
+
+
+def test_coarse_to_fine_saves_iterations(ll_solver, sweep_points, sweep_states):
+    # a lost start (every row cold again) fails this
+    _, cold, _, _ = ll_solver.solve_batch(*sweep_points)
+    assert sweep_states.iters.sum() <= 0.7 * cold.sum()
+
+
+def test_rows_of_small_groups_stay_cold(ll_solver, sweep_points):
+    rng = np.random.default_rng(71)
+    # twelve distinct times and a time of 16 points, then the sweep
+    assert 16 < MIN_GROUP
+    few = 12 + 16
+    ts = np.concatenate((rng.uniform(0.1, 1.9, 12), np.full(16, 1.3), sweep_points[0]))
+    xs = np.concatenate((rng.uniform(-4.0, 4.0, few), sweep_points[1]))
+    states = ll_solver.states_batch(ts, xs)
+    xhat, iters, _, _ = ll_solver.solve_batch(ts[:few], xs[:few])
+    assert np.array_equal(states.iters[:few], iters)
+    assert np.max(np.abs(states.xhat[:few] - xhat)) <= 2.0 * ll_solver.config.fp_tol
+    # alone, they are one cold pass, bit for bit
+    alone = ll_solver.states_batch(ts[:few], xs[:few])
+    assert np.array_equal(alone.xhat, xhat) and np.array_equal(alone.iters, iters)
+
+
+def test_equal_and_descending_points_are_safe(ll_solver):
+    xs = np.linspace(3.0, -3.0, 41)     # descending, through -0.0 and 0.0
+    xs[20] = -0.0
+    ts = np.full(xs.size, 0.9)
+    # every point twice, and 0.0 next to -0.0
+    ts, xs = np.concatenate((ts, ts, [0.9])), np.concatenate((xs, xs, [0.0]))
+    states = ll_solver.states_batch(ts, xs)
+    assert np.array_equal(states.x, xs) and np.all(states.t == 0.9)
+    assert np.all(states.residual <= ll_solver.config.fp_tol)
+    for name in _FIELDS[2:]:
+        value = getattr(states, name)
+        assert np.array_equal(value[:41], value[41:82]), name
+        assert np.array_equal(value[20], value[82]), name
+    tol = 2.0 * ll_solver.config.fp_tol
+    for i in (0, 17, 20, 40):
+        assert np.max(np.abs(states.xhat[i] - ll_solver.state(0.9, xs[i]).xhat)) <= tol
