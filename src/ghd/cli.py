@@ -268,10 +268,12 @@ def cmd_plotdata(rt: _Runtime, out: Path) -> int:
     n = rt.grid.count
     probes = _momentum_indices(rt, "plotdata", "p_probes", [n // 4, n // 2, 3 * n // 4])
     w = rt.grid.weights
-    per_time = [rt.solver.states_batch(float(t), xs) for t in sec["times"]]
+    times = np.array(sec["times"], dtype=float)
+    batch = rt.solver.states_batch(np.repeat(times, xs.size), np.tile(xs, times.size))
     columns = "# x  mass_density  mean_v_eff  " + "  ".join(
         f"n(p={_fmt(rt.grid.nodes[j])})" for j in probes)
-    for idx, st in enumerate(per_time):
+    for idx in range(times.size):
+        st = batch[idx * xs.size:(idx + 1) * xs.size]
         rows = np.empty((len(st), 3 + len(probes)))
         rows[:, 0] = st.x
         rows[:, 3:] = st.n[:, probes]
@@ -282,7 +284,7 @@ def cmd_plotdata(rt: _Runtime, out: Path) -> int:
             row[1:3] = mass, float(current @ w) / mass if mass > 1e-300 else 0.0
         _write_csv(out / f"profile_t{idx:03d}.dat",
                    f"# t = {_fmt(st.t[0])}\n{columns}", [("", rows)], sep=" ")
-    print(f"wrote {len(per_time)} profile files")
+    print(f"wrote {times.size} profile files")
     return 0
 
 

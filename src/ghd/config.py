@@ -217,9 +217,10 @@ _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 # JSON NaN and Infinity pass the schema's "number"; a non-finite time,
 # window or step sends a solve or time-step loop to its cap, or past it,
-# and a NaN tolerance fails every comparison
+# a NaN tolerance fails every comparison, and an infinite kernel parameter
+# gives a NaN kernel
 _FINITE_KEYS = ("times", "x_min", "x_max", "t_end", "dx_list", "cfl",
-                "rectangles", "tolerance")
+                "rectangles", "tolerance", "c", "d")
 
 
 def _numbers(value, where: str) -> list:
@@ -236,8 +237,8 @@ def validate_config(raw: dict) -> None:
         where = exc.json_path if exc.json_path else "$"
         raise ConfigError(f"config schema violation at {where}: {exc.message}")
     keys = [(f"$.{section}.{key}", value)
-            for section in ("seed_grid", "solve", "conserve", "weakcheck", "compare",
-                            "plotdata")
+            for section in ("kernel", "seed_grid", "solve", "conserve", "weakcheck",
+                            "compare", "plotdata")
             for key, value in raw.get(section, {}).items() if key in _FINITE_KEYS]
     sample = raw.get("weakcheck", {}).get("random", {})
     ranges = [(f"$.weakcheck.random.{key}", sample[key])

@@ -7,7 +7,7 @@ a verdict, not an exception.
 
 Conserved charges Q[h](t) = integral dx dp rho_p h(p) and generalized
 entropies S[g](t) = (1/2pi) integral dx dp g(n,p) 1dr are computed from
-one state batch per time with composite-Simpson spatial integrals; the
+one state batch over all times with composite-Simpson spatial integrals; the
 weak-form residual sums the four edge integrals of the conservation
 identity over a space-time rectangle with Gauss-Legendre edge quadrature,
 splitting edges where a contact discontinuity of partitioning data, the
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import xlogy
+# numpy.polynomial is imported lazily by NumPy; loading it here keeps its
+# import out of the first weak-form rule of every process forked after import
+from numpy.polynomial.legendre import leggauss
 
 from .dressing import sign_threshold
 from .errors import SupportWindowError
@@ -145,16 +146,27 @@ def weight_values(name: str, op: KernelOperator) -> np.ndarray:
     raise KeyError(f"unknown weight function {name!r}")
 
 
+def xlogx(n):
+    """n log n elementwise: 0 at n = 0, NaN below 0.
+
+    The values of SciPy's ``special.xlogy(n, n)``, except that np.log stands
+    in for libm's log: single values may differ by about 3e-16 relative.
+    """
+    n = np.asarray(n, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n == 0.0, 0.0, n * np.log(n))
+
+
 def fermi_entropy(n, p=None):
-    return -xlogy(n, n) - xlogy(1.0 - n, 1.0 - n)
+    return -xlogx(n) - xlogx(1.0 - n)
 
 
 def classical_entropy(n, p=None):
-    return -xlogy(n, n)
+    return -xlogx(n)
 
 
 def boson_entropy(n, p=None):
-    return -xlogy(n, n) + xlogy(1.0 + n, 1.0 + n)
+    return -xlogx(n) + xlogx(1.0 + n)
 
 
 ENTROPY_FUNCTIONS = {
@@ -181,6 +193,35 @@ class ConservationSeries:
         return float(max(abs(v - v0) for v in self.values) / max(abs(v0), 1e-12))
 
 
+def simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples y at increasing nodes x, bit for
+    bit as SciPy's ``integrate.simpson(y, x=x)`` on 1-D arrays.
+
+    Each pair of intervals takes Simpson's rule for unequal widths.  With an
+    even node count the last interval is left over and takes Cartwright's
+    correction from the last three nodes.  Needs at least 3 nodes: the
+    conserve schema's x_count >= 8 rules out SciPy's 2-node branch.
+    """
+    y = np.asarray(y, dtype=float)
+    h = np.diff(np.asarray(x, dtype=float))
+    stop = y.size - 2 if y.size % 2 else y.size - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if y.size % 2 == 0:
+        # 0-d arrays, as SciPy has them: np.power on arrays may take a SIMD
+        # path whose b ** 3 differs from libm's pow in the last bit
+        a, b = h[-2:-1].reshape(()), h[-1:].reshape(())
+        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
+        eta = 1 * b ** 3 / (6 * a * (a + b))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(result)
+
+
 def _check_window(xs: np.ndarray, mass_profile: np.ndarray, t: float,
                   solver: Solver) -> None:
     peak = float(np.max(np.abs(mass_profile)))
@@ -197,24 +238,27 @@ def _check_window(xs: np.ndarray, mass_profile: np.ndarray, t: float,
 def conservation_report(solver: Solver, times, x_window: tuple[float, float],
                         x_count: int = 400, weights: dict | None = None,
                         entropies: dict | None = None) -> dict[str, ConservationSeries]:
-    """Charges and entropies from one state batch per time, shared by all."""
+    """Charges and entropies from one state batch over every (t, x), shared
+    by all."""
     weights = weights or {}
     entropies = entropies or {}
     xs = np.linspace(x_window[0], x_window[1], x_count)
+    ts = np.asarray(times, dtype=float)
     w = solver.op.grid.weights
     acc: dict[str, list] = {f"Q[{k}]": [] for k in weights}
     acc.update({f"S[{k}]": [] for k in entropies})
-    for t in times:
-        states = solver.states_batch(float(t), xs)
+    batch = solver.states_batch(np.repeat(ts, xs.size), np.tile(xs, ts.size))
+    for i, t in enumerate(ts):
+        states = batch[i * xs.size:(i + 1) * xs.size]
         rho_p = states.rho_p
         _check_window(xs, rho_p @ w, float(t), solver)
         for key, h in weights.items():
             density = (rho_p * h[None, :]) @ w
-            acc[f"Q[{key}]"].append(float(simpson(density, x=xs)))
+            acc[f"Q[{key}]"].append(simpson(density, xs))
         for key, g in entropies.items():
             density = ((g(states.n, solver.op.grid.nodes[None, :]) * states.one_dr) @ w
                        / TWO_PI)
-            acc[f"S[{key}]"].append(float(simpson(density, x=xs)))
+            acc[f"S[{key}]"].append(simpson(density, xs))
     return {name: ConservationSeries(name, tuple(float(t) for t in times),
                                      tuple(vals))
             for name, vals in acc.items()}
@@ -227,7 +271,7 @@ def conservation_report(solver: Solver, times, x_window: tuple[float, float],
 def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference nodes and weights on [-1, 1], read-only.  Cached: leggauss
     takes about 20 ms at 160 points, and every edge piece needs a rule."""
-    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes, weights = leggauss(count)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

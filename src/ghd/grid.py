@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# imported here, not on first use: NumPy loads numpy.polynomial lazily
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError
 
@@ -78,7 +80,7 @@ def build_momentum_grid(p_min: float, p_max: float, count: int,
     count = int(count)
     span = p_max - p_min
     if rule == GAUSS_LEGENDRE:
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(count)
+        ref_nodes, ref_weights = leggauss(count)
         nodes = p_min + 0.5 * span * (ref_nodes + 1.0)
         weights = 0.5 * span * ref_weights
     elif rule == TRAPEZOID:

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .dressing import DressingBounds, dress_batched, sign_threshold
 from .errors import AssumptionError, ConfigError, NumericalError
@@ -487,6 +486,34 @@ class SeedTables:
             x = np.where(above, self.x_nodes[-1] + dz / self.dA[-1], x)
             height = np.where(above, self.B[-1] + dz * (self.dB[-1] / self.dA[-1]), height)
         return x, height
+
+
+def cumulative_simpson(y: np.ndarray, *, dx: float, axis: int,
+                       initial: float) -> np.ndarray:
+    """Cumulative Simpson integral of y along ``axis`` on nodes dx apart,
+    bit for bit as SciPy's ``integrate.cumulative_simpson`` with a scalar dx.
+
+    Each interval's integral is the Simpson rule over the quadratic through
+    three neighbouring nodes: the next two (h1) for every interval but the
+    last, the previous two (h2) for every odd interval and the last.  The
+    running sum then starts at ``initial``, which is added to every entry
+    and prepended.  y needs at least 3 nodes along ``axis``; SpatialGridSpec
+    gives the seed grid at least 5.
+    """
+    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+    if y.shape[0] < 3:
+        raise ValueError(f"cumulative Simpson needs 3 nodes, got {y.shape[0]}")
+    d = np.float64(dx) / 3
+    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+    h1 = d * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    h2 = d * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    sub = np.empty((y.shape[0] - 1,) + y.shape[1:])
+    sub[:-1:2] = h1[::2]
+    sub[1::2] = h2[::2]
+    sub[-1] = h2[-1]
+    res = np.cumsum(sub, axis=0)
+    res += initial
+    return np.moveaxis(np.concatenate((np.full((1,) + y.shape[1:], initial), res)), 0, axis)
 
 
 def build_seed(scenario: Scenario, op: KernelOperator,

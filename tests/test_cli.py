@@ -1,5 +1,6 @@
 import filecmp
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from ghd import config as config_mod
-from ghd.cli import _Runtime, _write_csv, main
+from ghd.cli import _Runtime, _write_csv, cmd_check, main
 from ghd.errors import NumericalError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -76,11 +77,12 @@ def test_check_failing_scenario_exit3(tmp_path):
 
 
 def test_check_nan_operator_norm_exit3(tmp_path):
-    # an infinite coupling gives a NaN norm, which must fail the bound
+    # an infinite coupling gives a NaN norm, which must fail the bound; the
+    # config loader rejects c = inf, so the runtime is built from the dict
     cfg = json.loads((CONFIGS / "lieb_liniger_gaussian.json").read_text())
     cfg["kernel"]["c"] = float("inf")
-    rc = main(["check", "--config", _write(tmp_path, "cfg.json", cfg),
-               "--out", str(tmp_path)])
+    with np.errstate(invalid="ignore"):   # inf / inf: the NaN kernel wanted here
+        rc = cmd_check(_Runtime(cfg), tmp_path)
     assert rc == 3
     payload = json.loads((tmp_path / "assumptions.json").read_text())
     assert payload["verdict"] == "fail"
@@ -377,11 +379,15 @@ _NAN, _INF = float("nan"), float("inf")
                             "gamma": 1.0, "p0": _INF}}, "gaussian_bump p0"),
     ("check", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
                             "gamma": 1.0, "p0": -_INF}}, "gaussian_bump p0"),
+    # an infinite coupling or rod length gives a NaN kernel
+    ("check", {"kernel": {"model": "lieb_liniger", "c": _INF}}, "$.kernel.c"),
+    ("solve", {"kernel": {"model": "hard_rods", "d": _INF}}, "$.kernel.d"),
+    ("check", {"kernel": {"model": "hard_rods", "d": _NAN}}, "$.kernel.d"),
 ], ids=["t_end_nan", "t_end_inf", "dx_inf", "cfl_nan", "compare_x_min_inf",
         "solve_times_nan", "solve_x_max_inf", "plotdata_times_nan",
         "conserve_x_min_inf", "rectangle_nan", "tolerance_nan", "seed_grid_x_max_inf",
         "scenario_sigma_inf", "scenario_gamma_inf", "scenario_p0_inf",
-        "scenario_p0_minus_inf"])
+        "scenario_p0_minus_inf", "kernel_c_inf", "kernel_d_inf", "kernel_d_nan"])
 def test_non_finite_space_time_number_exit2(tmp_path, capsys, command, section, where):
     # json.dumps writes NaN and Infinity, which json.loads reads back
     cfg = _small_ll_config(**section)
@@ -444,6 +450,18 @@ def test_console_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs NumPy only; numpy.polynomial, which NumPy loads
+    # lazily, is imported with ghd so that a forked process does not pay for
+    # it on its first Gauss-Legendre rule
+    code = ("import sys, ghd.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.polynomial.legendre' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_tabulated_kernel_and_scenario_from_csv(tmp_path):
@@ -550,7 +568,10 @@ def test_outputs_match_per_value_rendering(tmp_path):
     xs = np.linspace(sec["x_min"], sec["x_max"], sec["x_count"])
     probes = [24 // 4, 24 // 2, 3 * 24 // 4]
     w = rt.grid.weights
-    batch = rt.solver.sweep(0.0, xs)
+    # the first time's rows of cmd_plotdata's one batch over every (t, x)
+    times = np.array(sec["times"], dtype=float)
+    batch = rt.solver.states_batch(np.repeat(times, xs.size),
+                                   np.tile(xs, times.size))[:xs.size]
     profile = (f"# t = {0.0:.17g}\n# x  mass_density  mean_v_eff  "
                + "  ".join(f"n(p={nodes[j]:.17g})" for j in probes) + "\n")
     for s in batch:

@@ -6,7 +6,8 @@ import ghd
 from ghd.diagnostics import (ENTROPY_FUNCTIONS, _edge_crossings, boson_entropy,
                              check_assumptions, classical_entropy,
                              conservation_report, derivative_identity_check,
-                             fermi_entropy, weak_form_residual, weight_values)
+                             fermi_entropy, simpson, weak_form_residual,
+                             weight_values, xlogx)
 from ghd.errors import SupportWindowError
 from ghd.seed import SpatialGridSpec
 
@@ -108,6 +109,27 @@ def test_entropy_functions_edge_values():
     n = np.array([0.3])
     expect = -0.3 * np.log(0.3) - 0.7 * np.log(0.7)
     assert abs(fermi_entropy(n)[0] - expect) <= 1e-15
+
+
+@pytest.mark.parametrize("count", [3, 4, 400, 401])
+def test_simpson_matches_scipy(count):
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(count)
+    # conserve's linspace nodes, and unequal widths
+    for x in (np.linspace(-7.3, 9.1, count), np.sort(rng.uniform(-3.0, 3.0, count))):
+        y = rng.normal(size=count)
+        assert simpson(y, x) == float(integrate.simpson(y, x=x))
+
+
+def test_xlogx_matches_scipy_xlogy():
+    special = pytest.importorskip("scipy.special")
+    assert xlogx(np.array([0.0, -0.0, 1.0])).tolist() == [0.0, 0.0, 0.0]
+    assert np.isnan(xlogx(np.array([-1e-300, -0.5, -np.inf]))).all()
+    rng = np.random.default_rng(5)
+    n = np.concatenate([rng.uniform(0.0, 1.0, 20000), rng.uniform(1.0, 60.0, 20000),
+                        [5e-324, 1e-310, 1e-300, 1.0 - 2 ** -53, 1.0 + 2 ** -52, 1e300]])
+    ours, theirs = xlogx(n), special.xlogy(n, n)
+    assert np.all(np.abs(ours - theirs) <= 4 * np.spacing(np.abs(theirs)))
 
 
 def test_weight_registry(ll_op):

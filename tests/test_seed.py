@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import ghd
 import ghd.seed as seed_mod
+from ghd import config as config_mod
 from ghd.errors import AssumptionError
 from ghd.seed import (HERMITE, INV_TOL, LINEAR, SeedTables, SpatialGridSpec,
                       _cell_min_slope, _hermite, build_seed,
@@ -385,3 +388,37 @@ def test_newton_start_bisects_only_the_steep_cell(ll_tables, monkeypatch):
                        HERMITE, None, 0.0, 0.0, 0.0, None, 0.0)
     steep.invert(np.array([[_hermite(0.0, 0.5367, 0.3037, 2.1047, 1.0, 0.373)]]))
     assert len(bisected) == 1
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", ["compare_reference", "hard_rods_gaussian",
+                                  "lieb_liniger_gaussian", "zero_kernel_gaussian"])
+def test_cumulative_simpson_matches_scipy_on_bundled_seeds(name):
+    integrate = pytest.importorskip("scipy.integrate")
+    cfg = config_mod.load_config(_CONFIGS / f"{name}.json")
+    op = ghd.KernelOperator(config_mod.build_kernel_from(cfg), config_mod.build_grid_from(cfg))
+    tab = build_seed(config_mod.build_scenario_from(cfg), op,
+                     config_mod.build_seed_spec_from(cfg))
+    dx = tab.x_nodes[1] - tab.x_nodes[0]
+    for rows in (tab.dA, tab.dB):
+        ours = seed_mod.cumulative_simpson(rows, dx=dx, axis=0, initial=0.0)
+        theirs = integrate.cumulative_simpson(rows, dx=dx, axis=0, initial=0.0)
+        assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("shape, axis", [((3,), 0), ((4,), 0), ((9, 5), 0), ((10, 5), 0),
+                                         ((4, 7), 1), ((6, 3, 11), 1), ((2, 3, 8), -1)])
+def test_cumulative_simpson_matches_scipy_on_odd_and_even_rows(shape, axis):
+    integrate = pytest.importorskip("scipy.integrate")
+    y = np.random.default_rng(sum(shape)).normal(size=shape)
+    for dx, initial in ((0.1, 0.0), (1.0 / 3.0, 2.0), (2.5e-3, -1.25)):
+        ours = seed_mod.cumulative_simpson(y, dx=dx, axis=axis, initial=initial)
+        theirs = integrate.cumulative_simpson(y, dx=dx, axis=axis, initial=initial)
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def test_cumulative_simpson_needs_three_nodes():
+    with pytest.raises(ValueError, match="3 nodes"):
+        seed_mod.cumulative_simpson(np.ones((2, 4)), dx=0.1, axis=0, initial=0.0)
