@@ -33,8 +33,8 @@ import numpy as np
 from . import config as config_mod
 from .csvfmt import write_rows
 from .diagnostics import (ENTROPY_FUNCTIONS, check_assumptions,
-                          conservation_report, weak_form_residual,
-                          weight_values)
+                          conservation_report, gauss_legendre, weak_form_edges,
+                          weak_form_residual, weight_values)
 from .errors import (AssumptionError, ConfigError, ConvergenceError,
                      GHDError, SupportWindowError)
 from .fixed_point import Solver
@@ -213,10 +213,13 @@ def cmd_weakcheck(rt: _Runtime, out: Path) -> int:
         p_indices += [rt.grid.count // 2] * (len(rects) - len(p_indices))
     tol = sec.get("tolerance", 1e-4)
     edge_points = sec.get("edge_points", 160)
+    edges = [weak_form_edges(rt.solver, rect, edge_points) for rect in rects]
+    rules = gauss_legendre([c for pieces in edges for _, counts in pieces for c in counts])
     rows = []
     worst = 0.0
-    for rect, p_idx in zip(rects, p_indices):
-        res = weak_form_residual(rt.solver, rect, p_idx, edge_points)
+    for rect, p_idx, pieces in zip(rects, p_indices, edges):
+        res = weak_form_residual(rt.solver, rect, p_idx, edge_points, edges=pieces,
+                                 rules=rules)
         worst = max(worst, abs(res["residual"]))
         rows.append((*rect, p_idx, res["momentum"], res["residual"],
                      res["scale"]))

@@ -217,8 +217,8 @@ _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 # JSON NaN and Infinity pass the schema's "number"; a non-finite time,
 # window or step sends a solve or time-step loop to its cap, or past it,
-# a NaN tolerance fails every comparison, and an infinite kernel parameter
-# gives a NaN kernel
+# a NaN tolerance fails every comparison, an infinite kernel parameter
+# gives a NaN kernel, and an infinite relativistic mass a zero velocity
 _FINITE_KEYS = ("times", "x_min", "x_max", "t_end", "dx_list", "cfl",
                 "rectangles", "tolerance", "c", "d")
 
@@ -240,10 +240,13 @@ def validate_config(raw: dict) -> None:
             for section in ("kernel", "seed_grid", "solve", "conserve", "weakcheck",
                             "compare", "plotdata")
             for key, value in raw.get(section, {}).items() if key in _FINITE_KEYS]
+    velocity = raw.get("kernel", {}).get("velocity", {})
+    mass = [("$.kernel.velocity.m", velocity["m"])] if "m" in velocity else []
     sample = raw.get("weakcheck", {}).get("random", {})
     ranges = [(f"$.weakcheck.random.{key}", sample[key])
               for key in ("x_range", "t_range") if key in sample]
-    for where, value in (pair for path, v in keys + ranges for pair in _numbers(v, path)):
+    for where, value in (pair for path, v in keys + mass + ranges
+                         for pair in _numbers(v, path)):
         if not math.isfinite(value):
             raise ConfigError(f"config schema violation at {where}: "
                               f"{value} is not a finite number")

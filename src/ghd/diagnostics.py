@@ -15,20 +15,19 @@ level set Xhat(t,x,q) - v_q t = 0, crosses them.  Per rectangle that takes
 one scan solve (the ends of both x-edges and a 96-point scan of both
 t-edges), one level-set solve over the brackets of all four edges
 (``Solver.bisect``) and one state batch over the nodes of all four edges.
+``ghd weakcheck`` finds the edge pieces of every rectangle first and then
+builds all the Gauss-Legendre rules they need in one ``gauss_legendre``
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-# numpy.polynomial is imported lazily by NumPy; loading it here keeps its
-# import out of the first weak-form rule of every process forked after import
-from numpy.polynomial.legendre import leggauss
 
 from .dressing import sign_threshold
-from .errors import SupportWindowError
+from .errors import ConvergenceError, SupportWindowError
 from .fixed_point import Solver
 from .kernel import KernelOperator
 from .seed import Scenario
@@ -267,22 +266,65 @@ def conservation_report(solver: Solver, times, x_window: tuple[float, float],
 # ---------------------------------------------------------------------------
 # weak-form residual on a space-time rectangle
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference nodes and weights on [-1, 1], read-only.  Cached: leggauss
-    takes about 20 ms at 160 points, and every edge piece needs a rule."""
-    nodes, weights = leggauss(count)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def gauss_legendre(counts) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
+    count in counts, built together.
+
+    The nodes are cos(theta), theta the zeros of P_n(cos theta), found by
+    Newton's method in theta (Hale and Townsend, SIAM J. Sci. Comput. 35
+    (2013)) from Tricomi's asymptotic starts.  One three-term recurrence
+    runs over the nonnegative half of every count at once: the entries are
+    ordered by count, largest first, so degree j updates a prefix.  The
+    other half is the mirror image, and an odd count's center node is 0
+    exactly.  The weights are 2 / (sin(theta) P_n'(cos theta))^2 at the
+    converged nodes.  Newton stops after the first step that moves no node
+    by more than 1e-10, three steps in practice; the next step would move
+    them by round-off only.
+    """
+    # deduplicated in Python: a first np.unique call adds about 1.5 MB to a
+    # forked process's resident size, for code no other step touches
+    counts = np.array(sorted({int(c) for c in counts}, reverse=True))
+    half = (counts + 1) // 2
+    n = np.repeat(counts, half).astype(float)
+    k = np.arange(n.size) + 1 - np.repeat(np.cumsum(half) - half, half)
+    center = 2 * k - 1 == n
+    # Tricomi's cos(theta) = (1 - (n-1)/(8n^3) - (39 - 28/sin^2 phi)/(384n^4)) cos(phi),
+    # taken to first order in theta - phi so that no arccos is needed
+    phi = (4 * k - 1) * np.pi / (4 * n + 2)
+    sin_phi = np.sin(phi)
+    theta = phi + ((n - 1.0) / (8.0 * n ** 3) + (39.0 - 28.0 / sin_phi ** 2)
+                   / (384.0 * n ** 4)) * np.cos(phi) / sin_phi
+    theta[center] = 0.5 * np.pi                # where sin(theta) is 1.0
+    active = np.searchsorted(-n, -np.arange(counts[0] + 1), side="right")  # n >= j
+    step = np.inf
+    for _ in range(10):
+        x = np.where(center, 0.0, np.cos(theta))
+        p_prev, p = np.ones_like(x), x.copy()      # P_{j-1} and P_j
+        for j in range(2, counts[0] + 1):
+            a = active[j]
+            p_next = ((2 * j - 1) * x[:a] * p[:a] - (j - 1) * p_prev[:a]) / j
+            p_prev[:a], p[:a] = p[:a], p_next
+        # sin(theta) P_n'(cos theta), as (1 - x^2) P_n'(x) = n (P_{n-1}(x) - x P_n(x))
+        slope = n * (p_prev - x * p) / np.sin(theta)
+        if np.max(np.abs(step)) <= 1e-10:
+            break
+        step = p / slope
+        theta += step
+    else:
+        raise ConvergenceError("Gauss-Legendre nodes: Newton did not settle in 10 steps")
+    weights = 2.0 / slope ** 2
+    rules = {}
+    for count, end, h in zip(counts.tolist(), np.cumsum(half), half):
+        xs, ws = x[end - h:end], weights[end - h:end]
+        mirrored = h - count % 2
+        rules[count] = (np.concatenate((-xs[:mirrored], xs[::-1])),
+                        np.concatenate((ws[:mirrored], ws[::-1])))
+    return rules
 
 
-def _gl_nodes(a: float, b: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    ref_x, ref_w = _gauss_legendre(count)
-    return a + 0.5 * (b - a) * (ref_x + 1.0), 0.5 * (b - a) * ref_w
-
-
-def _edge_nodes(a: float, b: float, cuts, total_points: int):
-    """Gauss-Legendre nodes and signed weights on [a,b], split at the cuts.
+def _edge_pieces(a: float, b: float, cuts, total_points: int) -> tuple[list, list]:
+    """The ends of the pieces of [a,b] split at the cuts, from a to b, and
+    the Gauss-Legendre node count of each piece.
 
     The integrand of a discontinuous scenario jumps wherever any momentum
     node's contact crosses the edge; splitting there restores spectral
@@ -296,13 +338,31 @@ def _edge_nodes(a: float, b: float, cuts, total_points: int):
         if not merged or c - merged[-1] > 1e-9 * span:
             merged.append(c)
     pts = [a] + (merged if a <= b else merged[::-1]) + [b]
+    counts = [max(6, int(round(total_points * abs(pts[i + 1] - pts[i]) / span)))
+              for i in range(len(pts) - 1)]
+    return pts, counts
+
+
+def _edge_nodes(pts, counts, rules) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and signed weights of the pieces' rules, mapped from [-1, 1]."""
     nodes, weights = [], []
-    for i in range(len(pts) - 1):
-        count = max(6, int(round(total_points * abs(pts[i + 1] - pts[i]) / span)))
-        xs, ws = _gl_nodes(pts[i], pts[i + 1], count)
-        nodes.append(xs)
-        weights.append(ws)
+    for a, b, count in zip(pts[:-1], pts[1:], counts):
+        ref_x, ref_w = rules[count]
+        nodes.append(a + 0.5 * (b - a) * (ref_x + 1.0))
+        weights.append(0.5 * (b - a) * ref_w)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def weak_form_edges(solver: Solver, rectangle, edge_points: int = 160) -> list:
+    """The pieces of a rectangle's four edges, as ``_edge_pieces`` gives
+    them, from one ``_edge_crossings`` call: the x-edges at t2 and t1, then
+    the t-edges at x2 and x1."""
+    x1, x2, t1, t2 = (float(v) for v in rectangle)
+    x_lo, x_hi = min(x1, x2), max(x1, x2)
+    cuts = _edge_crossings(solver, [(t2, x_lo, x_hi), (t1, x_lo, x_hi)],
+                           [(x2, t1, t2), (x1, t1, t2)])
+    return [_edge_pieces(a, b, c, edge_points)
+            for (a, b), c in zip(((x1, x2), (x1, x2), (t1, t2), (t1, t2)), cuts)]
 
 
 def _edge_crossings(solver: Solver, x_edges=(), t_edges=(),
@@ -359,7 +419,8 @@ def _edge_crossings(solver: Solver, x_edges=(), t_edges=(),
 
 
 def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, float],
-                       p_index: int, edge_points: int = 160) -> dict:
+                       p_index: int, edge_points: int = 160, *, edges=None,
+                       rules=None) -> dict:
     """Normalized four-edge integral of the conservation identity.
 
     rectangle = (x1, x2, t1, t2).  Returns the raw edge sum, the
@@ -368,28 +429,28 @@ def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, flo
     p_index on that rectangle.  The density and current at every edge node
     are recomputed through the dressing, so the residual genuinely tests
     the conservation identity rather than the height-field bookkeeping.
-    The contact crossings of all four edges come from one scan and one
-    level-set solve, and the states at all edge nodes from one batch.
+    The states at all edge nodes come from one batch.  edges are the
+    rectangle's ``weak_form_edges`` and rules a ``gauss_legendre`` build
+    that holds their counts; either is computed here when not given, so a
+    caller with many rectangles can build the rules of all of them at once.
     """
     x1, x2, t1, t2 = (float(v) for v in rectangle)
-    x_lo, x_hi = min(x1, x2), max(x1, x2)
-    cuts = _edge_crossings(solver, [(t2, x_lo, x_hi), (t1, x_lo, x_hi)],
-                           [(x2, t1, t2), (x1, t1, t2)])
+    if edges is None:
+        edges = weak_form_edges(solver, rectangle, edge_points)
+    if rules is None:
+        rules = gauss_legendre([c for _, counts in edges for c in counts])
     # edges q_t2, q_t1 (charge n 1dr along x) and j_x2, j_x1 (current n v_dr along t)
-    edges = [_edge_nodes(x1, x2, cuts[0], edge_points),
-             _edge_nodes(x1, x2, cuts[1], edge_points),
-             _edge_nodes(t1, t2, cuts[2], edge_points),
-             _edge_nodes(t1, t2, cuts[3], edge_points)]
-    (xs_2, _), (xs_1, _), (ts_2, _), (ts_1, _) = edges
+    quadrature = [_edge_nodes(pts, counts, rules) for pts, counts in edges]
+    (xs_2, _), (xs_1, _), (ts_2, _), (ts_1, _) = quadrature
     states = solver.states_batch(
         np.concatenate((np.full(xs_2.size, t2), np.full(xs_1.size, t1), ts_2, ts_1)),
         np.concatenate((xs_2, xs_1, np.full(ts_2.size, x2), np.full(ts_1.size, x1))))
     charge = xs_2.size + xs_1.size
     density = states.n[:, p_index] * np.concatenate(
         (states.one_dr[:charge, p_index], states.v_dr[charge:, p_index]))
-    ends = np.cumsum([nodes.size for nodes, _ in edges])[:-1]
+    ends = np.cumsum([nodes.size for nodes, _ in quadrature])[:-1]
     q_t2, q_t1, j_x2, j_x1 = (float(f @ w) for f, (_, w)
-                              in zip(np.split(density, ends), edges))
+                              in zip(np.split(density, ends), quadrature))
     raw = (q_t2 - q_t1) + (j_x2 - j_x1)
     scale = max(abs(q_t2), abs(q_t1), abs(j_x2), abs(j_x1))
     residual = raw / scale if scale > 0 else 0.0

@@ -25,17 +25,20 @@ n = n0(X0(Xhat - v t)), height N = N0hat(Xhat - v t), densities
 rho_s = 1dr/(2 pi), rho_p = n rho_s, effective velocity v_eff = v_dr/1dr,
 and the characteristic u = X0(Xhat - v t) (the initial position of the
 trajectory through (t,x)).  ``states_batch`` returns a batch as one
-``States`` record of arrays (fields below).  It solves the points of each
-time coarse to fine in x: every STRIDE-th point cold from Xhat = x, then
-the others from the cubic Hermite of (Xhat, d_x Xhat = 1dr) between solved
-neighbours (Doyon, Spohn and Yoshimura, Nucl. Phys. B 926 (2018), give the
-coordinate change; d_x Xhat = 1dr is acceptance criterion 06).  The start
-only saves iterations: every row stops on the same a-posteriori bound.  It
-is the one state entry point; ``sweep`` is the same call and ``state`` and
-``solve`` are one-row views, kept because the benchmark tracer
-(ghdbench/tracer.py) wraps them by name.  The working set of a large batch
-is bounded inside ``SeedTables.invert``, which walks its cell path in
-blocks of rows.
+``States`` record of arrays (fields below).  It solves the points of a
+batch coarse to fine along lines: the points of a time with many of them
+along their line of fixed t, the others regrouped by x along lines of
+fixed x.  On each line every STRIDE-th point is solved cold from Xhat = x,
+then the others from the cubic Hermite of Xhat and its derivative along
+the line between solved neighbours: d_x Xhat = 1dr on a line of fixed t,
+d_t Xhat = -(v_dr - v) on a line of fixed x (Doyon, Spohn and Yoshimura,
+Nucl. Phys. B 926 (2018), give the coordinate change; both identities are
+acceptance criterion 06).  The start only saves iterations: every row
+stops on the same a-posteriori bound.  It is the one state entry point;
+``sweep`` is the same call and ``state`` and ``solve`` are one-row views,
+kept because the benchmark tracer (ghdbench/tracer.py) wraps them by name.
+The working set of a large batch is bounded inside ``SeedTables.invert``,
+which walks its cell path in blocks of rows.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ from .seed import SeedTables
 
 TWO_PI = 2.0 * np.pi
 
-STRIDE = 8                   # every STRIDE-th point of a time is solved cold
-MIN_GROUP = 2 * STRIDE + 1   # times with fewer distinct points are all cold
+STRIDE = 8                   # every STRIDE-th point of a line is solved cold
+MIN_GROUP = 2 * STRIDE + 1   # lines with fewer distinct points are all cold
 
 
 @dataclass(frozen=True)
@@ -117,16 +120,20 @@ class States:
 
 
 def _levels(ts: np.ndarray, xs: np.ndarray):
-    """The distinct points of a batch and the level each is solved at.
+    """The distinct points of a batch, the line each lies on and the level
+    it is solved at.
 
-    Points are sorted by (t, x); equal points (0.0 and -0.0 alike) are one.
-    Returns (home, point, level, left, right) over the distinct points in
-    that order: home, the input row of each; point, the distinct point of
-    each input row; level 0, 1 or 2; and for a level-1 or level-2 point the
-    nearest points of lower levels on its left and right in its t.  Within
-    a t, position j is level 0 when j % STRIDE == 0 or it is the last,
-    level 1 when j is even and level 2 when j is odd; a t with fewer than
-    MIN_GROUP distinct points is all level 0.
+    Equal points (0.0 and -0.0 alike) are one.  Points of a time with at
+    least MIN_GROUP distinct points lie on that time's line of fixed t,
+    sorted by x; the others are regrouped by x into lines of fixed x,
+    sorted by t.  Returns (home, point, level, left, right, fixed_x) over
+    the distinct points, the fixed-t lines first: home, the input row of
+    each; point, the distinct point of each input row; level 0, 1 or 2;
+    for a level-1 or level-2 point the nearest points of lower levels on
+    its left and right on its line; and fixed_x, whether its line is one of
+    fixed x.  Along a line, position j is level 0 when j % STRIDE == 0 or
+    it is the last, level 1 when j is even and level 2 when j is odd; a
+    line with fewer than MIN_GROUP distinct points is all level 0.
     """
     m = xs.size
     order = np.lexsort((xs, ts))
@@ -135,19 +142,34 @@ def _levels(ts: np.ndarray, xs: np.ndarray):
     new_t[1:] = sorted_t[1:] != sorted_t[:-1]
     distinct = new_t.copy()
     distinct[1:] |= sorted_x[1:] != sorted_x[:-1]
-    point = np.empty(m, dtype=int)
-    point[order] = np.cumsum(distinct) - 1
     home, new_t = order[distinct], new_t[distinct]
-    pos = np.arange(home.size)
     first = np.flatnonzero(new_t)
-    group = np.cumsum(new_t) - 1
-    start, end = first[group], np.r_[first[1:], home.size][group] - 1
+    size = np.diff(np.r_[first, home.size])
+    on_t = np.repeat(size >= MIN_GROUP, size)
+    # the points off the fixed-t lines, by (x, t)
+    off = np.flatnonzero(~on_t)
+    off = off[np.lexsort((ts[home[off]], xs[home[off]]))]
+    sequence = np.r_[np.flatnonzero(on_t), off]
+    rank = np.empty(home.size, dtype=int)
+    rank[sequence] = np.arange(home.size)
+    point = np.empty(m, dtype=int)
+    point[order] = rank[np.cumsum(distinct) - 1]
+    home = home[sequence]
+    fixed_x = np.arange(home.size) >= home.size - off.size
+    x_off = xs[home[fixed_x]]
+    new_x = np.ones(off.size, dtype=bool)
+    new_x[1:] = x_off[1:] != x_off[:-1]
+    new_line = np.r_[new_t[on_t], new_x]
+    pos = np.arange(home.size)
+    first = np.flatnonzero(new_line)
+    line = np.cumsum(new_line) - 1
+    start, end = first[line], np.r_[first[1:], home.size][line] - 1
     j = pos - start
     level = np.where(j % 2 == 0, 1, 2)
     level[(j % STRIDE == 0) | (pos == end) | (end - start + 1 < MIN_GROUP)] = 0
     step = np.where(level == 1, STRIDE, 2)
     left = pos - j % step
-    return home, point, level, left, np.minimum(left + step, end)
+    return home, point, level, left, np.minimum(left + step, end), fixed_x
 
 
 def _blend(terms, out=None, work=None) -> np.ndarray:
@@ -269,62 +291,82 @@ class Solver:
         as in ``solve_batch``, returned in input order.
 
         Equal points (0.0 and -0.0 alike) are solved once.  The distinct
-        points of each t are sorted by x and solved in three levels: level 0
-        is every STRIDE-th point and the last, level 1 every 2nd point left,
-        level 2 the rest.  A level-0 row starts cold; a row of a later level
-        starts at the per-column cubic Hermite of (xhat, one_dr) between its
-        nearest solved neighbours, and its dressing at their linear
-        interpolant.  A t with fewer than MIN_GROUP distinct points is all
-        level 0.  Each level is one ``solve_batch`` and one invert, n0 and
-        dressing pass over its rows, taken in input order and written to its
-        own block of preallocated arrays; one gather per field puts the rows
-        in input order at the end.  A batch of small groups only is one cold
-        pass, bit for bit.
+        points lie on lines (``_levels``): each time with at least MIN_GROUP
+        distinct points is a line of fixed t, sorted by x, and the other
+        points are regrouped by x into lines of fixed x, sorted by t.  Each
+        line is solved in three levels: level 0 is every STRIDE-th point and
+        the last, level 1 every 2nd point left, level 2 the rest.  A level-0
+        row starts cold.  A row of a later level starts at the per-column
+        cubic Hermite, in the line's parameter, of xhat and its derivative
+        between its nearest solved neighbours, and its dressing at their
+        linear interpolant of (one_dr, v_dr).  The derivative is one_dr
+        along x and v - v_dr along t, formed from the stored v_dr, so no
+        field is added.  A line with fewer than MIN_GROUP distinct points is
+        all level 0.
+
+        Level 0 is one block, and each later level one block per kind of
+        line, which keeps every block's transients small.  A block is one
+        ``solve_batch`` and one invert, n0 and dressing pass over its rows,
+        taken in input order and written to its own slice of preallocated
+        arrays; one gather per field puts the rows in input order at the
+        end.  A batch with no line of MIN_GROUP distinct points is one cold
+        pass, bit for bit, and a batch of fixed-t lines only keeps the
+        blocks and bits it had before fixed-x lines were added.
         """
         ts, xs = self._rows(t, xs)
         N = self.op.count
-        home, point, level, left, right = _levels(ts, xs)
-        # the levels' rows, level by level and each in input order, and the
-        # slot of each distinct point in that order
-        solve = np.lexsort((home, level))
+        home, point, level, left, right, fixed_x = _levels(ts, xs)
+        # blocks 1 and 3: levels 1 and 2 of fixed-t lines, 2 and 4: of
+        # fixed-x lines; the blocks' rows, each in input order, and the slot
+        # of each distinct point in that order
+        block_of = np.where(level == 0, 0, 2 * level - 1 + fixed_x)
+        solve = np.lexsort((home, block_of))
         slot = np.empty(home.size, dtype=int)
         slot[solve] = np.arange(home.size)
-        ends = np.searchsorted(level[solve], [0, 1, 2, 3])
+        ends = np.searchsorted(block_of[solve], np.arange(6))
 
         fields = tuple(np.empty((home.size, N)) for _ in range(6))
         xhat, height, n, one_dr, v_dr, u = fields
         iters = np.zeros(home.size, dtype=int)
         resid, ratio = np.empty(home.size), np.empty(home.size)
         unit = np.ones(N)
-        for lev in range(3):
-            block = slice(ends[lev], ends[lev + 1])
+        for b in range(5):
+            block = slice(ends[b], ends[b + 1])
             sel = solve[block]
             if not sel.size:
                 continue
             rows = home[sel]
             warm = buffers = None
-            if lev:
-                a, b = slot[left[sel]], slot[right[sel]]
-                xa = xs[home[left[sel]]]
-                h = (xs[home[right[sel]]] - xa)[:, None]
-                s = (xs[rows] - xa)[:, None] / h
+            if b:
+                a, c = slot[left[sel]], slot[right[sel]]
+                along_t = b % 2 == 0                 # a line of fixed x
+                param = ts if along_t else xs
+                pa = param[home[left[sel]]]
+                h = (param[home[right[sel]]] - pa)[:, None]
+                s = (param[rows] - pa)[:, None] / h
                 s2 = s * s
                 w = s2 * (3.0 - 2.0 * s)
-                # cubic Hermite weights of xhat(a), xhat(b), one_dr(a), one_dr(b)
-                warm = _blend(((xhat, a, 1.0 - w), (xhat, b, w),
-                               (one_dr, a, h * (s - 2.0 * s2 + s2 * s)),
-                               (one_dr, b, h * (s2 * s - s2))))
+                # cubic Hermite of xhat and its derivative along the line:
+                # one_dr in x, v - v_dr in t (its v part added after the blend)
+                slope, sign = (v_dr, -1.0) if along_t else (one_dr, 1.0)
+                ha, hc = sign * h * (s - 2.0 * s2 + s2 * s), sign * h * (s2 * s - s2)
+                work = np.empty((sel.size, N))
+                warm = _blend(((xhat, a, 1.0 - w), (xhat, c, w),
+                               (slope, a, ha), (slope, c, hc)), work=work)
+                if along_t:
+                    warm -= np.multiply(ha + hc, self.op.v, out=work)
+                del work
             xhat[block], iters[block], resid[block], ratio[block] = \
                 self.solve_batch(ts[rows], xs[rows], warm)
             del warm
             u[block], height[block] = self.tab.invert(
                 xhat[block] - np.multiply.outer(ts[rows], self.op.v))
             n[block] = self.tab.scenario.n0(u[block], self.op.grid.nodes[None, :])
-            if lev:
+            if b:
                 # the dressing starts at the linear interpolant of (one_dr, v_dr)
                 buffers = np.empty((3, 2, sel.size, N))
                 for k, f in enumerate((one_dr, v_dr)):
-                    _blend(((f, a, 1.0 - s), (f, b, s)), out=buffers[0, k], work=buffers[1, k])
+                    _blend(((f, a, 1.0 - s), (f, c, s)), out=buffers[0, k], work=buffers[1, k])
             one_dr[block], v_dr[block] = dress_batched(self.op, n[block], unit, self.op.v,
                                                        buffers=buffers)
             del buffers

@@ -383,11 +383,17 @@ _NAN, _INF = float("nan"), float("inf")
     ("check", {"kernel": {"model": "lieb_liniger", "c": _INF}}, "$.kernel.c"),
     ("solve", {"kernel": {"model": "hard_rods", "d": _INF}}, "$.kernel.d"),
     ("check", {"kernel": {"model": "hard_rods", "d": _NAN}}, "$.kernel.d"),
+    # an infinite mass freezes the state (v = 0); a NaN one gives NaN speeds
+    *((command, {"kernel": {"model": "lieb_liniger", "c": 1.0,
+                            "velocity": {"kind": "relativistic", "m": m}}},
+       "$.kernel.velocity.m") for m in (_INF, _NAN) for command in ("check", "solve")),
 ], ids=["t_end_nan", "t_end_inf", "dx_inf", "cfl_nan", "compare_x_min_inf",
         "solve_times_nan", "solve_x_max_inf", "plotdata_times_nan",
         "conserve_x_min_inf", "rectangle_nan", "tolerance_nan", "seed_grid_x_max_inf",
         "scenario_sigma_inf", "scenario_gamma_inf", "scenario_p0_inf",
-        "scenario_p0_minus_inf", "kernel_c_inf", "kernel_d_inf", "kernel_d_nan"])
+        "scenario_p0_minus_inf", "kernel_c_inf", "kernel_d_inf", "kernel_d_nan",
+        "check_velocity_m_inf", "solve_velocity_m_inf", "check_velocity_m_nan",
+        "solve_velocity_m_nan"])
 def test_non_finite_space_time_number_exit2(tmp_path, capsys, command, section, where):
     # json.dumps writes NaN and Infinity, which json.loads reads back
     cfg = _small_ll_config(**section)

@@ -6,8 +6,9 @@ import ghd
 from ghd.diagnostics import (ENTROPY_FUNCTIONS, _edge_crossings, boson_entropy,
                              check_assumptions, classical_entropy,
                              conservation_report, derivative_identity_check,
-                             fermi_entropy, simpson, weak_form_residual,
-                             weight_values, xlogx)
+                             fermi_entropy, gauss_legendre, simpson,
+                             weak_form_edges, weak_form_residual, weight_values,
+                             xlogx)
 from ghd.errors import SupportWindowError
 from ghd.seed import SpatialGridSpec
 
@@ -197,6 +198,74 @@ def test_weak_residual_antisymmetric_in_time(part_setup):
     rev = weak_form_residual(solver, (rect[0], rect[1], rect[3], rect[2]), 28,
                              edge_points=96)
     assert abs(fwd["raw"] + rev["raw"]) <= 1e-12 * max(1.0, fwd["scale"])
+
+
+# -- Gauss-Legendre rules: every count in one build -----------------------------
+
+_COUNTS = range(1, 201)
+
+
+@pytest.fixture(scope="module")
+def rules():
+    # shuffled, with repeats: the build sorts and dedupes
+    counts = list(_COUNTS) + [7, 160, 1]
+    np.random.default_rng(89).shuffle(counts)
+    return gauss_legendre(counts)
+
+
+def test_gauss_legendre_counts_and_center(rules):
+    assert sorted(rules) == list(_COUNTS)
+    for count, (nodes, weights) in rules.items():
+        assert nodes.shape == weights.shape == (count,)
+        assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+        assert -1.0 < nodes[0] and nodes[-1] < 1.0
+        if count % 2:
+            assert nodes[count // 2] == 0.0
+
+
+def test_gauss_legendre_symmetric_weights_sum_to_two(rules):
+    for count, (nodes, weights) in rules.items():
+        assert np.array_equal(nodes[::-1], -nodes)
+        assert np.array_equal(weights[::-1], weights)
+        assert abs(weights.sum() - 2.0) <= 4e-15, count
+
+
+def test_gauss_legendre_exact_to_degree_2n_minus_1(rules):
+    for count, (nodes, weights) in rules.items():
+        degree = np.arange(2 * count)
+        exact = np.where(degree % 2 == 0, 2.0 / (degree + 1.0), 0.0)
+        got = np.power.outer(nodes, degree).T @ weights
+        assert np.max(np.abs(got - exact)) <= 5e-15, count
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is double here")
+def test_gauss_legendre_matches_long_double_newton(rules):
+    for count, (nodes, weights) in rules.items():
+        x = nodes.astype(np.longdouble)
+        for _ in range(3):
+            # Newton in x on P_n, from the nodes under test
+            p_prev, p = np.ones_like(x), x.copy()
+            for j in range(2, count + 1):
+                p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+            slope = count * (p_prev - x * p) / (1 - x * x)     # P_n'(x)
+            x = x - p / slope
+        assert np.max(np.abs(nodes - x)) <= 1e-12, count
+        assert np.max(np.abs(weights - 2 / ((1 - x * x) * slope ** 2))) <= 1e-12, count
+
+
+def test_edge_integrals_match_leggauss_rules(part_setup):
+    # numpy's eigenvalue-based rules are the oracle here only
+    solver = part_setup[3]
+    rect = (-0.7, 0.8, 0.1, 0.9)
+    edges = weak_form_edges(solver, rect)
+    counts = {c for _, piece_counts in edges for c in piece_counts}
+    oracle = {c: np.polynomial.legendre.leggauss(c) for c in counts}
+    got = weak_form_residual(solver, rect, 30, edges=edges)
+    want = weak_form_residual(solver, rect, 30, edges=edges, rules=oracle)
+    assert len(counts) > 1
+    for key, value in want["edges"].items():
+        assert abs(got["edges"][key] - value) <= 1e-13 * want["scale"], key
 
 
 @pytest.fixture(scope="module")
