@@ -8,21 +8,23 @@ run the command of each benchmark workload on its seed-101 config, generated
 into a temporary directory by ``ghdbench/workloads.py``; bump_solve's table
 has values with three-digit exponents, which no bundled config writes.
 
+Both modes run each command as ``python -m ghd.cli`` with PYTHONPATH at a
+tree's ``src``; no installed ``ghd`` script is needed.
+
 Without ``--base``, each command in EXPECTED and each workload command runs
-twice through the installed ``ghd`` into two directories, and the check fails
-on a wrong exit code or on output files whose sha256 differ between the two
-runs.
+twice on this tree into two directories, and the check fails on a wrong exit
+code or on output files whose sha256 differ between the two runs.
 
 With ``--base``, each command runs once on this tree and once on the
-checkout at DIR, as ``python -m ghd.cli`` with PYTHONPATH at that tree's
-``src`` and this tree's configs and workloads.  A table of the output files
-whose sha256 differ, and of the exit codes that differ, goes to
-$GITHUB_STEP_SUMMARY (stdout when unset); for a differing ``.csv`` or
-``.dat`` file it gives the largest absolute difference over the numeric
+checkout at DIR, both with this tree's configs and workloads.  A table of
+the output files whose sha256 differ, and of the exit codes that differ,
+goes to $GITHUB_STEP_SUMMARY (stdout when unset); for a differing ``.csv``
+or ``.dat`` file it gives the largest absolute difference over the numeric
 fields and the largest difference scaled by max(1, |base value|), and for
 a differing ``.json`` file the same over its numeric leaves.
-Differences are reported, never failed on; a ``ghd`` that imports from outside the tree
-under test fails the run, since an editable install can shadow PYTHONPATH.
+Differences are reported, never failed on.  In either mode, a ``ghd`` that
+imports from outside the tree under test fails the run, since an editable
+install can shadow PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -93,12 +95,14 @@ def commands(workdir: Path) -> list:
 
 
 def smoke(runs: list) -> int:
+    env = tree_env(ROOT)
     wrong = 0
     for cfg, cmd, want in runs:
         # two processes into two directories: identical config must give
         # byte-identical output files
         (rc, wall, first), (rc2, _, second) = (
-            run(["ghd"], cfg, cmd, Path(f"out_smoke/{rep}/{cfg.stem}/{cmd}")) for rep in "ab")
+            run([sys.executable, "-m", "ghd.cli"], cfg, cmd,
+                Path(f"out_smoke/{rep}/{cfg.stem}/{cmd}"), env) for rep in "ab")
         differ = sorted(name for name in first.keys() | second.keys()
                         if first.get(name) != second.get(name))
         wrong += rc != want or rc2 != rc or bool(differ)

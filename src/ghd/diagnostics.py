@@ -77,8 +77,7 @@ def _default_x_samples(scenario: Scenario, count: int = 401) -> np.ndarray:
     return np.union1d(xs, [0.0, lo, hi])
 
 
-def truncation_tail(op: KernelOperator, scenario: Scenario,
-                    x_samples: np.ndarray | None = None) -> float:
+def truncation_tail(op: KernelOperator, scenario: Scenario) -> float:
     """Estimate of the neglected momentum tail of ||T (sup_x n0)||_op.
 
     The grid window is our own truncation of the momentum line; this
@@ -88,8 +87,7 @@ def truncation_tail(op: KernelOperator, scenario: Scenario,
     from .grid import build_momentum_grid
     from .kernel import eval_kernel
     g = op.grid
-    if x_samples is None:
-        x_samples = _default_x_samples(scenario, 101)
+    x_samples = _default_x_samples(scenario, 101)
     out = 0.0
     for lo, hi in ((g.p_min - g.span, g.p_min), (g.p_max, g.p_max + g.span)):
         side = build_momentum_grid(lo, hi, 128)
@@ -101,12 +99,9 @@ def truncation_tail(op: KernelOperator, scenario: Scenario,
     return out
 
 
-def check_assumptions(scenario: Scenario, op: KernelOperator,
-                      x_samples: np.ndarray | None = None) -> AssumptionReport:
+def check_assumptions(scenario: Scenario, op: KernelOperator) -> AssumptionReport:
     """Evaluate the admissibility conditions on sampled seed data."""
-    if x_samples is None:
-        x_samples = _default_x_samples(scenario)
-    x_samples = np.asarray(x_samples, dtype=float)
+    x_samples = _default_x_samples(scenario)
     n_vals = np.asarray(
         scenario.n0(x_samples[:, None], op.grid.nodes[None, :]), dtype=float)
     envelope = n_vals.max(axis=0)

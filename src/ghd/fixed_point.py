@@ -395,16 +395,16 @@ class Solver:
 
     # -- level sets ------------------------------------------------------------
 
-    def bisect(self, at, lo, hi, f_lo, f_hi, cols, level=0.0, *, tol,
+    def bisect(self, at, lo, hi, f_lo, f_hi, cols, *, tol,
                warm: np.ndarray | None = None) -> np.ndarray:
         """Zeros a_i, within tol_i/2, of psi_i(a) = Xhat(t, x)[cols_i] -
-        v[cols_i] t - level_i, where (t, x) = at(a, rows) for the values a of
-        the rows (indices into the brackets) still open.
+        v[cols_i] t, where (t, x) = at(a, rows) for the values a of the rows
+        (indices into the brackets) still open.
 
         Brackets are oriented: psi_i < 0 at lo_i and >= 0 at hi_i (lo_i > hi_i
         is allowed).  The caller passes the end values f_lo, f_hi it already
-        holds.  level and tol are scalars or one value per row, and warm is
-        the first step's start.
+        holds.  tol is a scalar or one value per row, and warm is the first
+        step's start.
 
         Each step is one solve over the open rows, warm-started from each
         row's last iterate, at the Illinois false-position point (the value
@@ -419,8 +419,7 @@ class Solver:
         """
         a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
         cols = np.asarray(cols, dtype=int)
-        level, tol = (np.broadcast_to(np.asarray(v, dtype=float), a.shape)
-                      for v in (level, tol))
+        tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
         width = np.abs(b - a)
         cap = 2 * np.ceil(np.log2(np.maximum(width / tol, 1.0)))
         moved = np.zeros(a.size)   # end the last step moved: -1 lo, 1 hi
@@ -442,7 +441,7 @@ class Solver:
                 last = np.empty((a.size, sol.shape[1]))
             last[rows] = sol
             col = cols[rows]
-            fc = sol[np.arange(rows.size), col] - self.op.v[col] * ts - level[rows]
+            fc = sol[np.arange(rows.size), col] - self.op.v[col] * ts
             neg = fc < 0
             side = np.where(neg, -1.0, 1.0)
             kept = np.where(moved[rows] == side, 0.5, 1.0)

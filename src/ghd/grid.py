@@ -62,13 +62,6 @@ class MomentumGrid:
     def span(self) -> float:
         return self.p_max - self.p_min
 
-    def integrate_values(self, values: np.ndarray) -> float:
-        """Weighted sum realizing the momentum integral of sampled values."""
-        values = np.asarray(values, dtype=float)
-        if values.shape[-1] != self.count:
-            raise ConfigError("value array does not match grid size")
-        return values @ self.weights
-
 
 def build_momentum_grid(p_min: float, p_max: float, count: int,
                         rule: str = GAUSS_LEGENDRE) -> MomentumGrid:

@@ -15,7 +15,6 @@ dressing solve and fixed-point iteration reuses it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -34,13 +33,10 @@ KERNEL_MODELS = ("lieb_liniger", "sinh_gordon", "hard_rods", "tabulated", "zero"
 
 @dataclass(frozen=True)
 class Velocity:
-    """Bare velocity v(p): identity, relativistic, tabulated or custom."""
+    """Bare velocity v(p): identity or relativistic with mass m."""
 
     kind: str = "identity"
     m: float = 1.0
-    nodes: np.ndarray | None = None
-    values: np.ndarray | None = None
-    evaluator: Callable | None = None
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
@@ -48,10 +44,6 @@ class Velocity:
             return p.copy()
         if self.kind == "relativistic":
             return p / np.sqrt(p * p + self.m * self.m)
-        if self.kind == "tabulated":
-            return np.interp(p, self.nodes, self.values)
-        if self.kind == "custom":
-            return np.asarray(self.evaluator(p), dtype=float)
         raise ConfigError(f"unknown velocity kind {self.kind!r}")
 
     def energy(self, p):
@@ -61,15 +53,7 @@ class Velocity:
             return 0.5 * p * p
         if self.kind == "relativistic":
             return np.sqrt(p * p + self.m * self.m) - self.m
-        # No closed form: cumulative trapezoid along the sample, anchored at 0.
-        v = self(p)
-        order = np.argsort(p)
-        ps, vs = p[order], v[order]
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ps))])
-        cum -= np.interp(0.0, ps, cum)
-        out = np.empty_like(cum)
-        out[order] = cum
-        return out
+        raise ConfigError(f"unknown velocity kind {self.kind!r}")
 
 
 def identity_velocity() -> Velocity:
@@ -195,10 +179,6 @@ class KernelOperator:
     @property
     def count(self) -> int:
         return self.grid.count
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """(T f)(p_i) = sum_j w_j T(p_i, p_j) f_j; batched over leading axes."""
-        return np.asarray(values, dtype=float) @ self.TW.T
 
     def operator_norm(self, envelope: np.ndarray | None = None) -> float:
         """Discrete sup_p of sum_q w_q |T(p,q)| envelope(q); envelope defaults to 1."""

@@ -13,6 +13,9 @@ once).  Each step's dressing starts from the quadratic extrapolation
 (linear, 2 v_dr^k - v_dr^(k-1), on the second step); the dresser's
 certificate does not depend on its starting guess.
 
+The boundaries are outflow: each step copies the edge cells into the
+ghost cells beyond them, so mass leaves the window and none comes in.
+
 A step allocates no field-sized arrays: ``integrate_upwind`` owns every
 (cells, N) buffer for the whole run.  ``_upwind_step`` works in place on
 ghost-padded rho and velocity buffers, ``effective_velocity`` writes
@@ -35,14 +38,14 @@ import numpy as np
 
 # kept under its old name: ghdbench's tracer attributes oracle dressing time to it
 from .dressing import dress_batched as dress_batched_iterative
-from .errors import AssumptionError, ConvergenceError, NumericalError
+from .errors import AssumptionError, ConvergenceError
 from .kernel import KernelOperator
 from .seed import Scenario
 
 TWO_PI = 2.0 * np.pi
 
-OUTFLOW = "outflow"
-PERIODIC = "periodic"
+DRESSING_TOL = 1e-9       # far below the O(dx) scheme error
+MAX_STEPS = 2_000_000
 
 
 @dataclass
@@ -83,7 +86,6 @@ def initial_field(scenario: Scenario, op: KernelOperator, x_min: float,
 
 
 def effective_velocity(op: KernelOperator, rho_p: np.ndarray,
-                       warm_v_dr: np.ndarray | None = None,
                        tol: float = 1e-10, out=None,
                        dressing=None) -> tuple[np.ndarray, np.ndarray]:
     """(v_eff, v_dr) per cell; validates positivity of rho_s, and the
@@ -92,9 +94,9 @@ def effective_velocity(op: KernelOperator, rho_p: np.ndarray,
     ``out = (rho_s, n, v_eff)`` are optional caller-owned (cells, N)
     arrays that this fills instead of fresh ones; rho_s is scratch and
     ends up holding 2 pi rho_s.  ``dressing = (x, x_new, work)`` is handed
-    to the dresser as its buffer stack: x holds the starting guess
-    (``warm_v_dr`` must be None), and the returned v_dr is a view into x
-    or x_new.  Buffers or not, the bits are the same.
+    to the dresser as its buffer stack: x holds the starting guess, and
+    the returned v_dr is a view into x or x_new.  Without it the dressing
+    starts cold, from v.
     """
     if out is None:
         out = tuple(np.empty(rho_p.shape) for _ in range(3))
@@ -104,19 +106,9 @@ def effective_velocity(op: KernelOperator, rho_p: np.ndarray,
     if not rho_s.min() > 0:
         raise AssumptionError("state density lost positivity in the upwind field")
     np.divide(rho_p, rho_s, out=n)
-    v_dr, = dress_batched_iterative(op, n, op.v, warm=warm_v_dr, tol=tol,
-                                    buffers=dressing)
+    v_dr, = dress_batched_iterative(op, n, op.v, tol=tol, buffers=dressing)
     rho_s *= TWO_PI
     return np.divide(v_dr, rho_s, out=v_eff), v_dr
-
-
-# ghost rows per boundary condition: rows copied into padded rows 0 and -1
-_GHOST_SOURCES = {OUTFLOW: (1, -2), PERIODIC: (-2, 1)}
-
-
-def _check_bc(bc: str) -> None:
-    if bc not in _GHOST_SOURCES:
-        raise NumericalError(f"unknown boundary condition {bc!r}")
 
 
 def _padded(values: np.ndarray) -> np.ndarray:
@@ -127,20 +119,19 @@ def _padded(values: np.ndarray) -> np.ndarray:
 
 
 def _upwind_step(rho: np.ndarray, vel: np.ndarray, flux: np.ndarray,
-                 dt_dx: float, bc: str) -> None:
+                 dt_dx: float) -> None:
     """Advance the interior rows of ``rho`` by one upwind step, in place.
 
     rho and vel are (m+2, N) with the cell values in rows 1..m; this fills
-    their ghost rows and overwrites vel as scratch.  flux is (m+1, N);
-    flux[i] is the flux through the left face of cell i, upwinded per cell
-    by the sign of v_eff.  The arithmetic is that of
+    their ghost rows with copies of the edge cells (outflow) and overwrites
+    vel as scratch.  flux is (m+1, N); flux[i] is the flux through the left
+    face of cell i, upwinded per cell by the sign of v_eff.  The arithmetic is that of
     rho - dt/dx (F[1:] - F[:-1]) with F = max(v,0) rho + min(v,0) rho taken
     from the left and right cell, in the same order.
     """
-    lo, hi = _GHOST_SOURCES[bc]
     for buf in (rho, vel):
-        buf[0] = buf[lo]
-        buf[-1] = buf[hi]
+        buf[0] = buf[1]
+        buf[-1] = buf[-2]
     np.maximum(vel[:-1], 0.0, out=flux)
     flux *= rho[:-1]
     right = vel[1:]
@@ -153,36 +144,15 @@ def _upwind_step(rho: np.ndarray, vel: np.ndarray, flux: np.ndarray,
     rho[1:-1] -= diff
 
 
-def step_upwind(state: FieldState, op: KernelOperator, dt: float,
-                bc: str = OUTFLOW, cfl_max: float = 0.9) -> FieldState:
-    """One conservative upwind step of size dt; enforces the CFL bound."""
-    _check_bc(bc)
-    v_eff, _ = effective_velocity(op, state.rho_p)
-    speed = float(np.max(np.abs(v_eff)))
-    if dt * speed / state.dx > cfl_max + 1e-12:
-        raise NumericalError(
-            f"CFL violation: dt*|v|/dx = {dt * speed / state.dx:.4g} > {cfl_max}")
-    rho = _padded(state.rho_p)
-    _upwind_step(rho, _padded(v_eff), np.empty_like(rho[1:]), dt / state.dx, bc)
-    return FieldState(state.x_cells, rho[1:-1], state.t + dt)
-
-
 def integrate_upwind(scenario: Scenario, op: KernelOperator, t_end: float,
-                     dx: float, cfl: float = 0.9,
-                     x_window: tuple[float, float] | None = None,
-                     bc: str = OUTFLOW, dressing_tol: float = 1e-9,
-                     max_steps: int = 2_000_000) -> FieldState:
-    """March the upwind scheme to t_end with CFL-limited steps.
+                     dx: float, x_window: tuple[float, float],
+                     cfl: float = 0.9) -> FieldState:
+    """March the upwind scheme on x_window to t_end with CFL-limited steps.
 
-    Valid as an oracle on smooth data only; the window defaults to the
-    support hint widened by the free transport distance.  dressing_tol
-    controls the velocity dressing each step, warm-started from the
-    extrapolation of the previous three steps; the default is far below the
-    O(dx) scheme error.
+    Valid as an oracle on smooth data only.  Each step's velocity dressing
+    is certified to DRESSING_TOL, warm-started from the extrapolation of
+    the previous three steps.
     """
-    _check_bc(bc)
-    if x_window is None:
-        x_window = default_window(scenario, op, t_end)
     state = initial_field(scenario, op, x_window[0], x_window[1], dx)
     t, cell_dx = state.t, state.dx
     rho = _padded(state.rho_p)
@@ -195,10 +165,10 @@ def integrate_upwind(scenario: Scenario, op: KernelOperator, t_end: float,
     # v_dr^(k-1) and v_dr^(k-2), plus the dresser's work buffer
     it, spare, prev, prev2, work = (np.empty((1,) + rho_p.shape) for _ in range(5))
     it[0] = op.v                      # the first step starts cold, from f = v
-    for k in range(max_steps):
+    for k in range(MAX_STEPS):
         if t >= t_end - 1e-14:
             return FieldState(state.x_cells, rho_p, t)
-        v_eff, v_dr = effective_velocity(op, rho_p, tol=dressing_tol, out=fields,
+        v_eff, v_dr = effective_velocity(op, rho_p, tol=DRESSING_TOL, out=fields,
                                          dressing=(it, spare, work))
         if np.may_share_memory(v_dr, spare):
             it, spare = spare, it
@@ -216,13 +186,9 @@ def integrate_upwind(scenario: Scenario, op: KernelOperator, t_end: float,
         it, spare, prev, prev2 = spare, prev2, it, prev
         speed = max(float(v_eff.max()), -float(v_eff.min()))
         dt = min(cfl * cell_dx / max(speed, 1e-300), t_end - t)
-        _upwind_step(rho, vel, flux, dt / cell_dx, bc)
+        _upwind_step(rho, vel, flux, dt / cell_dx)
         t += dt
-    raise ConvergenceError(f"upwind integration exceeded {max_steps} steps")
-
-
-def total_mass(state: FieldState, op: KernelOperator) -> float:
-    return float(state.dx * np.sum(state.rho_p @ op.grid.weights))
+    raise ConvergenceError(f"upwind integration exceeded {MAX_STEPS} steps")
 
 
 def fixed_point_rho(solver, t: float, x_cells: np.ndarray) -> np.ndarray:

@@ -516,6 +516,20 @@ def cumulative_simpson(y: np.ndarray, *, dx: float, axis: int,
     return np.moveaxis(np.concatenate((np.full((1,) + y.shape[1:], initial), res)), 0, axis)
 
 
+def _admit(op: KernelOperator, envelope: np.ndarray) -> tuple:
+    """(rate, sup_n0, vn_sup, bounds) of a seed whose per-p sup over x is
+    ``envelope``, once its contraction rate passes the sign threshold."""
+    rate = op.operator_norm(envelope=envelope)
+    threshold = sign_threshold(op.sign_class)
+    if not rate < threshold:
+        raise AssumptionError(
+            f"contraction rate ||T sup_x n0||_op = {rate:.6g} >= {threshold:g} "
+            f"({op.sign_class} kernel); seed admissibility fails")
+    return (rate, float(envelope.max(initial=0.0)),
+            float(np.max(np.abs(op.v) * envelope)),
+            DressingBounds.for_norm(rate, op.sign_class))
+
+
 def build_seed(scenario: Scenario, op: KernelOperator,
                x_spec: SpatialGridSpec | None = None,
                mode: str = HERMITE) -> SeedTables:
@@ -538,13 +552,7 @@ def build_seed(scenario: Scenario, op: KernelOperator,
         raise AssumptionError("seed occupation exceeds its declared bound")
 
     envelope = Ns.max(axis=0)
-    rate = op.operator_norm(envelope=envelope)
-    threshold = sign_threshold(op.sign_class)
-    if not rate < threshold:
-        raise AssumptionError(
-            f"contraction rate ||T sup_x n0||_op = {rate:.6g} >= {threshold:g} "
-            f"({op.sign_class} kernel); seed admissibility fails")
-
+    admitted = _admit(op, envelope)
     one_rows, = dress_batched(op, Ns, np.ones(op.count))
     dA = one_rows
     dB = Ns * one_rows
@@ -568,11 +576,8 @@ def build_seed(scenario: Scenario, op: KernelOperator,
             "seed coordinate change is not strictly increasing; "
             "this is unreachable when the admissibility bounds hold")
 
-    bounds = DressingBounds.for_norm(rate, op.sign_class)
-    vn_sup = float(np.max(np.abs(op.v) * envelope))
     return SeedTables(scenario, op, x_nodes, A, dA, B, dB, mode_used, envelope,
-                      rate, float(envelope.max(initial=0.0)), vn_sup, bounds,
-                      min_slope_A)
+                      *admitted, min_slope_A)
 
 
 def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
@@ -582,12 +587,7 @@ def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
     if np.any(n_left < 0) or np.any(n_right < 0):
         raise AssumptionError("seed occupation must be nonnegative")
     envelope = np.maximum(n_left, n_right)
-    rate = op.operator_norm(envelope=envelope)
-    threshold = sign_threshold(op.sign_class)
-    if not rate < threshold:
-        raise AssumptionError(
-            f"contraction rate ||T sup_x n0||_op = {rate:.6g} >= {threshold:g} "
-            f"({op.sign_class} kernel); seed admissibility fails")
+    admitted = _admit(op, envelope)
     one_left, one_right = dress_batched(op, np.vstack([n_left, n_right]),
                                         np.ones(op.count))[0]
 
@@ -600,8 +600,5 @@ def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
                    x_nodes[2] * n_right * one_right])
     dB = np.vstack([n_left * one_left, n_right * one_right, n_right * one_right])
 
-    bounds = DressingBounds.for_norm(rate, op.sign_class)
-    vn_sup = float(np.max(np.abs(op.v) * envelope))
     return SeedTables(scenario, op, x_nodes, A, dA, B, dB, LINEAR, envelope,
-                      rate, float(envelope.max(initial=0.0)), vn_sup, bounds,
-                      float(np.minimum(one_left, one_right).min()))
+                      *admitted, float(np.minimum(one_left, one_right).min()))

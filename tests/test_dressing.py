@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ghd
-from ghd.dressing import (DRESS_TOL, DressingProblem, check_1dr_bounds,
-                          dress_batched)
+from ghd.dressing import DRESS_TOL, DressingBounds, dress_batched
 from ghd.errors import AssumptionError, ConvergenceError
 from ghd.kernel import SIGN_MIXED, SIGN_NON_NEGATIVE
+
+BOUND_TOL = 1e-9   # slack of the two-sided 1dr bounds, as in criterion 04
 
 
 @pytest.fixture(scope="module")
@@ -22,18 +23,29 @@ def ll_gaussian_n(ll_op):
     return 0.6 * np.exp(-ll_op.grid.nodes ** 2)
 
 
+def _dress(op, n, f):
+    """f^dr for one occupation row."""
+    return dress_batched(op, n[None], f)[0][0]
+
+
+def _1dr_violation(op, n):
+    """(bounds, worst excess of 1^dr over its certified range) for one row."""
+    bounds = DressingBounds.for_norm(op.operator_norm(envelope=n), op.sign_class)
+    one_dr = _dress(op, n, np.ones(op.count))
+    worst = float(max((bounds.r_value - one_dr).max(), (one_dr - bounds.upper).max()))
+    return bounds, worst, one_dr
+
+
 def test_dress_empty_interaction(ll_op):
-    prob = DressingProblem(ll_op, np.zeros(ll_op.count))
     f = np.sin(ll_op.grid.nodes)
-    np.testing.assert_array_equal(prob.dress_values(f), f)
+    np.testing.assert_array_equal(_dress(ll_op, np.zeros(ll_op.count), f), f)
 
 
 def test_rank_one_closed_form(hr_rank_one):
     op, n = hr_rank_one
-    prob = DressingProblem(op, n)
-    out = prob.dress_values(np.ones(op.count))
+    out = _dress(op, n, np.ones(op.count))
     np.testing.assert_allclose(out, 1.0 / 1.12, atol=1e-12)
-    assert abs(prob.tn_norm - 0.12) <= 1e-13
+    assert abs(op.operator_norm(envelope=n) - 0.12) <= 1e-13
 
 
 def test_compute_R_values():
@@ -50,21 +62,18 @@ def test_compute_R_domain():
 
 
 def test_1dr_bounds_trivial(ll_op):
-    prob = DressingProblem(ll_op, np.zeros(ll_op.count))
-    bounds, ok, report = check_1dr_bounds(prob)
-    assert ok and report["passed"]
-    np.testing.assert_allclose(prob.one_dressed(), 1.0)
+    bounds, worst, one_dr = _1dr_violation(ll_op, np.zeros(ll_op.count))
+    assert worst <= BOUND_TOL
+    np.testing.assert_allclose(one_dr, 1.0)
     assert bounds.r_value == 1.0 and bounds.upper == 1.0
 
 
 def test_1dr_bounds_hard_rods(hr_rank_one):
     op, n = hr_rank_one
-    prob = DressingProblem(op, n)
-    bounds, ok, _ = check_1dr_bounds(prob)
-    assert ok
+    bounds, worst, one = _1dr_violation(op, n)
+    assert worst <= BOUND_TOL
     assert abs(bounds.r_value - 0.88) <= 1e-13
     assert abs(bounds.upper - 1.0 / 0.88) <= 1e-13
-    one = prob.one_dressed()
     assert np.all(one >= 0.88 - 1e-9) and np.all(one <= 1.0 / 0.88 + 1e-9)
 
 
@@ -74,17 +83,23 @@ def test_1dr_bounds_lieb_liniger_sample(ll_op):
         amp = rng.uniform(0.05, 0.8)
         width = rng.uniform(0.3, 2.0)
         n = amp * np.exp(-(ll_op.grid.nodes / width) ** 2)
-        _, ok, report = check_1dr_bounds(DressingProblem(ll_op, n))
-        assert ok, report
+        _, worst, _ = _1dr_violation(ll_op, n)
+        assert worst <= BOUND_TOL, (amp, width, worst)
+
+
+def _starts(*rows):
+    """A dresser buffer stack whose iterate holds the given start rows."""
+    start = np.array(rows, dtype=float)[:, None, :]
+    return start, np.empty_like(start), np.empty_like(start)
 
 
 def test_uniqueness_from_different_starts(ll_op, ll_gaussian_n):
     f = np.sin(ll_op.grid.nodes)
     rng = np.random.default_rng(5)
-    a, = dress_batched(ll_op, ll_gaussian_n, f,
-                       warm=rng.normal(size=(1, ll_op.count)), tol=1e-13)
-    b, = dress_batched(ll_op, ll_gaussian_n, f,
-                       warm=10 + rng.normal(size=(1, ll_op.count)), tol=1e-13)
+    a, = dress_batched(ll_op, ll_gaussian_n, f, tol=1e-13,
+                       buffers=_starts(rng.normal(size=ll_op.count)))
+    b, = dress_batched(ll_op, ll_gaussian_n, f, tol=1e-13,
+                       buffers=_starts(10 + rng.normal(size=ll_op.count)))
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -93,66 +108,55 @@ def test_linearity_in_f(alpha, beta):
     g = ghd.build_momentum_grid(-3, 3, 20)
     op = ghd.KernelOperator(ghd.lieb_liniger(1.0), g)
     n = 0.5 * np.exp(-g.nodes ** 2)
-    prob = DressingProblem(op, n)
     rng = np.random.default_rng(11)
     f, h = rng.normal(size=(2, 20))
-    lhs = prob.dress_values(alpha * f + beta * h)
-    rhs = alpha * prob.dress_values(f) + beta * prob.dress_values(h)
+    lhs = _dress(op, n, alpha * f + beta * h)
+    rhs = alpha * _dress(op, n, f) + beta * _dress(op, n, h)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
 def test_seminorm_bound(ll_op, ll_gaussian_n):
-    prob = DressingProblem(ll_op, ll_gaussian_n)
+    tn_norm = ll_op.operator_norm(envelope=ll_gaussian_n)
     rng = np.random.default_rng(21)
     for f in rng.uniform(-2, 2, size=(200, ll_op.count)):
-        fdr = prob.dress_values(f)
+        fdr = _dress(ll_op, ll_gaussian_n, f)
         lhs = np.max(ll_gaussian_n * np.abs(fdr))
-        rhs = np.max(ll_gaussian_n * np.abs(f)) / (1 - prob.tn_norm)
+        rhs = np.max(ll_gaussian_n * np.abs(f)) / (1 - tn_norm)
         assert lhs <= rhs + 1e-9
 
 
 def test_bounded_part_bound(ll_op, ll_gaussian_n):
-    prob = DressingProblem(ll_op, ll_gaussian_n)
+    tn_norm = ll_op.operator_norm(envelope=ll_gaussian_n)
     unit = ll_op.operator_norm()
     rng = np.random.default_rng(22)
     for f in rng.uniform(-2, 2, size=(200, ll_op.count)):
-        fdr = prob.dress_values(f)
-        rhs = unit * np.max(ll_gaussian_n * np.abs(f)) / (1 - prob.tn_norm)
+        fdr = _dress(ll_op, ll_gaussian_n, f)
+        rhs = unit * np.max(ll_gaussian_n * np.abs(f)) / (1 - tn_norm)
         assert np.max(np.abs(fdr - f)) <= rhs + 1e-9
 
 
 def test_unbounded_velocity_dressing(ll_op, ll_gaussian_n):
     # dressing the identity velocity: f^dr - f must match the bounded part
-    prob = DressingProblem(ll_op, ll_gaussian_n)
     v = ll_op.grid.nodes
-    vdr = prob.dress_values(v)
-    residual = vdr - v - ll_op.apply(ll_gaussian_n * vdr)
+    vdr = _dress(ll_op, ll_gaussian_n, v)
+    residual = vdr - v - (ll_gaussian_n * vdr) @ ll_op.TW.T
     assert np.max(np.abs(residual)) <= 1e-12
 
 
 def test_assumption_violation_named(ll_op):
     with pytest.raises(AssumptionError, match="1"):
-        DressingProblem(ll_op, np.full(ll_op.count, 5.0))
-    with pytest.raises(AssumptionError, match="nonnegative"):
-        DressingProblem(ll_op, -np.ones(ll_op.count))
-
-
-def test_mixed_sign_tighter_threshold():
-    g = ghd.build_momentum_grid(-1, 1, 8)
-    tab = ghd.tabulated_kernel([-1, 1], [-1, 1], [[0.3, -0.3], [-0.3, 0.3]])
-    op = ghd.KernelOperator(tab, g)
-    assert op.sign_class == SIGN_MIXED
-    # the interpolated rows integrate to sum_q w|T| = 0.3, so ||T n|| = 0.3 n
-    with pytest.raises(AssumptionError, match="0.5"):
-        DressingProblem(op, np.full(8, 2.0))
-    DressingProblem(op, np.full(8, 1.2))  # 0.36 < 1/2, fine
+        dress_batched(ll_op, np.full(ll_op.count, 5.0), ll_op.v)
+    # a negative occupation is refused where a seed is admitted
+    negative = ghd.Scenario(lambda x, p: np.broadcast_arrays(
+        np.asarray(x, float) * 0 - 1.0, p)[0], 1.0, (-1, 1), "custom")
+    with pytest.raises(AssumptionError, match="negative"):
+        ghd.build_seed(negative, ll_op, ghd.SpatialGridSpec(-2, 2, 41))
 
 
 def test_dressing_residual(ll_op, ll_gaussian_n):
-    prob = DressingProblem(ll_op, ll_gaussian_n)
     f = np.cosh(ll_op.grid.nodes / 3)
-    fdr = prob.dress_values(f)
-    residual = fdr - f - ll_op.apply(ll_gaussian_n * fdr)
+    fdr = _dress(ll_op, ll_gaussian_n, f)
+    residual = fdr - f - (ll_gaussian_n * fdr) @ ll_op.TW.T
     assert np.max(np.abs(residual)) <= 1e-12
 
 
@@ -192,10 +196,11 @@ def test_dress_batched_matches_dense_oracle(model, count, rows, z_frac, warm, se
     n *= (0.49 if mixed else 0.99) * z_frac / op.operator_norm(envelope=n.max(axis=0))
     z = op.operator_norm(envelope=n.max(axis=0))
     fs = (np.ones(count), op.v, rng.normal(size=count))
-    guess = rng.normal(size=(len(fs), rows, count)) if warm else None
+    guess = rng.normal(size=(len(fs), rows, count))
+    buffers = (guess, np.empty_like(guess), np.empty_like(guess)) if warm else None
     # round-off in x (|x| <= |f|/(1-z)) sets how small a tol is reachable
     tol = 1e-14 if z <= 0.9 else DRESS_TOL
-    out = dress_batched(op, n, *fs, warm=guess, tol=tol)
+    out = dress_batched(op, n, *fs, tol=tol, buffers=buffers)
     assert isinstance(out, tuple) and len(out) == len(fs)
     bound = 2.0 * tol * max(1.0, max(np.max(np.abs(f)) for f in fs)) / (1.0 - z)
     for f, f_dr in zip(fs, out):
@@ -208,7 +213,7 @@ def test_dress_batched_matches_dense_oracle(model, count, rows, z_frac, warm, se
 def test_direct_matches_neumann(ll_op, ll_gaussian_n):
     # the Picard iterates from zero are the partial sums of the Neumann series
     direct = _dense_dressing(ll_op, ll_gaussian_n, np.cos(ll_op.grid.nodes))
-    series = DressingProblem(ll_op, ll_gaussian_n).dress_values(np.cos(ll_op.grid.nodes))
+    series = _dress(ll_op, ll_gaussian_n, np.cos(ll_op.grid.nodes))
     assert np.max(np.abs(direct - series)) <= 1e-10
 
 
@@ -218,9 +223,9 @@ def test_batched_matches_single(ll_op):
         * np.exp(-ll_op.grid.nodes ** 2)[None, :]
     one_b, v_b = dress_batched(ll_op, rows, np.ones(ll_op.count), ll_op.v)
     for i in range(rows.shape[0]):
-        prob = DressingProblem(ll_op, rows[i])
-        np.testing.assert_allclose(one_b[i], prob.one_dressed(), atol=1e-12)
-        np.testing.assert_allclose(v_b[i], prob.dress_values(ll_op.v), atol=1e-12)
+        np.testing.assert_allclose(one_b[i], _dress(ll_op, rows[i], np.ones(ll_op.count)),
+                                   atol=1e-12)
+        np.testing.assert_allclose(v_b[i], _dress(ll_op, rows[i], ll_op.v), atol=1e-12)
 
 
 def test_iterative_matches_direct(ll_op, ll_gaussian_n):
@@ -238,8 +243,6 @@ def test_dress_batched_rejects_noncontracting_rows(ll_op):
 
 def test_nan_occupation_fails_admissibility(ll_op):
     n = np.full(ll_op.count, np.nan)
-    with pytest.raises(AssumptionError, match="not certified"):
-        DressingProblem(ll_op, n)
     with pytest.raises(AssumptionError, match="does not contract"):
         dress_batched(ll_op, n, ll_op.v)
 
@@ -257,16 +260,13 @@ def test_dress_batched_past_cap_fails_named(ll_op):
         dress_batched(op, n, op.v)
 
 
-@pytest.mark.parametrize("warm", [False, True])
-def test_dress_batched_in_caller_buffers_bitwise(ll_op, warm):
+def test_dress_batched_in_caller_buffers_bitwise(ll_op):
     rng = np.random.default_rng(11)
     rows = 0.6 * rng.uniform(0.0, 1.0, size=(9, ll_op.count)) \
         * np.exp(-ll_op.grid.nodes ** 2)[None, :]
     fs = (np.ones(ll_op.count), ll_op.v)
     start = np.broadcast_to(np.stack(fs)[:, None, :], (2, 9, ll_op.count)).copy()
-    if warm:
-        start += 0.1 * rng.standard_normal(start.shape)
-    expect = dress_batched(ll_op, rows, *fs, warm=start if warm else None)
+    expect = dress_batched(ll_op, rows, *fs)
     buffers = (start.copy(), np.empty_like(start), np.empty_like(start))
     got = dress_batched(ll_op, rows, *fs, buffers=buffers)
     for g, e in zip(got, expect):
@@ -274,5 +274,3 @@ def test_dress_batched_in_caller_buffers_bitwise(ll_op, warm):
         # the result is a view into the iterate or the spare, never fresh
         assert np.shares_memory(g, buffers[0]) or np.shares_memory(g, buffers[1])
         assert not np.shares_memory(g, buffers[2])
-    with pytest.raises(TypeError, match="not both"):
-        dress_batched(ll_op, rows, *fs, warm=start, buffers=buffers)

@@ -103,7 +103,7 @@ def test_state_invariants(ll_solver, ll_tables):
     assert np.all(s.rho_s > 0)
     assert np.all(s.rho_p >= 0)
     np.testing.assert_allclose(s.rho_s, s.one_dr / (2 * np.pi))
-    consistency = s.xhat - s.x - ll_solver.op.apply(s.N)
+    consistency = s.xhat - s.x - s.N @ ll_solver.op.TW.T
     assert np.max(np.abs(consistency)) <= 1e-9
     np.testing.assert_allclose(s.v_eff, s.v_dr / s.one_dr)
 

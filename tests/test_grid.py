@@ -40,18 +40,18 @@ def test_invariants(rule, count):
 
 def test_integrate_constant():
     g = ghd.build_momentum_grid(-1.0, 1.0, 20)
-    assert abs(g.integrate_values(np.ones(20)) - 2.0) <= 1e-14
+    assert abs(np.ones(20) @ g.weights - 2.0) <= 1e-14
 
 
 def test_integrate_odd_function():
     g = ghd.build_momentum_grid(-2.0, 2.0, 30)
-    assert abs(g.integrate_values(g.nodes)) <= 1e-14
+    assert abs(g.nodes @ g.weights) <= 1e-14
 
 
 def test_integrate_lorentzian_closed_form():
     g = ghd.build_momentum_grid(-40.0, 40.0, 400)
     f = 2.0 / (1.0 + g.nodes ** 2)
-    assert abs(g.integrate_values(f) - 4.0 * math.atan(40.0)) <= 1e-6
+    assert abs(f @ g.weights - 4.0 * math.atan(40.0)) <= 1e-6
 
 
 @given(st.integers(min_value=2, max_value=12),
@@ -62,7 +62,7 @@ def test_gauss_legendre_polynomial_exactness(count, coeffs):
     poly = np.polynomial.Polynomial(coeffs)
     g = ghd.build_momentum_grid(-1.5, 2.5, count, GAUSS_LEGENDRE)
     exact = poly.integ()(2.5) - poly.integ()(-1.5)
-    approx = g.integrate_values(poly(g.nodes))
+    approx = poly(g.nodes) @ g.weights
     assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
@@ -72,7 +72,7 @@ def test_refinement_reduces_error():
     for count in (6, 12, 24, 48):
         g = ghd.build_momentum_grid(-8.0, 8.0, count)
         f = np.exp(-g.nodes ** 2 / 2)
-        errors.append(abs(g.integrate_values(f) - exact))
+        errors.append(abs(f @ g.weights - exact))
     for small, big in zip(errors[1:], errors[:-1]):
         if big > 1e-13:
             assert small < big
@@ -88,8 +88,3 @@ def test_configuration_errors(bad):
     with pytest.raises(ConfigError):
         ghd.build_momentum_grid(**bad)
 
-
-def test_grid_function_length_mismatch():
-    g = ghd.build_momentum_grid(-1.0, 1.0, 4)
-    with pytest.raises(ConfigError):
-        g.integrate_values(np.ones(3))

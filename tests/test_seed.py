@@ -7,7 +7,9 @@ from hypothesis import assume, given, strategies as st
 import ghd
 import ghd.seed as seed_mod
 from ghd import config as config_mod
+from ghd.dressing import dress_batched
 from ghd.errors import AssumptionError
+from ghd.kernel import SIGN_MIXED
 from ghd.seed import (HERMITE, INV_TOL, LINEAR, SeedTables, SpatialGridSpec,
                       _cell_min_slope, _hermite, build_seed,
                       default_spatial_spec)
@@ -125,9 +127,9 @@ def test_partitioning_exact_tables(part_setup):
     op, sc, tab, _ = part_setup
     assert tab.mode == "linear"
     assert tab.x_nodes.size == 3
-    from ghd.dressing import DressingProblem
-    one_left = DressingProblem(op, sc.params["n_left"](op.grid.nodes)).one_dressed()
-    one_right = DressingProblem(op, sc.params["n_right"](op.grid.nodes)).one_dressed()
+    n_sides = np.vstack([sc.params["n_left"](op.grid.nodes),
+                         sc.params["n_right"](op.grid.nodes)])
+    one_left, one_right = dress_batched(op, n_sides, np.ones(op.count))[0]
     for x in (-1.7, -0.2, 0.4, 2.3):
         expect = x * (one_left if x < 0 else one_right)
         assert np.max(np.abs(tab.xhat0_cols(np.full(op.count, x)) - expect)) <= 1e-12
@@ -152,6 +154,23 @@ def test_inadmissible_rate_rejected(ll_op):
     big = ghd.gaussian_bump(3.0, 1.0, 0.05)
     with pytest.raises(AssumptionError, match="contraction rate"):
         build_seed(big, ll_op, SpatialGridSpec(-10, 10, 201))
+
+
+def test_mixed_sign_tighter_threshold():
+    g = ghd.build_momentum_grid(-1, 1, 8)
+    tab = ghd.tabulated_kernel([-1, 1], [-1, 1], [[0.3, -0.3], [-0.3, 0.3]])
+    op = ghd.KernelOperator(tab, g)
+    assert op.sign_class == SIGN_MIXED
+
+    def constant(value):
+        return ghd.Scenario(lambda x, p: np.broadcast_arrays(
+            np.asarray(x, float) * 0 + value, p)[0], value, (-1, 1), "custom")
+
+    # the interpolated rows integrate to sum_q w|T| ~ 0.3, so the rate is ~0.3 n:
+    # below 1, yet not below the mixed-sign 1/2
+    with pytest.raises(AssumptionError, match=r">= 0.5 \(mixed kernel\)"):
+        build_seed(constant(2.0), op, SpatialGridSpec(-2, 2, 41))
+    assert build_seed(constant(1.2), op, SpatialGridSpec(-2, 2, 41)).rate < 0.5
 
 
 def test_default_spatial_spec_includes_origin(ll_bump, ll_op):
