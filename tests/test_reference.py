@@ -116,6 +116,21 @@ def test_free_advection_first_order(free_gas):
     assert errors[1] <= 0.7 * errors[0]
 
 
+def test_mass_conserved_per_step(free_gas):
+    # free gas: v_eff = v, so every step has dt = cfl dx / max|v| and
+    # t_end = k dt marches exactly k steps; compare successive step counts
+    op, bump = free_gas
+    start = initial_field(bump, op, -5, 5, 0.02)
+    dt = 0.9 * start.dx / float(np.max(np.abs(op.v)))
+    before = start
+    for k in range(1, 21):
+        state = integrate_upwind(bump, op, k * dt, dx=0.02, x_window=(-5, 5))
+        mass0, mass = (s.dx * np.sum(s.rho_p @ op.grid.weights) for s in (before, state))
+        assert not np.array_equal(state.rho_p, before.rho_p)
+        assert abs(mass - mass0) <= 1e-12 * max(abs(mass0), 1.0)
+        before = state
+
+
 def test_mass_conserved_inside_window(free_gas):
     # the bump's tail stays below 1e-16 at the window's edges, so outflow
     # carries no mass out and the scheme's flux form must conserve it
