@@ -27,8 +27,9 @@ Inversion costs O(1) per query.  The bi-Lipschitz bound dA/dx >= R > 0
 makes every cell of column j at least min_i (A[i+1, j] - A[i, j]) wide in
 zhat, so a uniform guide table of buckets just narrower than that holds at
 most one node per bucket and locates a query's cell with one gather and one
-two-sided compare.  Tables that are two lines through the origin (the
-partitioning tables) skip the cell search and invert in closed form,
+two-sided compare.  The partitioning tables, two lines through the origin,
+are declared so by their builder; they skip the cell search and invert in
+closed form,
 X0 = zhat / 1dr_side and N0hat = n_side zhat, the side being the sign of
 zhat.
 
@@ -68,7 +69,6 @@ _FLOOR_ULPS = 16              # Newton's residual test, in ulps of the cell's |A
 _BISECT_ITERS = 60            # 2^-60 is below the resolution of s in [0, 1]
 _GUIDE_SHRINK = 1.0 - 2.0 ** -20   # margin over round-off in the bucket index
 _GUIDE_BUCKETS_PER_NODE = 16  # caps the guide table at 16 nx N int32 entries
-_LINE_RTOL = 1e-14            # round-off allowed in "two lines through the origin"
 _INVERT_BLOCK = 1 << 14       # entries per block of invert's cell path
 
 
@@ -304,28 +304,6 @@ def _guide_table(A: np.ndarray):
     return A[0], width, np.clip(guide, 0, nx - 2).ravel(), rounds
 
 
-def _two_slopes(tab) -> tuple[np.ndarray, np.ndarray] | None:
-    """(1dr, n) per side, rows (x < 0, x >= 0), when the LINEAR tables are two
-    lines through the origin whose extensions continue the cells (the
-    partitioning tables); None otherwise.
-
-    Such tables invert in closed form: X0 = z / 1dr_side and N0hat = n_side z,
-    with the side given by the sign of z.
-    """
-    x = tab.x_nodes
-    if tab.mode != LINEAR or x.size != 3 or x[1] != 0.0:
-        return None
-    A, dA, B, dB = tab.A, tab.dA, tab.B, tab.dB
-    lines = (np.all(A[1] == 0.0) and np.all(B[1] == 0.0)
-             and np.array_equal(dA[1], dA[2]) and np.array_equal(dB[1], dB[2])
-             and all(np.allclose(Y[i], x[i] * dY[side], rtol=_LINE_RTOL, atol=0.0)
-                     for Y, dY in ((A, dA), (B, dB)) for i, side in ((0, 0), (2, 1))))
-    if not lines:
-        return None
-    one_dr = dA[:2]
-    return one_dr, dB[:2] / one_dr
-
-
 # ---------------------------------------------------------------------------
 # seed tables
 
@@ -347,12 +325,14 @@ class SeedTables:
     vn_sup: float
     bounds: DressingBounds
     min_slope_A: float
+    # (1dr, n) per side, rows (x < 0, x >= 0), of tables that are two lines
+    # through the origin (the partitioning tables); None otherwise
+    _sides: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         # invert gathers a cell's entries from flat views (copies unless the
         # tables are in C order)
         self._flat = tuple(a.ravel() for a in (self.A, self.dA, self.B, self.dB))
-        self._sides = _two_slopes(self)
         (self._guide_origin, self._guide_width, self._guide,
          self._guide_rounds) = _guide_table(self.A)
 
@@ -531,8 +511,7 @@ def _admit(op: KernelOperator, envelope: np.ndarray) -> tuple:
 
 
 def build_seed(scenario: Scenario, op: KernelOperator,
-               x_spec: SpatialGridSpec | None = None,
-               mode: str = HERMITE) -> SeedTables:
+               x_spec: SpatialGridSpec | None = None) -> SeedTables:
     """Build the seed tables by dressing n0 at every spatial node.
 
     Partitioning scenarios take the exact piecewise-linear route; anything
@@ -562,14 +541,13 @@ def build_seed(scenario: Scenario, op: KernelOperator,
     A = np.subtract(A_raw, A_raw[i0], order="C")   # C order: no copy in SeedTables
     B = np.subtract(B_raw, B_raw[i0], order="C")
 
-    mode_used = mode
+    mode_used = HERMITE
     min_slope_A = float(_cell_min_slope(A[:-1], A[1:], dA[:-1], dA[1:], dx).min())
-    if mode == HERMITE:
-        min_slope_B = float(_cell_min_slope(B[:-1], B[1:], dB[:-1], dB[1:], dx).min())
-        if min_slope_A <= 0 or min_slope_B < -1e-13 * max(dB.max(initial=0.0), 1.0):
-            # Under-resolved data: the cubic is not certifiably monotone.
-            mode_used = LINEAR
-    if mode_used == LINEAR:
+    min_slope_B = float(_cell_min_slope(B[:-1], B[1:], dB[:-1], dB[1:], dx).min())
+    if min_slope_A <= 0 or min_slope_B < -1e-13 * max(dB.max(initial=0.0), 1.0):
+        # Under-resolved data: the cubic is not certifiably monotone.
+        mode_used = LINEAR
+        min_slope_A = float((np.diff(A, axis=0) / dx).min())
         min_slope_A = float((np.diff(A, axis=0) / dx).min())
     if min_slope_A <= 0:
         raise NumericalError(
@@ -601,4 +579,5 @@ def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
     dB = np.vstack([n_left * one_left, n_right * one_right, n_right * one_right])
 
     return SeedTables(scenario, op, x_nodes, A, dA, B, dB, LINEAR, envelope,
-                      *admitted, float(np.minimum(one_left, one_right).min()))
+                      *admitted, float(np.minimum(one_left, one_right).min()),
+                      (dA[:2], dB[:2] / dA[:2]))

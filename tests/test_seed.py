@@ -316,7 +316,7 @@ def test_two_slope_inverse_matches_linear_formula(ll_op, amplitudes):
 
 
 def test_tables_off_two_lines_keep_the_cell_inverse(ll_op, ll_bump):
-    tab = build_seed(ll_bump, ll_op, SpatialGridSpec(-9.6, 9.6, 5), mode=LINEAR)
+    tab = _hand_table(build_seed(ll_bump, ll_op, SpatialGridSpec(-9.6, 9.6, 5)).A)
     assert tab.mode == LINEAR and tab._sides is None
     A = np.array([[-2.0], [0.0], [3.0]])
     bent = SeedTables(None, None, np.array([-1.0, 0.0, 1.0]), A,
