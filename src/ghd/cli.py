@@ -33,11 +33,12 @@ import numpy as np
 from . import config as config_mod
 from .csvfmt import write_rows
 from .diagnostics import (ENTROPY_FUNCTIONS, check_assumptions,
-                          conservation_report, gauss_legendre, weak_form_edges,
+                          conservation_report, weak_form_edges,
                           weak_form_residual, weight_values)
 from .errors import (AssumptionError, ConfigError, ConvergenceError,
                      GHDError, SupportWindowError)
 from .fixed_point import Solver
+from .grid import gauss_legendre
 from .kernel import KernelOperator
 from .reference import (cell_count, convergence_order, default_window,
                         fixed_point_rho, integrate_upwind, l1_gap)

@@ -16,8 +16,8 @@ one scan solve (the ends of both x-edges and a 96-point scan of both
 t-edges), one level-set solve over the brackets of all four edges
 (``Solver.bisect``) and one state batch over the nodes of all four edges.
 ``ghd weakcheck`` finds the edge pieces of every rectangle first and then
-builds all the Gauss-Legendre rules they need in one ``gauss_legendre``
-call.
+builds all the Gauss-Legendre rules they need in one call of
+``grid.gauss_legendre``, the builder of the momentum grid's rule too.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dressing import sign_threshold
-from .errors import ConvergenceError, SupportWindowError
+from .errors import SupportWindowError
 from .fixed_point import Solver
+from .grid import gauss_legendre
 from .kernel import KernelOperator
 from .seed import Scenario
 
@@ -260,62 +261,6 @@ def conservation_report(solver: Solver, times, x_window: tuple[float, float],
 
 # ---------------------------------------------------------------------------
 # weak-form residual on a space-time rectangle
-
-def gauss_legendre(counts) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
-    count in counts, built together.
-
-    The nodes are cos(theta), theta the zeros of P_n(cos theta), found by
-    Newton's method in theta (Hale and Townsend, SIAM J. Sci. Comput. 35
-    (2013)) from Tricomi's asymptotic starts.  One three-term recurrence
-    runs over the nonnegative half of every count at once: the entries are
-    ordered by count, largest first, so degree j updates a prefix.  The
-    other half is the mirror image, and an odd count's center node is 0
-    exactly.  The weights are 2 / (sin(theta) P_n'(cos theta))^2 at the
-    converged nodes.  Newton stops after the first step that moves no node
-    by more than 1e-10, three steps in practice; the next step would move
-    them by round-off only.
-    """
-    # deduplicated in Python: a first np.unique call adds about 1.5 MB to a
-    # forked process's resident size, for code no other step touches
-    counts = np.array(sorted({int(c) for c in counts}, reverse=True))
-    half = (counts + 1) // 2
-    n = np.repeat(counts, half).astype(float)
-    k = np.arange(n.size) + 1 - np.repeat(np.cumsum(half) - half, half)
-    center = 2 * k - 1 == n
-    # Tricomi's cos(theta) = (1 - (n-1)/(8n^3) - (39 - 28/sin^2 phi)/(384n^4)) cos(phi),
-    # taken to first order in theta - phi so that no arccos is needed
-    phi = (4 * k - 1) * np.pi / (4 * n + 2)
-    sin_phi = np.sin(phi)
-    theta = phi + ((n - 1.0) / (8.0 * n ** 3) + (39.0 - 28.0 / sin_phi ** 2)
-                   / (384.0 * n ** 4)) * np.cos(phi) / sin_phi
-    theta[center] = 0.5 * np.pi                # where sin(theta) is 1.0
-    active = np.searchsorted(-n, -np.arange(counts[0] + 1), side="right")  # n >= j
-    step = np.inf
-    for _ in range(10):
-        x = np.where(center, 0.0, np.cos(theta))
-        p_prev, p = np.ones_like(x), x.copy()      # P_{j-1} and P_j
-        for j in range(2, counts[0] + 1):
-            a = active[j]
-            p_next = ((2 * j - 1) * x[:a] * p[:a] - (j - 1) * p_prev[:a]) / j
-            p_prev[:a], p[:a] = p[:a], p_next
-        # sin(theta) P_n'(cos theta), as (1 - x^2) P_n'(x) = n (P_{n-1}(x) - x P_n(x))
-        slope = n * (p_prev - x * p) / np.sin(theta)
-        if np.max(np.abs(step)) <= 1e-10:
-            break
-        step = p / slope
-        theta += step
-    else:
-        raise ConvergenceError("Gauss-Legendre nodes: Newton did not settle in 10 steps")
-    weights = 2.0 / slope ** 2
-    rules = {}
-    for count, end, h in zip(counts.tolist(), np.cumsum(half), half):
-        xs, ws = x[end - h:end], weights[end - h:end]
-        mirrored = h - count % 2
-        rules[count] = (np.concatenate((-xs[:mirrored], xs[::-1])),
-                        np.concatenate((ws[:mirrored], ws[::-1])))
-    return rules
-
 
 def _edge_pieces(a: float, b: float, cuts, total_points: int) -> tuple[list, list]:
     """The ends of the pieces of [a,b] split at the cuts, from a to b, and

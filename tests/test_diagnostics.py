@@ -6,10 +6,11 @@ import ghd
 from ghd.diagnostics import (ENTROPY_FUNCTIONS, _edge_crossings, boson_entropy,
                              check_assumptions, classical_entropy,
                              conservation_report, derivative_identity_check,
-                             fermi_entropy, gauss_legendre, simpson,
+                             fermi_entropy, simpson,
                              weak_form_edges, weak_form_residual, weight_values,
                              xlogx)
 from ghd.errors import SupportWindowError
+from ghd.grid import gauss_legendre
 from ghd.seed import SpatialGridSpec
 
 

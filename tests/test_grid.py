@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import ghd
 from ghd.errors import ConfigError
-from ghd.grid import GAUSS_LEGENDRE, MIDPOINT, TRAPEZOID
+from ghd.grid import GAUSS_LEGENDRE, MIDPOINT, TRAPEZOID, gauss_legendre
 
 
 def test_gauss_legendre_two_point():
@@ -14,6 +14,27 @@ def test_gauss_legendre_two_point():
     np.testing.assert_allclose(g.nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)],
                                atol=1e-15)
     np.testing.assert_allclose(g.weights, [1.0, 1.0], atol=1e-15)
+
+
+# the window and count of each bundled config's grid
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is double here")
+@pytest.mark.parametrize("p_min, p_max, count", [
+    (-2.5, 2.5, 24), (-4.0, 4.0, 48), (-6.0, 6.0, 64), (-6.0, 6.0, 128)])
+def test_gauss_legendre_grid_weights_match_long_double_newton(p_min, p_max, count):
+    g = ghd.build_momentum_grid(p_min, p_max, count, GAUSS_LEGENDRE)
+    half = 0.5 * (p_max - p_min)
+    assert np.array_equal(g.weights, half * gauss_legendre([count])[count][1])
+    # Newton in x on P_n, in long double, from the reference nodes
+    x = ((g.nodes - p_min) / half - 1.0).astype(np.longdouble)
+    for _ in range(3):
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(2, count + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = count * (p_prev - x * p) / (1 - x * x)     # P_n'(x)
+        x = x - p / slope
+    want = half * 2 / ((1 - x * x) * slope ** 2)
+    assert np.max(np.abs(g.weights - want) / want) <= 1e-12
 
 
 def test_trapezoid_two_point():
