@@ -218,7 +218,8 @@ _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # JSON NaN and Infinity pass the schema's "number"; a non-finite time,
 # window or step sends a solve or time-step loop to its cap, or past it,
 # a NaN tolerance fails every comparison, an infinite kernel parameter
-# gives a NaN kernel, and an infinite relativistic mass a zero velocity
+# gives a NaN kernel, an infinite relativistic mass a zero velocity, and
+# an infinite profile gamma a vacuum reservoir
 _FINITE_KEYS = ("times", "x_min", "x_max", "t_end", "dx_list", "cfl",
                 "rectangles", "tolerance", "c", "d")
 
@@ -242,10 +243,15 @@ def validate_config(raw: dict) -> None:
             for key, value in raw.get(section, {}).items() if key in _FINITE_KEYS]
     velocity = raw.get("kernel", {}).get("velocity", {})
     mass = [("$.kernel.velocity.m", velocity["m"])] if "m" in velocity else []
+    # gaussian_bump names its own sigma, gamma and p0
+    scenario = raw["scenario"]
+    amplitude = [("$.scenario.a", scenario["a"])] if "a" in scenario else []
+    profiles = [(f"$.scenario.{side}.{key}", value) for side in ("n_left", "n_right")
+                for key, value in scenario.get(side, {}).items() if key != "kind"]
     sample = raw.get("weakcheck", {}).get("random", {})
     ranges = [(f"$.weakcheck.random.{key}", sample[key])
               for key in ("x_range", "t_range") if key in sample]
-    for where, value in (pair for path, v in keys + mass + ranges
+    for where, value in (pair for path, v in keys + mass + amplitude + profiles + ranges
                          for pair in _numbers(v, path)):
         if not math.isfinite(value):
             raise ConfigError(f"config schema violation at {where}: "

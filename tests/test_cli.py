@@ -379,6 +379,22 @@ _NAN, _INF = float("nan"), float("inf")
                             "gamma": 1.0, "p0": _INF}}, "gaussian_bump p0"),
     ("check", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
                             "gamma": 1.0, "p0": -_INF}}, "gaussian_bump p0"),
+    # an infinite a fails the seed; a NaN a or reservoir amplitude its bound,
+    # and an infinite reservoir gamma or value zeroes or floods a reservoir
+    *(("solve", {"scenario": {"kind": "gaussian_bump", "a": a, "sigma": 0.8,
+                              "gamma": 1.0}}, "$.scenario.a") for a in (_INF, _NAN)),
+    *(("weakcheck", {"scenario": {"kind": "partitioning", "n_left": left,
+                                  "n_right": right}}, where)
+      for left, right, where in (
+          ({"kind": "gaussian", "amplitude": 0.45, "gamma": 1.0},
+           {"kind": "gaussian", "amplitude": 0.12, "gamma": _INF},
+           "$.scenario.n_right.gamma"),
+          ({"kind": "gaussian", "amplitude": _INF, "gamma": 1.0},
+           {"kind": "constant", "value": 0.1}, "$.scenario.n_left.amplitude"),
+          ({"kind": "gaussian", "amplitude": _NAN, "gamma": 1.0},
+           {"kind": "constant", "value": 0.1}, "$.scenario.n_left.amplitude"),
+          ({"kind": "gaussian", "amplitude": 0.45, "gamma": 1.0},
+           {"kind": "constant", "value": _INF}, "$.scenario.n_right.value"))),
     # an infinite coupling or rod length gives a NaN kernel
     ("check", {"kernel": {"model": "lieb_liniger", "c": _INF}}, "$.kernel.c"),
     ("solve", {"kernel": {"model": "hard_rods", "d": _INF}}, "$.kernel.d"),
@@ -391,7 +407,9 @@ _NAN, _INF = float("nan"), float("inf")
         "solve_times_nan", "solve_x_max_inf", "plotdata_times_nan",
         "conserve_x_min_inf", "rectangle_nan", "tolerance_nan", "seed_grid_x_max_inf",
         "scenario_sigma_inf", "scenario_gamma_inf", "scenario_p0_inf",
-        "scenario_p0_minus_inf", "kernel_c_inf", "kernel_d_inf", "kernel_d_nan",
+        "scenario_p0_minus_inf", "scenario_a_inf", "scenario_a_nan",
+        "n_right_gamma_inf", "n_left_amplitude_inf", "n_left_amplitude_nan",
+        "n_right_value_inf", "kernel_c_inf", "kernel_d_inf", "kernel_d_nan",
         "check_velocity_m_inf", "solve_velocity_m_inf", "check_velocity_m_nan",
         "solve_velocity_m_nan"])
 def test_non_finite_space_time_number_exit2(tmp_path, capsys, command, section, where):
