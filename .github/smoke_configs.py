@@ -21,7 +21,10 @@ the output files whose sha256 differ, and of the exit codes that differ,
 goes to $GITHUB_STEP_SUMMARY (stdout when unset); for a differing ``.csv``
 or ``.dat`` file it gives the largest absolute difference over the numeric
 fields and the largest difference scaled by max(1, |base value|), and for
-a differing ``.json`` file the same over its numeric leaves.
+a differing ``.json`` file the same over its numeric leaves.  The numbers
+inside a text field, such as a column label ``n(p=-4.17)``, count as
+fields when the text around them is the same on both sides; any other
+text difference is reported as such.
 Differences are reported, never failed on.  In either mode, a ``ghd`` that
 imports from outside the tree under test fails the run, since an editable
 install can shadow PYTHONPATH.
@@ -34,6 +37,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -127,6 +131,25 @@ def _number(field) -> float:
     return float(field)
 
 
+# a number inside a text field, such as the node in plotdata's n(p=-4.17)
+_INNER_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _number_pairs(new, old) -> list:
+    """(new, old) pairs of the numbers two differing fields hold: the fields
+    themselves when both are numbers, else the numbers inside two texts
+    that are equal around them; ValueError otherwise."""
+    try:
+        return [(_number(new), _number(old))]
+    except ValueError:
+        if not (isinstance(new, str) and isinstance(old, str)):
+            raise
+    new, old = _INNER_NUMBER.split(new), _INNER_NUMBER.split(old)
+    if new[::2] != old[::2]:
+        raise ValueError("text differs")
+    return [(float(a), float(b)) for a, b in zip(new[1::2], old[1::2])]
+
+
 def max_diffs(new: Path, old: Path) -> tuple[str, str]:
     """Largest absolute difference, and largest difference scaled by
     max(1, |old value|), over the numeric fields of two tables or the
@@ -145,17 +168,18 @@ def max_diffs(new: Path, old: Path) -> tuple[str, str]:
     else:
         return "", ""
     worst = scaled = 0.0
-    for a, b in zip(*fields):
-        if a == b:
+    for new_field, old_field in zip(*fields):
+        if new_field == old_field:
             continue
         try:
-            a, b = _number(a), _number(b)
+            pairs = _number_pairs(new_field, old_field)
         except ValueError:
             return "text differs", ""
-        diff = abs(a - b)
-        diff = diff if not math.isnan(diff) else math.inf
-        worst = max(worst, diff)
-        scaled = max(scaled, diff / max(1.0, abs(b)))
+        for a, b in pairs:
+            diff = abs(a - b)
+            diff = diff if not math.isnan(diff) else math.inf
+            worst = max(worst, diff)
+            scaled = max(scaled, diff / max(1.0, abs(b)))
     return f"{worst:.3g}", f"{scaled:.3g}"
 
 
