@@ -29,9 +29,8 @@ zhat, so a uniform guide table of buckets just narrower than that holds at
 most one node per bucket and locates a query's cell with one gather and one
 two-sided compare.  The partitioning tables, two lines through the origin,
 are declared so by their builder; they skip the cell search and invert in
-closed form,
-X0 = zhat / 1dr_side and N0hat = n_side zhat, the side being the sign of
-zhat.
+closed form, X0 = zhat / 1dr_side and N0hat = n_side zhat, the side being
+the sign of zhat.
 
 Within a Hermite cell the inverse starts at the cell's inverse cubic
 Hermite (the cubic through (a0, 0) and (a1, 1) with slopes 1/(h dA) at the
@@ -541,20 +540,19 @@ def build_seed(scenario: Scenario, op: KernelOperator,
     A = np.subtract(A_raw, A_raw[i0], order="C")   # C order: no copy in SeedTables
     B = np.subtract(B_raw, B_raw[i0], order="C")
 
-    mode_used = HERMITE
+    mode = HERMITE
     min_slope_A = float(_cell_min_slope(A[:-1], A[1:], dA[:-1], dA[1:], dx).min())
     min_slope_B = float(_cell_min_slope(B[:-1], B[1:], dB[:-1], dB[1:], dx).min())
     if min_slope_A <= 0 or min_slope_B < -1e-13 * max(dB.max(initial=0.0), 1.0):
         # Under-resolved data: the cubic is not certifiably monotone.
-        mode_used = LINEAR
-        min_slope_A = float((np.diff(A, axis=0) / dx).min())
+        mode = LINEAR
         min_slope_A = float((np.diff(A, axis=0) / dx).min())
     if min_slope_A <= 0:
         raise NumericalError(
             "seed coordinate change is not strictly increasing; "
             "this is unreachable when the admissibility bounds hold")
 
-    return SeedTables(scenario, op, x_nodes, A, dA, B, dB, mode_used, envelope,
+    return SeedTables(scenario, op, x_nodes, A, dA, B, dB, mode, envelope,
                       *admitted, min_slope_A)
 
 

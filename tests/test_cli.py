@@ -379,8 +379,8 @@ _NAN, _INF = float("nan"), float("inf")
                             "gamma": 1.0, "p0": _INF}}, "gaussian_bump p0"),
     ("check", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
                             "gamma": 1.0, "p0": -_INF}}, "gaussian_bump p0"),
-    # an infinite a fails the seed; a NaN a or reservoir amplitude its bound,
-    # and an infinite reservoir gamma or value zeroes or floods a reservoir
+    # these failed naming no config key, or ran: an infinite reservoir gamma
+    # is a vacuum reservoir
     *(("solve", {"scenario": {"kind": "gaussian_bump", "a": a, "sigma": 0.8,
                               "gamma": 1.0}}, "$.scenario.a") for a in (_INF, _NAN)),
     *(("weakcheck", {"scenario": {"kind": "partitioning", "n_left": left,
