@@ -1,9 +1,11 @@
 """JSON run configuration: schema, validation and object construction.
 
 A config names a momentum grid, a kernel (with its bare velocity), a
-scenario, a solver policy, and per-command parameter blocks.  Validation
-errors point at the offending key.  The same schema is shipped in
-docs/config-schema.json.
+scenario, a solver policy, and per-command parameter blocks.  The schema
+is the package file config-schema.json, loaded once at import.  A config
+is checked against it, then every number in it must be finite, then the
+windows and ranges whose ends the schema cannot relate must be ordered.
+Each violation exits 2 naming the JSON path of the offending key.
 """
 
 from __future__ import annotations
@@ -19,182 +21,9 @@ from . import kernel as kernel_mod
 from . import seed as seed_mod
 from .errors import ConfigError
 from .fixed_point import SolverConfig
-from .grid import RULES, build_momentum_grid
+from .grid import build_momentum_grid
 
-_NUM = {"type": "number"}
-_POSNUM = {"type": "number", "exclusiveMinimum": 0}
-_INDEX = {"type": "integer", "minimum": 0}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["grid", "kernel", "scenario"],
-    "additionalProperties": False,
-    "properties": {
-        "grid": {
-            "type": "object",
-            "required": ["p_min", "p_max", "count"],
-            "additionalProperties": False,
-            "properties": {
-                "p_min": _NUM,
-                "p_max": _NUM,
-                "count": {"type": "integer", "minimum": 2},
-                "rule": {"enum": list(RULES)},
-            },
-        },
-        "kernel": {
-            "type": "object",
-            "required": ["model"],
-            "additionalProperties": False,
-            "properties": {
-                "model": {"enum": list(kernel_mod.KERNEL_MODELS)},
-                "c": _POSNUM,
-                "d": _POSNUM,
-                "csv": {"type": "string"},
-                "velocity": {
-                    "type": "object",
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["identity", "relativistic"]},
-                        "m": _POSNUM,
-                    },
-                },
-            },
-        },
-        "scenario": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["gaussian_bump", "partitioning",
-                                  "tabulated_xy", "zero"]},
-                "a": _POSNUM,
-                "sigma": _POSNUM,
-                "gamma": _POSNUM,
-                "p0": _NUM,
-                "n_left": {"$ref": "#/$defs/profile"},
-                "n_right": {"$ref": "#/$defs/profile"},
-                "csv": {"type": "string"},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "fp_tol": _POSNUM,
-                "max_iters": {"type": "integer", "minimum": 1},
-                # accepted with no effect: the neighbour start is always on
-                "warm_start": {"enum": ["from_neighbor"]},
-            },
-        },
-        "seed_grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "x_min": _NUM,
-                "x_max": _NUM,
-                "count": {"type": "integer", "minimum": 5},
-            },
-        },
-        "solve": {
-            "type": "object",
-            "required": ["times", "x_min", "x_max", "x_count"],
-            "additionalProperties": False,
-            "properties": {
-                "times": {"type": "array", "items": _NUM, "minItems": 1},
-                "x_min": _NUM,
-                "x_max": _NUM,
-                "x_count": {"type": "integer", "minimum": 2},
-            },
-        },
-        "conserve": {
-            "type": "object",
-            "required": ["times", "x_min", "x_max"],
-            "additionalProperties": False,
-            "properties": {
-                "times": {"type": "array", "items": _NUM, "minItems": 1},
-                "x_min": _NUM,
-                "x_max": _NUM,
-                "x_count": {"type": "integer", "minimum": 8},
-                "charges": {"type": "array",
-                            "items": {"enum": ["one", "momentum", "energy:v"]}},
-                "entropies": {"type": "array",
-                              "items": {"enum": ["fermi_entropy",
-                                                 "classical_entropy",
-                                                 "boson_entropy"]}},
-            },
-        },
-        "weakcheck": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rectangles": {
-                    "type": "array",
-                    "items": {"type": "array", "items": _NUM,
-                              "minItems": 4, "maxItems": 4},
-                },
-                "p_indices": {"type": "array", "items": _INDEX},
-                "random": {
-                    "type": "object",
-                    "required": ["count", "seed"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "count": {"type": "integer", "minimum": 1},
-                        "seed": {"type": "integer"},
-                        "x_range": {"type": "array", "items": _NUM,
-                                    "minItems": 2, "maxItems": 2},
-                        "t_range": {"type": "array", "items": _NUM,
-                                    "minItems": 2, "maxItems": 2},
-                    },
-                },
-                "edge_points": {"type": "integer", "minimum": 8},
-                "tolerance": _POSNUM,
-            },
-        },
-        "compare": {
-            "type": "object",
-            "required": ["t_end", "dx_list"],
-            "additionalProperties": False,
-            "properties": {
-                "t_end": _POSNUM,
-                # distinct: the convergence order is a fit over log dx
-                "dx_list": {"type": "array", "items": _POSNUM, "minItems": 1,
-                            "uniqueItems": True},
-                # first-order upwind is stable only up to CFL number 1
-                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "x_min": _NUM,
-                "x_max": _NUM,
-            },
-            "dependentRequired": {"x_min": ["x_max"], "x_max": ["x_min"]},
-        },
-        "plotdata": {
-            "type": "object",
-            "required": ["times", "x_min", "x_max", "x_count"],
-            "additionalProperties": False,
-            "properties": {
-                "times": {"type": "array", "items": _NUM, "minItems": 1},
-                "x_min": _NUM,
-                "x_max": _NUM,
-                "x_count": {"type": "integer", "minimum": 2},
-                "p_probes": {"type": "array", "items": _INDEX},
-            },
-        },
-    },
-    "$defs": {
-        "profile": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["gaussian", "constant"]},
-                "amplitude": {"type": "number", "minimum": 0},
-                "gamma": _POSNUM,
-                "value": {"type": "number", "minimum": 0},
-            },
-        },
-    },
-}
+CONFIG_SCHEMA = json.loads((Path(__file__).parent / "config-schema.json").read_text())
 
 
 def load_config(path) -> dict:
@@ -215,20 +44,16 @@ def load_config(path) -> dict:
 _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
-# JSON NaN and Infinity pass the schema's "number"; a non-finite time,
-# window or step sends a solve or time-step loop to its cap, or past it,
-# a NaN tolerance fails every comparison, an infinite kernel parameter
-# gives a NaN kernel, an infinite relativistic mass a zero velocity, and
-# an infinite profile gamma a vacuum reservoir
-_FINITE_KEYS = ("times", "x_min", "x_max", "t_end", "dx_list", "cfl",
-                "rectangles", "tolerance", "c", "d")
-
-
-def _numbers(value, where: str) -> list:
-    """(path, number) pairs of a number or a nested list of numbers."""
-    if not isinstance(value, list):
-        return [(where, value)]
-    return [pair for i, item in enumerate(value) for pair in _numbers(item, f"{where}[{i}]")]
+def _non_finite(value, where: str = "$"):
+    """Yield (json_path, number) for every NaN or infinite number in value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield where, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{where}[{i}]")
 
 
 def validate_config(raw: dict) -> None:
@@ -237,36 +62,29 @@ def validate_config(raw: dict) -> None:
     if exc is not None:
         where = exc.json_path if exc.json_path else "$"
         raise ConfigError(f"config schema violation at {where}: {exc.message}")
-    keys = [(f"$.{section}.{key}", value)
-            for section in ("kernel", "seed_grid", "solve", "conserve", "weakcheck",
-                            "compare", "plotdata")
-            for key, value in raw.get(section, {}).items() if key in _FINITE_KEYS]
-    velocity = raw.get("kernel", {}).get("velocity", {})
-    mass = [("$.kernel.velocity.m", velocity["m"])] if "m" in velocity else []
-    # gaussian_bump names its own sigma, gamma and p0
-    scenario = raw["scenario"]
-    amplitude = [("$.scenario.a", scenario["a"])] if "a" in scenario else []
-    profiles = [(f"$.scenario.{side}.{key}", value) for side in ("n_left", "n_right")
-                for key, value in scenario.get(side, {}).items() if key != "kind"]
-    sample = raw.get("weakcheck", {}).get("random", {})
-    ranges = [(f"$.weakcheck.random.{key}", sample[key])
-              for key in ("x_range", "t_range") if key in sample]
-    for where, value in (pair for path, v in keys + mass + amplitude + profiles + ranges
-                         for pair in _numbers(v, path)):
-        if not math.isfinite(value):
-            raise ConfigError(f"config schema violation at {where}: "
-                              f"{value} is not a finite number")
+    # JSON NaN and Infinity pass the schema's "number", and every number
+    # feeds a bound, a window or a loop: a NaN tolerance fails every
+    # comparison, a NaN gamma gives a NaN contraction rate, an infinite one
+    # a silent vacuum, an infinite time or step a loop run to its cap
+    for where, value in _non_finite(raw):
+        raise ConfigError(f"config schema violation at {where}: "
+                          f"{value} is not a finite number")
     # the sampler fails on hi < lo and on an overflowing hi - lo; lo == hi
     # gives rectangles that cmd_weakcheck rejects as degenerate
-    for where, (lo, hi) in ranges:
+    sample = raw.get("weakcheck", {}).get("random", {})
+    for key in ("x_range", "t_range"):
+        lo, hi = sample.get(key, (0.0, 0.0))
         if not 0.0 <= hi - lo < math.inf:
-            raise ConfigError(f"config schema violation at {where}: [{lo:g}, {hi:g}] "
-                              "is not a range lo <= hi of finite width")
-    for section in ("conserve", "compare"):  # windows that are integrated over
+            raise ConfigError(f"config schema violation at $.weakcheck.random.{key}: "
+                              f"[{lo:g}, {hi:g}] is not a range lo <= hi of finite width")
+    # intervals that are integrated or tabulated over; seed_grid's ends
+    # default one by one, so it is checked only when both are given
+    for section, lo, hi in (("grid", "p_min", "p_max"), ("seed_grid", "x_min", "x_max"),
+                            ("conserve", "x_min", "x_max"), ("compare", "x_min", "x_max")):
         sec = raw.get(section, {})
-        if "x_min" in sec and not sec["x_min"] < sec["x_max"]:
-            raise ConfigError(f"config schema violation at $.{section}.x_max: "
-                              f"{sec['x_max']:g} is not above x_min {sec['x_min']:g}")
+        if lo in sec and hi in sec and not sec[lo] < sec[hi]:
+            raise ConfigError(f"config schema violation at $.{section}.{hi}: "
+                              f"{sec[hi]:g} is not above {lo} {sec[lo]:g}")
 
 
 def build_grid_from(cfg: dict):

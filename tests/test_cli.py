@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ghd
 from ghd import config as config_mod
 from ghd.cli import _Runtime, _write_csv, cmd_check, main
-from ghd.errors import NumericalError
+from ghd.errors import AssumptionError, NumericalError
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -121,9 +122,8 @@ def test_convergence_failure_exit4(tmp_path):
 
 
 def test_invalid_fp_tol_exit2(tmp_path, capsys):
-    # JSON NaN and Infinity pass the schema's exclusiveMinimum; the solver
-    # config rejects them and the CLI maps the rejection to a configuration
-    # error
+    # JSON NaN and Infinity pass the schema's exclusiveMinimum; the config
+    # loader rejects them as non-finite numbers
     path = tmp_path / "cfg.json"
     for bad in (float("nan"), float("inf")):
         path.write_text(json.dumps(_small_ll_config(solver={"fp_tol": bad})))
@@ -132,15 +132,13 @@ def test_invalid_fp_tol_exit2(tmp_path, capsys):
         assert "fp_tol" in capsys.readouterr().err
 
 
-def test_nan_contraction_rate_exit3(tmp_path, capsys):
-    # JSON NaN passes the schema; a NaN rate must fail admissibility like
-    # `ghd check` does, not reach the dressing iteration
-    cfg = _small_ll_config()
-    cfg["scenario"]["gamma"] = float("nan")
-    rc = main(["solve", "--config", _write(tmp_path, "cfg.json", cfg),
-               "--out", str(tmp_path)])
-    assert rc == 3
-    assert "contraction rate" in capsys.readouterr().err
+def test_nan_contraction_rate_exit3():
+    # a config NaN exits 2 at validation; through the API a NaN gamma gives a
+    # NaN rate, which must fail admissibility, not reach the dressing iteration
+    op = ghd.KernelOperator(ghd.lieb_liniger(1.0), ghd.build_momentum_grid(-4.0, 4.0, 24))
+    with pytest.raises(AssumptionError, match="contraction rate"):
+        ghd.build_seed(ghd.gaussian_bump(0.5, 0.8, float("nan")), op,
+                       ghd.SpatialGridSpec(-8.0, 8.0, 300))
 
 
 def test_numerical_failure_exit5(tmp_path, monkeypatch, capsys):
@@ -369,16 +367,25 @@ _NAN, _INF = float("nan"), float("inf")
                                  "tolerance": _NAN}}, "$.weakcheck.tolerance"),
     ("solve", {"seed_grid": {"x_min": -8.0, "x_max": _INF, "count": 300}},
      "$.seed_grid.x_max"),
-    # the scenario builder rejects it: the seed window is +-8 sigma
+    # the seed window is +-8 sigma
     ("solve", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": _INF,
-                            "gamma": 1.0}}, "gaussian_bump sigma"),
-    # an infinite gamma or p0 would zero the seed: a silent vacuum
+                            "gamma": 1.0}}, "$.scenario.sigma"),
+    # an infinite gamma or p0 would zero the seed: a silent vacuum; a NaN one
+    # exited 3 with a NaN contraction rate
     ("check", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
-                            "gamma": _INF}}, "gaussian_bump gamma"),
+                            "gamma": _INF}}, "$.scenario.gamma"),
     ("solve", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
-                            "gamma": 1.0, "p0": _INF}}, "gaussian_bump p0"),
+                            "gamma": 1.0, "p0": _INF}}, "$.scenario.p0"),
     ("check", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
-                            "gamma": 1.0, "p0": -_INF}}, "gaussian_bump p0"),
+                            "gamma": 1.0, "p0": -_INF}}, "$.scenario.p0"),
+    ("solve", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
+                            "gamma": _NAN}}, "$.scenario.gamma"),
+    ("check", {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8,
+                            "gamma": 1.0, "p0": _NAN}}, "$.scenario.p0"),
+    # these exited 2 naming no config key
+    ("check", {"grid": {"p_min": -_INF, "p_max": 4.0, "count": 24}}, "$.grid.p_min"),
+    ("solve", {"grid": {"p_min": -4.0, "p_max": _NAN, "count": 24}}, "$.grid.p_max"),
+    ("solve", {"solver": {"fp_tol": _NAN}}, "$.solver.fp_tol"),
     # these failed naming no config key, or ran: an infinite reservoir gamma
     # is a vacuum reservoir
     *(("solve", {"scenario": {"kind": "gaussian_bump", "a": a, "sigma": 0.8,
@@ -407,7 +414,9 @@ _NAN, _INF = float("nan"), float("inf")
         "solve_times_nan", "solve_x_max_inf", "plotdata_times_nan",
         "conserve_x_min_inf", "rectangle_nan", "tolerance_nan", "seed_grid_x_max_inf",
         "scenario_sigma_inf", "scenario_gamma_inf", "scenario_p0_inf",
-        "scenario_p0_minus_inf", "scenario_a_inf", "scenario_a_nan",
+        "scenario_p0_minus_inf", "scenario_gamma_nan", "scenario_p0_nan",
+        "grid_p_min_minus_inf", "grid_p_max_nan", "solver_fp_tol_nan",
+        "scenario_a_inf", "scenario_a_nan",
         "n_right_gamma_inf", "n_left_amplitude_inf", "n_left_amplitude_nan",
         "n_right_value_inf", "kernel_c_inf", "kernel_d_inf", "kernel_d_nan",
         "check_velocity_m_inf", "solve_velocity_m_inf", "check_velocity_m_nan",
@@ -450,6 +459,22 @@ def test_conserve_empty_window_exit2(tmp_path, capsys, x_min, x_max):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "$.conserve.x_max" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("command, section, where, message", [
+    ("check", {"grid": {"p_min": 4.0, "p_max": -4.0, "count": 24}},
+     "$.grid.p_max", "-4 is not above p_min 4"),
+    ("seed", {"seed_grid": {"x_min": 8.0, "x_max": -8.0, "count": 300}},
+     "$.seed_grid.x_max", "-8 is not above x_min 8"),
+], ids=["grid_p_min>p_max", "seed_grid_x_min>x_max"])
+def test_reversed_interval_exit2(tmp_path, capsys, command, section, where, message):
+    # these exited 2 naming no config key
+    cfg = _small_ll_config(**section)
+    rc = main([command, "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{where}: {message}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*"))
 
 

@@ -104,6 +104,9 @@ def test_refinement_reduces_error():
     dict(p_min=0.0, p_max=0.0, count=4),
     dict(p_min=-1.0, p_max=1.0, count=1),
     dict(p_min=-1.0, p_max=1.0, count=4, rule="simpson"),
+    # a config never gets here, its validation names the key first
+    dict(p_min=-np.inf, p_max=1.0, count=4),
+    dict(p_min=-1.0, p_max=np.nan, count=4),
 ])
 def test_configuration_errors(bad):
     with pytest.raises(ConfigError):

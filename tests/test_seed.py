@@ -8,7 +8,7 @@ import ghd
 import ghd.seed as seed_mod
 from ghd import config as config_mod
 from ghd.dressing import dress_batched
-from ghd.errors import AssumptionError
+from ghd.errors import AssumptionError, ConfigError
 from ghd.kernel import SIGN_MIXED
 from ghd.seed import (HERMITE, INV_TOL, LINEAR, SeedTables, SpatialGridSpec,
                       _cell_min_slope, _hermite, build_seed,
@@ -154,6 +154,18 @@ def test_inadmissible_rate_rejected(ll_op):
     big = ghd.gaussian_bump(3.0, 1.0, 0.05)
     with pytest.raises(AssumptionError, match="contraction rate"):
         build_seed(big, ll_op, SpatialGridSpec(-10, 10, 201))
+
+
+@pytest.mark.parametrize("sigma, gamma, p0, name", [
+    (np.inf, 1.0, 0.0, "sigma"), (0.8, np.inf, 0.0, "gamma"),
+    (0.8, 1.0, np.inf, "p0"), (0.8, 1.0, -np.inf, "p0"),
+])
+def test_gaussian_bump_rejects_infinite_parameters(sigma, gamma, p0, name):
+    # a config never gets here, its validation names the key first; an
+    # infinite sigma gives an infinite seed window, an infinite gamma or p0
+    # a silent vacuum
+    with pytest.raises(ConfigError, match=f"gaussian_bump {name}: -?inf is not a finite"):
+        ghd.gaussian_bump(0.5, sigma, gamma, p0)
 
 
 def test_mixed_sign_tighter_threshold():
