@@ -214,13 +214,12 @@ def cmd_weakcheck(rt: _Runtime, out: Path) -> int:
         p_indices += [rt.grid.count // 2] * (len(rects) - len(p_indices))
     tol = sec.get("tolerance", 1e-4)
     edge_points = sec.get("edge_points", 160)
-    edges = [weak_form_edges(rt.solver, rect, edge_points) for rect in rects]
+    edges = weak_form_edges(rt.solver, rects, edge_points)
     rules = gauss_legendre([c for pieces in edges for _, counts in pieces for c in counts])
     rows = []
     worst = 0.0
     for rect, p_idx, pieces in zip(rects, p_indices, edges):
-        res = weak_form_residual(rt.solver, rect, p_idx, edge_points, edges=pieces,
-                                 rules=rules)
+        res = weak_form_residual(rt.solver, rect, p_idx, pieces, rules)
         worst = max(worst, abs(res["residual"]))
         rows.append((*rect, p_idx, res["momentum"], res["residual"],
                      res["scale"]))

@@ -85,6 +85,11 @@ def validate_config(raw: dict) -> None:
         if lo in sec and hi in sec and not sec[lo] < sec[hi]:
             raise ConfigError(f"config schema violation at $.{section}.{hi}: "
                               f"{sec[hi]:g} is not above {lo} {sec[lo]:g}")
+    # the tables written over x run either way, but not over one point
+    for section in ("solve", "plotdata"):
+        if section in raw and raw[section]["x_min"] == raw[section]["x_max"]:
+            raise ConfigError(f"config schema violation at $.{section}.x_max: "
+                              f"{raw[section]['x_max']:g} equals x_min, an empty window")
 
 
 def build_grid_from(cfg: dict):

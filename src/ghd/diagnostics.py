@@ -11,13 +11,13 @@ one state batch over all times with composite-Simpson spatial integrals; the
 weak-form residual sums the four edge integrals of the conservation
 identity over a space-time rectangle with Gauss-Legendre edge quadrature,
 splitting edges where a contact discontinuity of partitioning data, the
-level set Xhat(t,x,q) - v_q t = 0, crosses them.  Per rectangle that takes
-one scan solve (the ends of both x-edges and a 96-point scan of both
-t-edges), one level-set solve over the brackets of all four edges
-(``Solver.bisect``) and one state batch over the nodes of all four edges.
-``ghd weakcheck`` finds the edge pieces of every rectangle first and then
-builds all the Gauss-Legendre rules they need in one call of
-``grid.gauss_legendre``, the builder of the momentum grid's rule too.
+level set Xhat(t,x,q) - v_q t = 0, crosses them.  That solution is a
+function of x/t alone, so each contact is a ray x = xi t in each half-plane
+(Castro-Alvaredo, Doyon and Yoshimura, PRX 6, 041065 (2016); Bertini et
+al., PRL 117, 207201 (2016)).  ``ghd weakcheck`` finds the 2N slopes once
+(``Solver.bisect`` along t = +-1), reads every rectangle's cuts off them,
+builds the Gauss-Legendre rules of all the edge pieces in one
+``grid.gauss_legendre`` call and makes one state batch per rectangle.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dressing import sign_threshold
-from .errors import SupportWindowError
+from .errors import NumericalError, SupportWindowError
 from .fixed_point import Solver
-from .grid import gauss_legendre
 from .kernel import KernelOperator
 from .seed import Scenario
 
@@ -293,74 +292,72 @@ def _edge_nodes(pts, counts, rules) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def weak_form_edges(solver: Solver, rectangle, edge_points: int = 160) -> list:
-    """The pieces of a rectangle's four edges, as ``_edge_pieces`` gives
-    them, from one ``_edge_crossings`` call: the x-edges at t2 and t1, then
-    the t-edges at x2 and x1."""
-    x1, x2, t1, t2 = (float(v) for v in rectangle)
-    x_lo, x_hi = min(x1, x2), max(x1, x2)
-    cuts = _edge_crossings(solver, [(t2, x_lo, x_hi), (t1, x_lo, x_hi)],
-                           [(x2, t1, t2), (x1, t1, t2)])
-    return [_edge_pieces(a, b, c, edge_points)
-            for (a, b), c in zip(((x1, x2), (x1, x2), (t1, t2), (t1, t2)), cuts)]
+def _contact_slopes(solver: Solver) -> tuple[np.ndarray, np.ndarray]:
+    """The slopes (xi_plus, xi_minus) of every mode's contact, x = xi t, at
+    t > 0 and at t < 0, each within 1e-12 max(1, bracket width)/2.
 
-
-def _edge_crossings(solver: Solver, x_edges=(), t_edges=(),
-                    scan: int = 96) -> list[np.ndarray]:
-    """Where any mode's contact crosses each edge: one scan solve and one
-    level-set solve for all the edges together.
-
-    x_edges are (t, x_lo, x_hi) and t_edges (x, t_a, t_b).  The contact of
-    momentum node q is a zero of psi_q = Xhat(t,x,q) - v_q t.  On an x-edge
-    psi_q is strictly increasing in x, so its two end values bracket the
-    one crossing a column can have; on a t-edge a scan of psi_q over the
-    edge brackets every sign change, rising or falling.  Returns the
-    crossings of each edge, x-edges first, to within 1e-11 (times
-    max(1, |x|) on x-edges).
+    Partitioning data are two lines through the origin, so the fixed point
+    scales, Xhat(lam t, lam x) = lam Xhat(t, x) for lam > 0, and the contact
+    of mode q, the zero of psi_q = Xhat(t, x, q) - v_q t, is a ray in each
+    half-plane.  At t = +-1, psi_q rises in x with slope 1dr in [R, upper]
+    (``tab.bounds``), so from psi0 = psi_q(0) its root lies between 0 and
+    -psi0/R.  psi is known to within fp_tol, so that end is taken at
+    -(psi0 +- 2 fp_tol)/R, widened by a relative 1e-6, where psi must have
+    the other sign; one level-set solve over the 2N rows then finds the
+    roots.  That is two solves, then the level-set steps.
     """
-    count = len(x_edges) + len(t_edges)
-    if solver.tab.scenario.kind != "partitioning":
-        return [np.empty(0) for _ in range(count)]
-    ts = [np.full(2, t) for t, _, _ in x_edges] + [
-        np.linspace(min(a, b), max(a, b), scan) for _, a, b in t_edges]
-    xs = [np.array([lo, hi], dtype=float) for _, lo, hi in x_edges] + [
-        np.full(scan, x) for x, _, _ in t_edges]
-    along_x = np.arange(count) < len(x_edges)
-    # the coordinate that varies along each edge, and the edges' scan rows
-    param = np.concatenate([x if ax else t for ax, t, x in zip(along_x, ts, xs)])
-    first = np.cumsum([0] + [t.size for t in ts])
-    ts, xs = np.concatenate(ts), np.concatenate(xs)
-    tol = np.array([1e-11 * max(1.0, abs(lo), abs(hi)) for _, lo, hi in x_edges]
-                   + [1e-11] * len(t_edges))
-    xhat, _, _, _ = solver.solve_batch(ts, xs)
-    psi = xhat - np.multiply.outer(ts, solver.op.v)
-    zeros, edge, cols, neg, pos = [], [], [], [], []
-    for e in range(count):
-        p = psi[first[e]:first[e + 1]]
-        changed = np.any(np.sign(p[:-1]) != np.sign(p[1:]), axis=0)
-        at_zero, _ = np.nonzero((p[:-1] == 0.0) & changed)
-        zeros.append(param[first[e] + at_zero])
-        i, c = np.nonzero(p[:-1] * p[1:] < 0)
-        rising = p[i, c] < 0
-        edge.append(np.full(c.size, e))
-        cols.append(c)
-        neg.append(first[e] + np.where(rising, i, i + 1))
-        pos.append(first[e] + np.where(rising, i + 1, i))
-    edge, cols, neg, pos = (np.concatenate(v) for v in (edge, cols, neg, pos))
-    on_x, fixed = along_x[edge], np.where(along_x[edge], ts[neg], xs[neg])
+    bounds, fp_tol, N = solver.tab.bounds, solver.config.fp_tol, solver.op.count
+    t = np.repeat([1.0, -1.0], N)
+    cols = np.tile(np.arange(N), 2)
+    v = solver.op.v[cols] * t
+    xhat0, _, _, _ = solver.solve_batch([1.0, -1.0], 0.0)
+    psi0 = xhat0.ravel() - v
+    far = -(psi0 + np.copysign(2.0 * fp_tol, psi0)) / bounds.r_value * (1.0 + 1e-6)
+    xhat, _, _, _ = solver.solve_batch(t, far)
+    psi = xhat[np.arange(2 * N), cols] - v
+    rising, wrong = psi0 < 0, (psi0 < 0) == (psi < 0)
+    if wrong.any():
+        raise NumericalError(
+            f"contact of mode {cols[wrong.argmax()]} not bracketed by the bi-Lipschitz "
+            f"bound 1dr >= R = {bounds.r_value:.6g}: psi has one sign on [0, -psi(0)/R]")
+    roots = solver.bisect(t, np.where(rising, 0.0, far), np.where(rising, far, 0.0),
+                          np.where(rising, psi0, psi), np.where(rising, psi, psi0),
+                          cols, tol=1e-12 * np.maximum(1.0, np.abs(far)), warm=xhat)
+    return roots[:N], -roots[N:]
 
-    def at(a, rows):
-        return (np.where(on_x[rows], fixed[rows], a),
-                np.where(on_x[rows], a, fixed[rows]))
 
-    roots = solver.bisect(at, param[neg], param[pos], psi[neg, cols],
-                          psi[pos, cols], cols, tol=tol[edge], warm=xhat[neg])
-    return [np.concatenate((zeros[e], roots[edge == e])) for e in range(count)]
+def _edge_cuts(slopes, x1: float, x2: float, t1: float, t2: float) -> list:
+    """The contacts x = xi t on a rectangle's x-edges at t2, t1 and t-edges
+    at x2, x1 (``_edge_pieces`` drops those off the edge); 0 alone on an
+    edge through the origin."""
+    if slopes is None:
+        return [()] * 4
+    plus, minus = slopes
+    cuts = [[0.0] if t == 0 else (plus if t > 0 else minus) * t for t in (t2, t1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x in (x2, x1):
+            after, before = x / plus, x / minus
+            cuts.append([0.0] if x == 0 else np.r_[after[after > 0], before[before < 0]])
+    return cuts
+
+
+def weak_form_edges(solver: Solver, rectangles, edge_points: int = 160) -> list:
+    """The pieces of each rectangle's four edges, as ``_edge_pieces`` gives
+    them: the x-edges at t2 and t1, then the t-edges at x2 and x1.  Edges
+    are cut where contacts cross them; only tables that are two lines
+    through the origin have contacts, their slopes found once for all."""
+    slopes = _contact_slopes(solver) if solver.tab._sides is not None else None
+    out = []
+    for rect in rectangles:
+        x1, x2, t1, t2 = (float(v) for v in rect)
+        ends = ((x1, x2), (x1, x2), (t1, t2), (t1, t2))
+        out.append([_edge_pieces(a, b, c, edge_points) for (a, b), c
+                    in zip(ends, _edge_cuts(slopes, x1, x2, t1, t2))])
+    return out
 
 
 def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, float],
-                       p_index: int, edge_points: int = 160, *, edges=None,
-                       rules=None) -> dict:
+                       p_index: int, edges, rules) -> dict:
     """Normalized four-edge integral of the conservation identity.
 
     rectangle = (x1, x2, t1, t2).  Returns the raw edge sum, the
@@ -370,15 +367,11 @@ def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, flo
     are recomputed through the dressing, so the residual genuinely tests
     the conservation identity rather than the height-field bookkeeping.
     The states at all edge nodes come from one batch.  edges are the
-    rectangle's ``weak_form_edges`` and rules a ``gauss_legendre`` build
-    that holds their counts; either is computed here when not given, so a
-    caller with many rectangles can build the rules of all of them at once.
+    rectangle's pieces from ``weak_form_edges`` and rules a
+    ``gauss_legendre`` build that holds their counts, so a caller with many
+    rectangles finds the cuts and builds the rules of all of them at once.
     """
     x1, x2, t1, t2 = (float(v) for v in rectangle)
-    if edges is None:
-        edges = weak_form_edges(solver, rectangle, edge_points)
-    if rules is None:
-        rules = gauss_legendre([c for _, counts in edges for c in counts])
     # edges q_t2, q_t1 (charge n 1dr along x) and j_x2, j_x1 (current n v_dr along t)
     quadrature = [_edge_nodes(pts, counts, rules) for pts, counts in edges]
     (xs_2, _), (xs_1, _), (ts_2, _), (ts_1, _) = quadrature

@@ -13,11 +13,11 @@ route: r < 1 is required of all of them, hard rods included.  The
 measured per-iteration ratios are recorded for reporting only, never used
 to stop.
 
-Contact crossings are level sets of monotone columns of the solution,
-found by the batched bracketed root finder ``Solver.bisect``: Illinois
-false position, one solve over all open brackets per step, with a halving
-safeguard that keeps every row within twice bisection's solve count.  The solved columns are exact only to
-fp_tol, so near a root, where their values are fixed-point noise, the
+Contacts are the level sets Xhat(t,x,q) - v_q t = 0, rising in x, that
+``Solver.bisect`` finds along lines of fixed t: Illinois false position,
+one solve over all open brackets per step, with a halving safeguard that
+keeps every row within twice bisection's solve count.  The columns are
+exact only to fp_tol, so near a root, where their values are noise, the
 safeguard's halving steps are what still shrinks the bracket.
 
 From the solved Xhat the full state at (t,x) follows: occupation
@@ -395,16 +395,15 @@ class Solver:
 
     # -- level sets ------------------------------------------------------------
 
-    def bisect(self, at, lo, hi, f_lo, f_hi, cols, *, tol,
+    def bisect(self, t, lo, hi, f_lo, f_hi, cols, *, tol,
                warm: np.ndarray | None = None) -> np.ndarray:
-        """Zeros a_i, within tol_i/2, of psi_i(a) = Xhat(t, x)[cols_i] -
-        v[cols_i] t, where (t, x) = at(a, rows) for the values a of the rows
-        (indices into the brackets) still open.
+        """Zeros x_i, within tol_i/2, of psi_i(x) = Xhat(t_i, x)[cols_i] -
+        v[cols_i] t_i along the line of fixed t_i of each row.
 
         Brackets are oriented: psi_i < 0 at lo_i and >= 0 at hi_i (lo_i > hi_i
         is allowed).  The caller passes the end values f_lo, f_hi it already
-        holds.  tol is a scalar or one value per row, and warm is the first
-        step's start.
+        holds.  t and tol are scalars or one value per row, and warm is the
+        first step's start.
 
         Each step is one solve over the open rows, warm-started from each
         row's last iterate, at the Illinois false-position point (the value
@@ -419,7 +418,7 @@ class Solver:
         """
         a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
         cols = np.asarray(cols, dtype=int)
-        tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
+        t, tol = (np.broadcast_to(np.asarray(v, dtype=float), a.shape) for v in (t, tol))
         width = np.abs(b - a)
         cap = 2 * np.ceil(np.log2(np.maximum(width / tol, 1.0)))
         moved = np.zeros(a.size)   # end the last step moved: -1 lo, 1 hi
@@ -435,8 +434,8 @@ class Solver:
             # the budget, a NaN end value, or a false-position point not inside
             halve = (needed > cap[rows] - k) | ~((c - ar) * (c - br) < 0)
             c = np.where(halve, mid, c)
-            ts, xs = self._rows(*at(c, rows))
-            sol, _, _, _ = self.solve_batch(ts, xs, None if last is None else last[rows])
+            ts = t[rows]
+            sol, _, _, _ = self.solve_batch(ts, c, None if last is None else last[rows])
             if last is None:
                 last = np.empty((a.size, sol.shape[1]))
             last[rows] = sol

@@ -12,7 +12,9 @@ import pytest
 
 import ghd
 from ghd.diagnostics import (conservation_report, derivative_identity_check,
-                             fermi_entropy, weak_form_residual, weight_values)
+                             fermi_entropy, weak_form_edges, weak_form_residual,
+                             weight_values)
+from ghd.grid import gauss_legendre
 from ghd.reference import (convergence_order, fixed_point_rho,
                            integrate_upwind, l1_gap)
 from ghd.seed import SpatialGridSpec
@@ -148,10 +150,12 @@ def test_criterion_08_weak_solution_partitioning(part_setup):
         x1, x2 = np.sort(rng.uniform(-1.6, 1.6, size=2))
         t1, t2 = np.sort(rng.uniform(0.05, 1.4, size=2))
         rects.append((float(x1), float(x2) + 0.05, float(t1), float(t2) + 0.02))
+    edges = weak_form_edges(solver, rects, edge_points=160)
+    rules = gauss_legendre([c for pieces in edges for _, counts in pieces for c in counts])
     worst = 0.0
-    for rect in rects:
+    for rect, pieces in zip(rects, edges):
         p_index = int(rng.integers(0, solver.op.count))
-        res = weak_form_residual(solver, rect, p_index, edge_points=160)
+        res = weak_form_residual(solver, rect, p_index, pieces, rules)
         worst = max(worst, abs(res["residual"]))
     _report("weak solution across contact", worst <= 1e-4,
             f"worst normalized residual {worst:.3e} over {len(rects)} rectangles")

@@ -450,15 +450,19 @@ def test_weakcheck_random_range_holes_exit2(tmp_path, capsys, key, value, where,
     assert not list((tmp_path / "out").glob("*"))
 
 
-@pytest.mark.parametrize("x_min, x_max", [(9.0, -9.0), (2.0, 2.0)],
-                         ids=["x_min>x_max", "x_min==x_max"])
-def test_conserve_empty_window_exit2(tmp_path, capsys, x_min, x_max):
-    cfg = _small_ll_config(conserve={"times": [0.0, 0.5], "x_min": x_min,
-                                     "x_max": x_max, "x_count": 201})
-    rc = main(["conserve", "--config", _write(tmp_path, "cfg.json", cfg),
+@pytest.mark.parametrize("command, x_min, x_max", [
+    ("conserve", 9.0, -9.0), ("conserve", 2.0, 2.0),
+    # solve and plotdata wrote x_count identical rows; their tables may run
+    # from x_min down to x_max (test_solve_duplicate_times_give_identical_rows)
+    ("solve", 2.0, 2.0), ("plotdata", -0.0, 0.0),
+], ids=["x_min>x_max", "x_min==x_max", "solve-x_min==x_max", "plotdata-x_min==x_max"])
+def test_conserve_empty_window_exit2(tmp_path, capsys, command, x_min, x_max):
+    cfg = _small_ll_config(**{command: {"times": [0.0, 0.5], "x_min": x_min,
+                                        "x_max": x_max, "x_count": 201}})
+    rc = main([command, "--config", _write(tmp_path, "cfg.json", cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "$.conserve.x_max" in capsys.readouterr().err
+    assert f"$.{command}.x_max" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*"))
 
 

@@ -1,15 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import ghd
-from ghd.diagnostics import (ENTROPY_FUNCTIONS, _edge_crossings, boson_entropy,
+from ghd.diagnostics import (ENTROPY_FUNCTIONS, boson_entropy,
                              check_assumptions, classical_entropy,
                              conservation_report, derivative_identity_check,
                              fermi_entropy, simpson,
                              weak_form_edges, weak_form_residual, weight_values,
                              xlogx)
-from ghd.errors import SupportWindowError
+from ghd.errors import NumericalError, SupportWindowError
 from ghd.grid import gauss_legendre
 from ghd.seed import SpatialGridSpec
 
@@ -151,53 +153,72 @@ def test_window_escape_detected(ll_solver):
                             weights={"one": weight_values("one", ll_solver.op)})
 
 
+def _residual(solver, rect, p_index, edge_points):
+    """``weak_form_residual`` of one rectangle with its own edges and rules."""
+    edges, = weak_form_edges(solver, [rect], edge_points)
+    rules = gauss_legendre([c for _, counts in edges for c in counts])
+    return weak_form_residual(solver, rect, p_index, edges, rules)
+
+
 def test_weak_residual_zero_scenario(zero_setup):
     op, _, _, _ = zero_setup
     tab = ghd.build_seed(ghd.zero_scenario(), op)
-    res = weak_form_residual(ghd.Solver(tab), (-1.0, 1.0, 0.0, 0.5), 7,
-                             edge_points=16)
+    res = _residual(ghd.Solver(tab), (-1.0, 1.0, 0.0, 0.5), 7, edge_points=16)
     assert res["residual"] == 0.0
     assert res["raw"] == 0.0
 
 
 def test_weak_residual_free_gas(zero_setup):
     _, _, _, solver = zero_setup
-    res = weak_form_residual(solver, (-0.8, 1.1, 0.1, 0.6), 25,
-                             edge_points=200)
+    res = _residual(solver, (-0.8, 1.1, 0.1, 0.6), 25, edge_points=200)
     assert abs(res["residual"]) <= 1e-8
 
 
 def test_weak_residual_partitioning(part_setup):
     _, _, _, solver = part_setup
     for rect, p_idx in (((-0.7, 0.8, 0.1, 0.9), 30), ((0.2, 1.2, 0.2, 1.1), 18)):
-        res = weak_form_residual(solver, rect, p_idx, edge_points=160)
+        res = _residual(solver, rect, p_idx, edge_points=160)
         assert abs(res["residual"]) <= 1e-4
+
+
+_SIX_RECTANGLES = [(-0.7, 0.8, 0.1, 0.9), (1.2, 0.2, 1.1, 0.2), (-1.5, 0.1, 0.8, 1.0),
+                   (-0.5, 0.6, -0.9, -0.1), (-0.4, 0.9, -0.3, 0.6), (0.0, 0.7, 0.0, 0.4)]
+
+
+def _counting(solver):
+    """A copy of solver whose solve_batch and states_batch calls are listed."""
+    solver, calls = ghd.Solver(solver.tab), []
+    for name in ("solve_batch", "states_batch"):
+        method = getattr(solver, name)
+        setattr(solver, name,
+                lambda *a, _m=method, _n=name, **k: calls.append(_n) or _m(*a, **k))
+    return solver, calls
 
 
 @pytest.mark.parametrize("rect, p_idx", [((-0.7, 0.8, 0.1, 0.9), 30),
                                          ((1.2, 0.2, 1.1, 0.2), 18)])
 def test_weak_residual_batches_per_rectangle(part_setup, rect, p_idx):
-    tab = part_setup[2]
-    solver = ghd.Solver(tab)
-    calls = []
-    for name in ("solve_batch", "states_batch"):
-        method = getattr(solver, name)
-        setattr(solver, name,
-                lambda *a, _m=method, _n=name, **k: calls.append(_n) or _m(*a, **k))
-    res = weak_form_residual(solver, rect, p_idx, edge_points=160)
+    # the contact slopes are found once, whatever the number of rectangles
+    solver, calls = _counting(part_setup[3])
+    edges, = weak_form_edges(solver, [rect])
+    one = len(calls)
+    solver, calls = _counting(part_setup[3])
+    weak_form_edges(solver, _SIX_RECTANGLES)
+    assert rect in _SIX_RECTANGLES and len(calls) == one
+    assert set(calls) == {"solve_batch"}
+    # and each residual is one state batch
+    solver, calls = _counting(part_setup[3])
+    rules = gauss_legendre([c for _, counts in edges for c in counts])
+    res = weak_form_residual(solver, rect, p_idx, edges, rules)
     assert abs(res["residual"]) <= 1e-4
-    # the scan, the level-set steps and the state batch's solves, one per
-    # start level (19 and 17 calls on these rectangles)
     assert calls.count("states_batch") == 1
-    assert calls.count("solve_batch") <= 24
 
 
 def test_weak_residual_antisymmetric_in_time(part_setup):
     _, _, _, solver = part_setup
     rect = (-0.6, 0.7, 0.15, 0.85)
-    fwd = weak_form_residual(solver, rect, 28, edge_points=96)
-    rev = weak_form_residual(solver, (rect[0], rect[1], rect[3], rect[2]), 28,
-                             edge_points=96)
+    fwd = _residual(solver, rect, 28, edge_points=96)
+    rev = _residual(solver, (rect[0], rect[1], rect[3], rect[2]), 28, edge_points=96)
     assert abs(fwd["raw"] + rev["raw"]) <= 1e-12 * max(1.0, fwd["scale"])
 
 
@@ -259,11 +280,11 @@ def test_edge_integrals_match_leggauss_rules(part_setup):
     # numpy's eigenvalue-based rules are the oracle here only
     solver = part_setup[3]
     rect = (-0.7, 0.8, 0.1, 0.9)
-    edges = weak_form_edges(solver, rect)
+    edges, = weak_form_edges(solver, [rect])
     counts = {c for _, piece_counts in edges for c in piece_counts}
     oracle = {c: np.polynomial.legendre.leggauss(c) for c in counts}
-    got = weak_form_residual(solver, rect, 30, edges=edges)
-    want = weak_form_residual(solver, rect, 30, edges=edges, rules=oracle)
+    got = weak_form_residual(solver, rect, 30, edges, gauss_legendre(counts))
+    want = weak_form_residual(solver, rect, 30, edges, oracle)
     assert len(counts) > 1
     for key, value in want["edges"].items():
         assert abs(got["edges"][key] - value) <= 1e-13 * want["scale"], key
@@ -280,12 +301,20 @@ def free_partitioning():
     return ghd.Solver(ghd.build_seed(sc, op))
 
 
+def _cuts(solver, rects):
+    """The interior cut points of each rectangle's four edges, in the order
+    of ``weak_form_edges``, each sorted."""
+    return [[np.sort(pts[1:-1]) for pts, _ in edges]
+            for edges in weak_form_edges(solver, rects)]
+
+
 @pytest.mark.parametrize("t, x_lo, x_hi", [
     (0.6, -1.3, 0.9), (1.7, 0.4, 5.2), (0.25, -3.0, -0.1)])
 def test_x_edge_crossings_free_oracle(free_partitioning, t, x_lo, x_hi):
     v = free_partitioning.op.v
     want = np.sort([c for c in v * t if x_lo < c < x_hi])
-    got = np.sort(_edge_crossings(free_partitioning, x_edges=[(t, x_lo, x_hi)])[0])
+    # the x-edge at t2 = t
+    got = _cuts(free_partitioning, [(x_lo, x_hi, 0.0, t)])[0][0]
     assert want.size >= 3 and got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, abs(x_lo), abs(x_hi))
 
@@ -298,26 +327,80 @@ def test_t_edge_crossings_free_oracle(free_partitioning, x, t1, t2):
     v = free_partitioning.op.v
     lo, hi = min(t1, t2), max(t1, t2)
     want = np.sort([x / p for p in v if p != 0 and lo < x / p < hi])
-    got = np.sort(_edge_crossings(free_partitioning, t_edges=[(x, t1, t2)])[0])
+    # the t-edge at x2 = x
+    got = _cuts(free_partitioning, [(0.0, x, t1, t2)])[0][2]
     assert want.size >= 3 and got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-11
 
 
 def test_edge_crossings_of_all_edges_in_one_batch(free_partitioning):
-    # the three x-edges and three t-edges above, solved together
+    # the three x-edges and three t-edges above, from one call
     x_edges = [(0.6, -1.3, 0.9), (1.7, 0.4, 5.2), (0.25, -3.0, -0.1)]
     t_edges = [(0.7, 0.2, 1.5), (-0.5, 0.1, 1.3), (0.9, 1.6, 0.3)]
     v = free_partitioning.op.v
-    got = _edge_crossings(free_partitioning, x_edges, t_edges)
+    got = _cuts(free_partitioning, [(x_lo, x_hi, 0.0, t) for t, x_lo, x_hi in x_edges]
+                + [(0.0, x, t1, t2) for x, t1, t2 in t_edges])
     for (t, x_lo, x_hi), cuts in zip(x_edges, got[:3]):
         want = np.sort([c for c in v * t if x_lo < c < x_hi])
-        assert cuts.shape == want.shape
-        assert np.max(np.abs(np.sort(cuts) - want)) <= 1e-11 * max(1.0, abs(x_lo), abs(x_hi))
+        assert cuts[0].shape == want.shape
+        assert np.max(np.abs(cuts[0] - want)) <= 1e-11 * max(1.0, abs(x_lo), abs(x_hi))
     for (x, t1, t2), cuts in zip(t_edges, got[3:]):
         lo, hi = min(t1, t2), max(t1, t2)
         want = np.sort([x / p for p in v if p != 0 and lo < x / p < hi])
-        assert cuts.shape == want.shape
-        assert np.max(np.abs(np.sort(cuts) - want)) <= 1e-11
+        assert cuts[2].shape == want.shape
+        assert np.max(np.abs(cuts[2] - want)) <= 1e-11
+
+
+def test_edge_crossings_interacting_partitioning(part_setup):
+    """Cuts on the Lieb-Liniger partitioning solution, checked against psi_q =
+    Xhat(t, x, q) - v_q t solved at the cuts and along a dense scan of each
+    edge: edges at t < 0, across t = 0, and through the origin."""
+    _, _, tab, solver = part_setup
+    fp_tol, upper, R = solver.config.fp_tol, tab.bounds.upper, tab.bounds.r_value
+    rects = [(-0.9, 0.7, -0.8, -0.15), (0.0, 0.9, -0.4, 0.5),
+             (-0.6, 0.8, 0.0, 0.6), (0.3, -0.7, 0.45, -0.35)]
+    got = _cuts(solver, rects)
+    v = solver.op.v
+
+    def psi(ts, xs):
+        xhat, _, _, _ = solver.solve_batch(ts, xs)
+        return xhat - np.multiply.outer(np.broadcast_to(ts, np.shape(xs)), v)
+
+    scan = np.linspace(0.0, 1.0, 801)
+    for (x1, x2, t1, t2), cuts in zip(rects, got):
+        edges = [(t2, x1, x2, True), (t1, x1, x2, True),
+                 (x2, t1, t2, False), (x1, t1, t2, False)]
+        for (fixed, a, b, along_x), edge_cuts in zip(edges, cuts):
+            along = a + (b - a) * scan
+            ts, xs = ((np.full(scan.size, fixed), along) if along_x
+                      else (along, np.full(scan.size, fixed)))
+            p = psi(ts, xs)
+            changes = (p[:-1] * p[1:] < 0).sum(axis=0)
+            if fixed == 0 and min(a, b) < 0 < max(a, b):
+                # every contact passes through the origin: one cut, at 0
+                assert np.all(changes == 1)
+                assert edge_cuts.tolist() == [0.0]
+                continue
+            assert edge_cuts.size == changes.sum() > 0
+            # a slope is within tol/2 of a sign change of psi at t = +-1, tol
+            # 1e-12 max(1, bracket) with the bracket at most about
+            # (upper |xi| + 3 fp_tol)/R wide; psi rises at most upper per
+            # unit x, scales with |t|, and each solve of it carries fp_tol
+            t_cut = np.full(edge_cuts.size, fixed) if along_x else edge_cuts
+            x_cut = edge_cuts if along_x else np.full(edge_cuts.size, fixed)
+            xi = np.abs(x_cut / t_cut)
+            tol = 1e-12 * np.maximum(1.0, (upper * xi + 3 * fp_tol) / R * (1 + 1e-6))
+            bound = np.abs(t_cut) * (fp_tol + 0.5 * upper * tol) + fp_tol
+            assert np.all(np.min(np.abs(psi(t_cut, x_cut)), axis=1) <= bound)
+
+
+def test_contact_slope_outside_bi_lipschitz_bracket_raises(part_setup):
+    # an R far above the true min of 1dr puts the far end short of the root
+    tab = part_setup[2]
+    solver = ghd.Solver(dataclasses.replace(
+        tab, bounds=dataclasses.replace(tab.bounds, r_value=50.0)))
+    with pytest.raises(NumericalError, match="bi-Lipschitz bound 1dr >= R = 50"):
+        weak_form_edges(solver, [(-0.7, 0.8, 0.1, 0.9)])
 
 
 def test_derivative_identities_smooth(ll_op, ll_bump):

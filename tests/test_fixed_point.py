@@ -182,14 +182,14 @@ def test_bisect_without_brackets_solves_nothing(ll_tables, monkeypatch):
     calls = []
     monkeypatch.setattr(solver, "solve_batch",
                         lambda *a, **k: calls.append(a) or None)
-    out = solver.bisect(lambda a, rows: (0.5, a), [], [], [], [], [], tol=1e-11)
+    out = solver.bisect(0.5, [], [], [], [], [], tol=1e-11)
     assert out.shape == (0,) and not calls
 
 
 class _Columns:
     """Stand-in for a Solver whose level-set column at bracket row r is
-    funcs[r](a): bisect's ``at`` passes the row index as t, and v = 0, so
-    psi is the column itself.  Records every solve."""
+    funcs[r](a): the row index is passed to bisect as t, and v = 0, so psi
+    is the column itself.  Records every solve."""
 
     _rows = staticmethod(Solver._rows)
 
@@ -248,7 +248,7 @@ def test_bisect_keeps_brackets_within_cap(seed, count, noisy, nan_ends):
         f_hi[rng.random(count) < 0.5] = np.nan
     cols = rng.integers(0, 5, count)
     stub = _Columns(funcs, cols)
-    out = Solver.bisect(stub, lambda a, rows: (rows.astype(float), a), lo, hi,
+    out = Solver.bisect(stub, np.arange(count, dtype=float), lo, hi,
                         f_lo, f_hi, cols, tol=tol)
     cap = 2 * np.ceil(np.log2(np.abs(hi - lo) / tol))
     # rebuild each bracket from the evaluations alone
