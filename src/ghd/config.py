@@ -2,10 +2,15 @@
 
 A config names a momentum grid, a kernel (with its bare velocity), a
 scenario, a solver policy, and per-command parameter blocks.  The schema
-is the package file config-schema.json, loaded once at import.  A config
-is checked against it, then every number in it must be finite, then the
-windows and ranges whose ends the schema cannot relate must be ordered.
-Each violation exits 2 naming the JSON path of the offending key.
+is the package file config-schema.json, loaded once at import and walked
+by _walk, which enforces the draft 2020-12 keywords the file uses and no
+others; a schema with any other keyword is refused at import.  Of the
+violations a config has, the shallowest is reported (see validate_config
+for the full rule), and every integer-valued float at an integer-typed
+key (``101.0``) is stored as an int.  Then every number in
+the config must be finite, and the windows and ranges whose ends the
+schema cannot relate must be ordered.  Each violation exits 2 naming the
+JSON path of the offending key.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import json
 import math
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import kernel as kernel_mod
@@ -39,9 +43,121 @@ def load_config(path) -> dict:
     return raw
 
 
-# built once: jsonschema.validate re-checks the schema against the
-# metaschema and builds a new validator on every call
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+# type checks of draft 2020-12: a bool is neither a number nor an integer,
+# and a float with no fractional part is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+# the keywords _walk enforces, and the two it reads only as structure
+_KEYWORDS = {"type", "required", "properties", "additionalProperties", "enum",
+             "items", "minItems", "maxItems", "minimum", "exclusiveMinimum",
+             "maximum", "uniqueItems", "$ref", "dependentRequired", "$defs", "$schema"}
+
+
+def _supported(schema: dict, root: dict | None = None, where: str = "#") -> None:
+    """Raise ValueError at the first rule in schema that _walk would not enforce."""
+    root = schema if root is None else root
+    if not isinstance(schema, dict):
+        raise ValueError(f"config schema at {where} is not an object")
+    for key, rule in schema.items():
+        if key not in _KEYWORDS:
+            raise ValueError(f"config schema keyword {key!r} at {where} is not supported")
+        if key == "type" and not (isinstance(rule, str) and rule in _TYPES):
+            raise ValueError(f"config schema type {rule!r} at {where} is not supported")
+        if key == "additionalProperties" and rule is not False:
+            raise ValueError(f"config schema additionalProperties at {where} must be false")
+        if key == "$ref" and not (rule.startswith("#/$defs/")
+                                  and rule.removeprefix("#/$defs/") in root.get("$defs", {})):
+            raise ValueError(f"config schema $ref {rule!r} at {where} is not in $defs")
+        # alone, a $ref leaves every error at one path to one schema node
+        # (see validate_config)
+        if key == "$ref" and len(schema) > 1:
+            raise ValueError(f"config schema $ref at {where} has sibling keywords")
+        if key in ("properties", "$defs"):
+            for name, sub in rule.items():
+                _supported(sub, root, f"{where}/{key}/{name}")
+        elif key == "items":
+            _supported(rule, root, f"{where}/items")
+
+
+_supported(CONFIG_SCHEMA)
+
+
+def _canon(value):
+    """Hashable form under which JSON values are equal as in draft 2020-12:
+    True differs from 1, and 1 equals 1.0."""
+    if isinstance(value, dict):
+        return "object", frozenset((k, _canon(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return "array", tuple(map(_canon, value))
+    return isinstance(value, bool), value
+
+
+def _walk(schema: dict, value, path: tuple, errors: list):
+    """Check value at path against schema; return it, an int where an
+    integer-typed value came as a float.
+
+    Each violation is appended to errors as (path, message), keyword by
+    keyword in schema order.
+    """
+    def fail(message):
+        errors.append((path, message))
+
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _TYPES["number"](value)
+    for key, rule in schema.items():
+        if key == "type":
+            if not _TYPES[rule](value):
+                fail(f"{value!r} is not of type {rule!r}")
+        elif key == "$ref":
+            value = _walk(CONFIG_SCHEMA["$defs"][rule.removeprefix("#/$defs/")],
+                          value, path, errors)
+        elif key == "enum":
+            if _canon(value) not in map(_canon, rule):
+                fail(f"{value!r} is not one of {rule!r}")
+        elif key == "minimum" and is_number and value < rule:
+            fail(f"{value!r} is less than the minimum of {rule!r}")
+        elif key == "exclusiveMinimum" and is_number and value <= rule:
+            fail(f"{value!r} is less than or equal to the minimum of {rule!r}")
+        elif key == "maximum" and is_number and value > rule:
+            fail(f"{value!r} is greater than the maximum of {rule!r}")
+        elif is_object and key == "properties":
+            for name, sub in rule.items():
+                if name in value:
+                    value[name] = _walk(sub, value[name], path + (name,), errors)
+        elif is_object and key == "additionalProperties":
+            extras = sorted(set(value) - set(schema.get("properties", ())))
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                fail(f"Additional properties are not allowed "
+                     f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif is_object and key == "required":
+            for name in rule:
+                if name not in value:
+                    fail(f"{name!r} is a required property")
+        elif is_object and key == "dependentRequired":
+            for name, needs in rule.items():
+                for need in needs if name in value else ():
+                    if need not in value:
+                        fail(f"{need!r} is a dependency of {name!r}")
+        elif is_array and key == "items":
+            for i, item in enumerate(value):
+                value[i] = _walk(rule, item, path + (i,), errors)
+        elif is_array and key == "minItems" and len(value) < rule:
+            fail(f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}")
+        elif is_array and key == "maxItems" and len(value) > rule:
+            fail(f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}")
+        elif is_array and key == "uniqueItems" and rule:
+            if len(set(map(_canon, value))) < len(value):
+                fail(f"{value!r} has non-unique elements")
+    if schema.get("type") == "integer" and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def _non_finite(value, where: str = "$"):
@@ -57,11 +173,19 @@ def _non_finite(value, where: str = "$"):
 
 
 def validate_config(raw: dict) -> None:
-    # best_match picks the error jsonschema.validate would report
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if exc is not None:
-        where = exc.json_path if exc.json_path else "$"
-        raise ConfigError(f"config schema violation at {where}: {exc.message}")
+    """Raise ConfigError at the first rule raw breaks; store every
+    integer-valued float at an integer-typed key of raw as an int."""
+    errors = []
+    _walk(CONFIG_SCHEMA, raw, (), errors)
+    if errors:
+        # the best match, as the reference Python validator of draft
+        # 2020-12 picks it: the shallowest path; of those the last in path
+        # order; then the first found.  (Its next preference, for a value
+        # failing its schema's type, cannot split errors at one path,
+        # which all come from one schema node.)
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise ConfigError(f"config schema violation at {where}: {message}")
     # JSON NaN and Infinity pass the schema's "number", and every number
     # feeds a bound, a window or a loop: a NaN tolerance fails every
     # comparison, a NaN gamma gives a NaN contraction rate, an infinite one

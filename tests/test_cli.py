@@ -516,6 +516,65 @@ def test_import_loads_no_scipy():
     assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
+
+def test_import_loads_no_jsonschema():
+    # the config schema is walked by ghd.config itself; jsonschema and the
+    # packages it pulls in are for the tests only
+    # (the prefixes cover jsonschema_specifications and attrs as well)
+    code = ("import sys, ghd.cli; print(sorted(m for m in sys.modules if m.startswith("
+            "('jsonschema', 'referencing', 'rpds', 'attr'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")), check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def _partitioning_random_config(**random):
+    cfg = json.loads((CONFIGS / "partitioning_lieb_liniger.json").read_text())
+    cfg["grid"]["count"] = 40
+    cfg["weakcheck"]["random"].update(count=2, **random)
+    cfg["weakcheck"]["edge_points"] = 96
+    return cfg
+
+
+# draft 2020-12 counts 101.0 as an integer: each such value runs exactly as
+# its integer twin, with the same exit code and the same output bytes
+_INTEGER_KEYS = {
+    "solve.x_count": ("solve", _small_zero_config),
+    "solver.max_iters": ("solve", lambda: _small_zero_config(solver={"max_iters": 500})),
+    "conserve.x_count": ("conserve", lambda: _small_ll_config(conserve={
+        "times": [0.0, 0.3], "x_min": -6.0, "x_max": 6.0, "x_count": 64})),
+    "plotdata.x_count": ("plotdata", lambda: _small_ll_config(plotdata={
+        "times": [0.3], "x_min": -3.0, "x_max": 3.0, "x_count": 21})),
+    "weakcheck.random.count": ("weakcheck", _partitioning_random_config),
+    "weakcheck.random.seed": ("weakcheck", _partitioning_random_config),
+}
+
+
+@pytest.mark.parametrize("key", list(_INTEGER_KEYS))
+def test_integer_valued_float_runs_as_integer(tmp_path, key):
+    command, make = _INTEGER_KEYS[key]
+    *head, last = key.split(".")
+    outs = []
+    for as_float in (False, True):
+        cfg = make()
+        section = cfg
+        for name in head:
+            section = section[name]
+        assert type(section[last]) is int
+        if as_float:
+            section[last] = float(section[last])
+        run = tmp_path / ("float" if as_float else "int")
+        run.mkdir()
+        rc = main([command, "--config", _write(run, "cfg.json", cfg),
+                   "--out", str(run / "out")])
+        outs.append((rc, run / "out"))
+    (rc_int, out_int), (rc_float, out_float) = outs
+    assert rc_float == rc_int == 0
+    names = sorted(f.name for f in out_int.iterdir())
+    assert names == sorted(f.name for f in out_float.iterdir()) and names
+    assert filecmp.cmpfiles(out_int, out_float, names, shallow=False)[0] == names
+
+
 def test_tabulated_kernel_and_scenario_from_csv(tmp_path):
     (tmp_path / "kernel.csv").write_text(
         "pq,-3.0,0.0,3.0\n-3.0,0.05,0.02,0.01\n0.0,0.02,0.08,0.02\n3.0,0.01,0.02,0.05\n")
