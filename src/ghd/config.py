@@ -296,9 +296,20 @@ def build_seed_spec_from(cfg: dict) -> seed_mod.SpatialGridSpec | None:
         return None
     scenario = build_scenario_from(cfg)
     default = seed_mod.default_spatial_spec(scenario)
-    return seed_mod.SpatialGridSpec(s.get("x_min", default.x_min),
+    spec = seed_mod.SpatialGridSpec(s.get("x_min", default.x_min),
                                     s.get("x_max", default.x_max),
                                     s.get("count", default.count))
+    # beyond its window the tables are extended linearly, which is exact
+    # only where n0 has decayed; the partitioning tables take no window
+    lo, hi = scenario.x_support_hint
+    if scenario.kind != "partitioning":
+        for key, value, cuts in (("x_min", spec.x_min, spec.x_min > lo),
+                                 ("x_max", spec.x_max, spec.x_max < hi)):
+            if cuts:
+                raise ConfigError(f"config schema violation at $.seed_grid.{key}: "
+                                  f"{value:g} cuts the scenario's support "
+                                  f"[{lo:g}, {hi:g}]")
+    return spec
 
 
 def random_rectangles(spec: dict, scenario: seed_mod.Scenario) -> list[tuple]:

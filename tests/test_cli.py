@@ -482,6 +482,23 @@ def test_reversed_interval_exit2(tmp_path, capsys, command, section, where, mess
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("x_min, x_max, where, value", [
+    (-1.0, 1.0, "x_min", "-1"), (-3.0, 3.0, "x_min", "-3"), (-9.6, 3.0, "x_max", "3"),
+], ids=["+-1", "+-3", "x_max_only"])
+def test_seed_window_cutting_support_exit2(tmp_path, capsys, x_min, x_max, where, value):
+    # sigma = 1, support [-8, 8]: these windows ran, their tables extended
+    # linearly from edges where n0 has not decayed, and n at t = 1 was off
+    # by up to 1.3e-2 with every check passing
+    cfg = json.loads((CONFIGS / "lieb_liniger_gaussian.json").read_text())
+    cfg["seed_grid"].update(x_min=x_min, x_max=x_max)
+    rc = main(["solve", "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"$.seed_grid.{where}: {value} cuts the scenario's support [-8, 8]"
+            in capsys.readouterr().err)
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_plotdata_outputs(tmp_path):
     cfg = _small_ll_config(plotdata={"times": [0.0, 0.3], "x_min": -3.0,
                                      "x_max": 3.0, "x_count": 41})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -274,3 +276,103 @@ def test_dress_batched_in_caller_buffers_bitwise(ll_op):
         # the result is a view into the iterate or the spare, never fresh
         assert np.shares_memory(g, buffers[0]) or np.shares_memory(g, buffers[1])
         assert not np.shares_memory(g, buffers[2])
+
+
+def _mixed_rows(op, counts, seed):
+    """Occupation rows scaled by 1, 1e-2 and 1e-6, ``counts`` of each, so
+    that their own increments meet the stop at different sweeps."""
+    rng = np.random.default_rng(seed)
+    base = 0.6 * np.exp(-op.grid.nodes ** 2)
+    scales = np.repeat([1.0, 1e-2, 1e-6], counts)
+    rng.shuffle(scales)
+    return scales[:, None] * rng.uniform(0.3, 1.0, (scales.size, 1)) * base
+
+
+def _row_stops(op, n, fs, z, scale):
+    """Per row, the sweep at which its own increment meets delta * z <=
+    scale, and its Picard iterates from f up to the last row's stop, from
+    a plain single-row loop."""
+    start = np.array(fs, dtype=float)
+    iterates = [[start] for _ in n]
+    stops = [None] * len(n)
+    while None in stops or len(iterates[0]) <= max(stops):
+        for i, row in enumerate(n):
+            y = start + (row * iterates[i][-1]) @ op.TW.T
+            if stops[i] is None and np.max(np.abs(y - iterates[i][-1])) * z <= scale:
+                stops[i] = len(iterates[i])
+            iterates[i].append(y)
+    return np.array(stops), iterates
+
+
+@pytest.mark.parametrize("counts", [(20, 20, 80), (5, 5, 20)], ids=["120_rows", "30_rows"])
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared_fs", "per_row_fs"])
+def test_rows_freeze_at_their_own_stop(ll_op, per_row, counts):
+    n = _mixed_rows(ll_op, counts, seed=31)
+    m, N = n.shape
+    tol = 1e-8     # a stop far above round-off, so one sweep more shows
+    fs = (np.ones(N), ll_op.v)
+    z = ll_op.operator_norm(envelope=n.max(axis=0))
+    scale = tol * max(1.0, float(np.max(np.abs(fs))))
+    stops, iterates = _row_stops(ll_op, n, fs, z, scale)
+    assert len(set(stops.tolist())) >= 3
+    # the rows freeze once at most half of them are open, each at its own
+    # stop or, if that came earlier, at the first such sweep; a batch of
+    # fewer than 64 rows is swept whole to its last row's stop
+    first = next(k for k in range(1, stops.max() + 1) if 2 * np.sum(stops > k) <= m)
+    if m < 64:
+        first = stops.max()
+    expect = np.stack([iterates[i][max(stops[i], first)] for i in range(m)], axis=1)
+
+    args = tuple(np.broadcast_to(f, (m, N)) for f in fs) if per_row else fs
+    start = np.broadcast_to(np.stack(fs)[:, None, :], (len(fs), m, N)).copy()
+    plain = dress_batched(ll_op, n, *args, tol=tol)
+    buffered = dress_batched(ll_op, n, *args, tol=tol,
+                             buffers=(start, np.empty_like(start), np.empty_like(start)))
+    shared = dress_batched(ll_op, n, *fs, tol=tol)
+    for a, b, c, e, f in zip(plain, buffered, shared, expect, fs):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+        # each row is the iterate of its own stop, not of a later sweep
+        assert np.max(np.abs(a - e)) <= 1e-3 * scale
+        # the certificate: tol * max(1, |F|)/(1 - z), |F| over every f
+        for i in range(m):
+            assert np.max(np.abs(a[i] - _dense_dressing(ll_op, n[i], f))) <= scale / (1.0 - z)
+
+
+def test_frozen_results_are_views_into_caller_buffers(ll_op):
+    n = _mixed_rows(ll_op, (20, 20, 60), seed=32)
+    fs = (np.ones(ll_op.count), ll_op.v)
+    start = np.broadcast_to(np.stack(fs)[:, None, :], (2,) + n.shape).copy()
+    for extra_sweep in (False, True):
+        # the iterate sits in x or in x_new when the rows freeze; the
+        # oracle's buffer rotation finds its result by that
+        buffers = (start.copy(), np.empty_like(start), np.empty_like(start))
+        if extra_sweep:
+            buffers[0][...] = dress_batched(ll_op, n, *fs, tol=1e-3)
+        got = dress_batched(ll_op, n, *fs, buffers=buffers)
+        expect = dress_batched(ll_op, n, *fs)
+        for g, e in zip(got, expect):
+            assert np.max(np.abs(g - e)) <= 1e-12
+            assert np.shares_memory(g, buffers[0]) or np.shares_memory(g, buffers[1])
+            assert not np.shares_memory(g, buffers[2])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        wide = np.empty((2, n.shape[0], 2 * n.shape[1]))
+        dress_batched(ll_op, n, *fs, buffers=(start, wide[:, :, ::2], np.empty_like(start)))
+
+
+def test_row_freeze_allocates_nothing_field_sized():
+    op = ghd.KernelOperator(ghd.lieb_liniger(1.0), ghd.build_momentum_grid(-4.0, 4.0, 64))
+    rng = np.random.default_rng(33)
+    n = 0.6 * rng.uniform(0.3, 1.0, (4096, 1)) * np.exp(-op.grid.nodes ** 2)
+    n[1::2] *= 1e-6       # half the rows freeze after a few sweeps
+    start = np.broadcast_to(op.v, (1,) + n.shape).copy()
+    buffers = (start, np.empty_like(start), np.empty_like(start))
+    tracemalloc.start()
+    try:
+        v_dr, = dress_batched(op, n, op.v, buffers=buffers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # below one buffer's bytes, and below a compacted copy of the open
+    # half (half a buffer) with room to spare
+    assert peak < start.nbytes / 4, (peak, start.nbytes)
+    np.testing.assert_allclose(v_dr, dress_batched(op, n, op.v)[0], rtol=0, atol=1e-12)
