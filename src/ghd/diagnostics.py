@@ -1,17 +1,19 @@
 """Admissibility checks before solving; conservation and weak-form checks after.
 
-The assumption report realizes the admissibility conditions on the seed
-data: nonnegativity, the operator-norm bound (threshold 1 for fixed-sign
-kernels, 1/2 otherwise) and finiteness of sup |v n0|.  A failing check is
-a verdict, not an exception.
+The assumption report judges sampled seed data by ``seed.admission``, the
+clauses every run is admitted by: nonnegativity, the declared bound,
+finiteness of sup |v n0| and the operator-norm bound (threshold 1 for
+fixed-sign kernels, 1/2 otherwise).  A failing check is a verdict, not an
+exception.
 
 Conserved charges Q[h](t) = integral dx dp rho_p h(p) and generalized
 entropies S[g](t) = (1/2pi) integral dx dp g(n,p) 1dr are computed from
-one state batch over all times with composite-Simpson spatial integrals; the
-weak-form residual sums the four edge integrals of the conservation
-identity over a space-time rectangle with Gauss-Legendre edge quadrature,
-splitting edges where a contact discontinuity of partitioning data, the
-level set Xhat(t,x,q) - v_q t = 0, crosses them.  That solution is a
+one state batch over all times with Simpson spatial integrals (the last
+entry of ``seed.cumulative_simpson``); the weak-form residual sums the
+four edge integrals of the conservation identity over a space-time
+rectangle with Gauss-Legendre edge quadrature, splitting edges where a
+contact discontinuity of partitioning data, the level set
+Xhat(t,x,q) - v_q t = 0, crosses them.  That solution is a
 function of x/t alone, so each contact is a ray x = xi t in each half-plane
 (Castro-Alvaredo, Doyon and Yoshimura, PRX 6, 041065 (2016); Bertini et
 al., PRL 117, 207201 (2016)).  ``ghd weakcheck`` finds the 2N slopes once
@@ -30,7 +32,7 @@ from .dressing import sign_threshold
 from .errors import NumericalError, SupportWindowError
 from .fixed_point import Solver
 from .kernel import KernelOperator
-from .seed import Scenario
+from .seed import Scenario, admission, cumulative_simpson
 
 TWO_PI = 2.0 * np.pi
 
@@ -100,30 +102,19 @@ def truncation_tail(op: KernelOperator, scenario: Scenario) -> float:
 
 
 def check_assumptions(scenario: Scenario, op: KernelOperator) -> AssumptionReport:
-    """Evaluate the admissibility conditions on sampled seed data."""
+    """Evaluate the admissibility conditions (``seed.admission``) on sampled
+    seed data."""
     x_samples = _default_x_samples(scenario)
     n_vals = np.asarray(
         scenario.n0(x_samples[:, None], op.grid.nodes[None, :]), dtype=float)
-    envelope = n_vals.max(axis=0)
-    tn_norm = op.operator_norm(envelope=np.maximum(envelope, 0.0))
-    threshold = sign_threshold(op.sign_class)
-    n0_min = float(n_vals.min())
-    vn_sup = float(np.max(np.abs(op.v) * envelope))
-    tail = truncation_tail(op, scenario)
-
-    failed = None
-    if n0_min < 0:
-        failed = "nonnegativity of the seed occupation"
-    elif not np.isfinite(vn_sup):
-        failed = "finiteness of sup |v(p) n0(x,p)|"
-    elif not tn_norm < threshold:  # a NaN norm fails too
-        failed = (f"operator-norm bound ||T sup_x n0||_op < {threshold:g} "
-                  f"for a {op.sign_class} kernel")
+    failed, envelope, tn_norm, n0_min, vn_sup = admission(
+        n_vals, op, scenario.declared_sup_n)
     return AssumptionReport(
-        sign_class=op.sign_class, tn_norm=float(tn_norm),
-        threshold_used=float(threshold), vn_sup=vn_sup, n0_min=n0_min,
-        sup_sampled=float(n_vals.max()), declared_sup=float(scenario.declared_sup_n),
-        tail_estimate=tail, verdict=failed is None, failed_clause=failed)
+        sign_class=op.sign_class, tn_norm=tn_norm,
+        threshold_used=sign_threshold(op.sign_class), vn_sup=vn_sup, n0_min=n0_min,
+        sup_sampled=float(envelope.max()), declared_sup=float(scenario.declared_sup_n),
+        tail_estimate=truncation_tail(op, scenario), verdict=failed is None,
+        failed_clause=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -187,35 +178,6 @@ class ConservationSeries:
         return float(max(abs(v - v0) for v in self.values) / max(abs(v0), 1e-12))
 
 
-def simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson integral of samples y at increasing nodes x, bit for
-    bit as SciPy's ``integrate.simpson(y, x=x)`` on 1-D arrays.
-
-    Each pair of intervals takes Simpson's rule for unequal widths.  With an
-    even node count the last interval is left over and takes Cartwright's
-    correction from the last three nodes.  Needs at least 3 nodes: the
-    conserve schema's x_count >= 8 rules out SciPy's 2-node branch.
-    """
-    y = np.asarray(y, dtype=float)
-    h = np.diff(np.asarray(x, dtype=float))
-    stop = y.size - 2 if y.size % 2 else y.size - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
-    if y.size % 2 == 0:
-        # 0-d arrays, as SciPy has them: np.power on arrays may take a SIMD
-        # path whose b ** 3 differs from libm's pow in the last bit
-        a, b = h[-2:-1].reshape(()), h[-1:].reshape(())
-        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
-        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
-        eta = 1 * b ** 3 / (6 * a * (a + b))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return float(result)
-
-
 def _check_window(xs: np.ndarray, mass_profile: np.ndarray, t: float,
                   solver: Solver) -> None:
     peak = float(np.max(np.abs(mass_profile)))
@@ -237,6 +199,7 @@ def conservation_report(solver: Solver, times, x_window: tuple[float, float],
     weights = weights or {}
     entropies = entropies or {}
     xs = np.linspace(x_window[0], x_window[1], x_count)
+    dx = (x_window[1] - x_window[0]) / (x_count - 1)
     ts = np.asarray(times, dtype=float)
     w = solver.op.grid.weights
     acc: dict[str, list] = {f"Q[{k}]": [] for k in weights}
@@ -248,11 +211,13 @@ def conservation_report(solver: Solver, times, x_window: tuple[float, float],
         _check_window(xs, rho_p @ w, float(t), solver)
         for key, h in weights.items():
             density = (rho_p * h[None, :]) @ w
-            acc[f"Q[{key}]"].append(simpson(density, xs))
+            acc[f"Q[{key}]"].append(
+                float(cumulative_simpson(density, dx=dx, axis=0, initial=0.0)[-1]))
         for key, g in entropies.items():
             density = ((g(states.n, solver.op.grid.nodes[None, :]) * states.one_dr) @ w
                        / TWO_PI)
-            acc[f"S[{key}]"].append(simpson(density, xs))
+            acc[f"S[{key}]"].append(
+                float(cumulative_simpson(density, dx=dx, axis=0, initial=0.0)[-1]))
     return {name: ConservationSeries(name, tuple(float(t) for t in times),
                                      tuple(vals))
             for name, vals in acc.items()}

@@ -15,7 +15,7 @@ into those buffers.  A dense solve of (1 - Tn) f^dr = f is kept only as
 the test-side oracle.
 
 The stricter sign threshold on ||Tn|| (< 1, or < 1/2 for mixed-sign
-kernels) is enforced where a seed is admitted, in ``ghd.seed``.
+kernels) is enforced where a seed is admitted, in ``seed.admission``.
 """
 
 from __future__ import annotations

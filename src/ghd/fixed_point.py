@@ -48,8 +48,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dressing import dress_batched, sign_threshold
-from .errors import AssumptionError, ConfigError, ConvergenceError
+from .dressing import dress_batched
+from .errors import ConfigError, ConvergenceError
 from .kernel import KernelOperator
 from .seed import SeedTables
 
@@ -176,11 +176,12 @@ def _blend(terms, out=None, work=None) -> np.ndarray:
     """The sum of weight * values[rows] over the (values, rows, weight)
     terms, written to out; work holds one gathered term at a time."""
     (values, rows, weight), *rest = terms
-    out = np.take(values, rows, axis=0, out=out)
+    # mode "clip": with out=, take's default mode copies through a temporary
+    out = np.take(values, rows, axis=0, out=out, mode="clip")
     out *= weight
     work = np.empty_like(out) if work is None else work
     for values, rows, weight in rest:
-        np.take(values, rows, axis=0, out=work)
+        np.take(values, rows, axis=0, out=work, mode="clip")
         work *= weight
         out += work
     return out
@@ -193,12 +194,7 @@ class Solver:
         self.tab = tab
         self.op = tab.op
         self.config = config or SolverConfig()
-        self.rate = tab.rate
-        threshold = sign_threshold(self.op.sign_class)
-        if not self.rate < threshold:
-            raise AssumptionError(
-                f"contraction rate {self.rate:.6g} >= {threshold:g}; "
-                "fixed-point iteration is not certified for this kernel")
+        self.rate = tab.rate   # build_seed admitted it: below the sign threshold
         # a-posteriori factor: ||X_k - X*|| <= delta_k * r/(1-r)
         self._post_factor = self.rate / (1.0 - self.rate)
 

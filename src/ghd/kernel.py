@@ -130,6 +130,22 @@ def _bilinear(xs, ys, table, x, y):
             + (1 - tx) * ty * table[i, j + 1] + tx * ty * table[i + 1, j + 1])
 
 
+def _read_table_csv(path, what: str):
+    """(row nodes, column nodes, values) of a CSV table: a header row of column
+    nodes, then data rows (row node, values...); the corner cell is a label.
+    Any other cell that is not a finite number is a ConfigError naming it."""
+    raw = np.genfromtxt(path, delimiter=",", dtype=float)
+    if raw.ndim != 2 or raw.shape[0] < 3 or raw.shape[1] < 3:
+        raise ConfigError(f"{what} CSV {path} must be at least 2x2 plus axes")
+    bad = ~np.isfinite(raw)
+    bad[0, 0] = False
+    if bad.any():
+        row, col = np.argwhere(bad)[0] + 1
+        raise ConfigError(f"{what} CSV {path}: the cell at row {row}, column {col} "
+                          "is not a finite number")
+    return raw[1:, 0], raw[0, 1:], raw[1:, 1:]
+
+
 def eval_kernel(kernel: ScatteringKernel, p, q):
     """Pointwise kernel value T(p,q); symmetric in (p,q) for built-ins."""
     p = np.asarray(p, dtype=float)
@@ -195,12 +211,5 @@ class KernelOperator:
 
 def load_tabulated_kernel_csv(path, velocity: Velocity | None = None) -> ScatteringKernel:
     """Kernel table from CSV: header row of q nodes, data rows (p, values...)."""
-    raw = np.genfromtxt(path, delimiter=",", dtype=float)
-    if raw.ndim != 2 or raw.shape[0] < 3 or raw.shape[1] < 3:
-        raise ConfigError(f"tabulated kernel CSV {path} must be at least 2x2 plus axes")
-    q_nodes = raw[0, 1:]
-    p_nodes = raw[1:, 0]
-    values = raw[1:, 1:]
-    if np.any(np.isnan(q_nodes)) or np.any(np.isnan(p_nodes)) or np.any(np.isnan(values)):
-        raise ConfigError(f"tabulated kernel CSV {path} contains non-numeric cells")
+    p_nodes, q_nodes, values = _read_table_csv(path, "tabulated kernel")
     return tabulated_kernel(p_nodes, q_nodes, values, velocity)

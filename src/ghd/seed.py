@@ -55,7 +55,7 @@ import numpy as np
 
 from .dressing import DressingBounds, dress_batched, sign_threshold
 from .errors import AssumptionError, ConfigError, NumericalError
-from .kernel import KernelOperator
+from .kernel import KernelOperator, _bilinear, _read_table_csv
 
 HERMITE = "hermite"
 LINEAR = "linear"
@@ -161,7 +161,6 @@ def tabulated_xy(x_rows: np.ndarray, p_cols: np.ndarray,
         raise ConfigError("tabulated scenario dimensions do not match its axes")
     if np.any(values < 0):
         raise ConfigError("tabulated scenario must be nonnegative")
-    from .kernel import _bilinear
 
     def n0(x, p):
         x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
@@ -173,10 +172,7 @@ def tabulated_xy(x_rows: np.ndarray, p_cols: np.ndarray,
 
 def load_tabulated_xy_csv(path) -> Scenario:
     """Scenario table from CSV: header row of p nodes, data rows (x, values...)."""
-    raw = np.genfromtxt(path, delimiter=",", dtype=float)
-    if raw.ndim != 2 or raw.shape[0] < 3 or raw.shape[1] < 3:
-        raise ConfigError(f"tabulated scenario CSV {path} must be at least 2x2 plus axes")
-    return tabulated_xy(raw[1:, 0], raw[0, 1:], raw[1:, 1:])
+    return tabulated_xy(*_read_table_csv(path, "tabulated scenario"))
 
 
 def zero_scenario() -> Scenario:
@@ -495,17 +491,39 @@ def cumulative_simpson(y: np.ndarray, *, dx: float, axis: int,
     return np.moveaxis(np.concatenate((np.full((1,) + y.shape[1:], initial), res)), 0, axis)
 
 
-def _admit(op: KernelOperator, envelope: np.ndarray) -> tuple:
-    """(rate, sup_n0, vn_sup, bounds) of a seed whose per-p sup over x is
-    ``envelope``, once its contraction rate passes the sign threshold."""
-    rate = op.operator_norm(envelope=envelope)
+def admission(samples: np.ndarray, op: KernelOperator,
+              declared_sup_n: float) -> tuple:
+    """Judge seed samples n0 (rows, N) by the admissibility clauses, in order:
+    nonnegativity, the declared bound, finiteness of sup |v n0| and the
+    operator-norm threshold (sign_threshold).  Returns (the first failed
+    clause or None, envelope, rate, n0_min, vn_sup), the envelope being the
+    per-p sup over the rows and the rate ||T sup_x n0||_op."""
+    envelope = samples.max(axis=0)
+    n0_min = float(samples.min())
+    vn_sup = float(np.max(np.abs(op.v) * envelope))
+    rate = op.operator_norm(envelope=np.maximum(envelope, 0.0))
     threshold = sign_threshold(op.sign_class)
-    if not rate < threshold:
-        raise AssumptionError(
-            f"contraction rate ||T sup_x n0||_op = {rate:.6g} >= {threshold:g} "
-            f"({op.sign_class} kernel); seed admissibility fails")
-    return (rate, float(envelope.max(initial=0.0)),
-            float(np.max(np.abs(op.v) * envelope)),
+    clause = None
+    if n0_min < 0:
+        clause = "nonnegativity of the seed occupation"
+    elif envelope.max(initial=0.0) > declared_sup_n * (1 + 1e-12) + 1e-300:
+        clause = f"declared bound n0 <= declared_sup_n = {declared_sup_n:g}"
+    elif not np.isfinite(vn_sup):
+        clause = "finiteness of sup |v(p) n0(x,p)|"
+    elif not rate < threshold:  # a NaN rate fails too
+        clause = (f"operator-norm bound ||T sup_x n0||_op < {threshold:g} "
+                  f"for a {op.sign_class} kernel")
+    return clause, envelope, rate, n0_min, vn_sup
+
+
+def _admit(samples: np.ndarray, op: KernelOperator, declared_sup_n: float) -> tuple:
+    """(envelope, rate, sup_n0, vn_sup, bounds) of admissible seed samples;
+    an AssumptionError naming the first failed clause otherwise."""
+    clause, envelope, rate, _, vn_sup = admission(samples, op, declared_sup_n)
+    if clause is not None:
+        raise AssumptionError(f"seed admissibility fails: {clause} "
+                              f"(contraction rate ||T sup_x n0||_op = {rate:.6g})")
+    return (envelope, rate, float(envelope.max(initial=0.0)), vn_sup,
             DressingBounds.for_norm(rate, op.sign_class))
 
 
@@ -524,13 +542,7 @@ def build_seed(scenario: Scenario, op: KernelOperator,
     x_nodes = _anchored_nodes(spec)
     dx = x_nodes[1] - x_nodes[0]
     Ns = np.asarray(scenario.n0(x_nodes[:, None], op.grid.nodes[None, :]), dtype=float)
-    if np.any(Ns < 0):
-        raise AssumptionError("seed occupation is negative at a sampled point")
-    if Ns.max(initial=0.0) > scenario.declared_sup_n * (1 + 1e-12) + 1e-300:
-        raise AssumptionError("seed occupation exceeds its declared bound")
-
-    envelope = Ns.max(axis=0)
-    admitted = _admit(op, envelope)
+    admitted = _admit(Ns, op, scenario.declared_sup_n)
     one_rows, = dress_batched(op, Ns, np.ones(op.count))
     dA = one_rows
     dB = Ns * one_rows
@@ -552,20 +564,16 @@ def build_seed(scenario: Scenario, op: KernelOperator,
             "seed coordinate change is not strictly increasing; "
             "this is unreachable when the admissibility bounds hold")
 
-    return SeedTables(scenario, op, x_nodes, A, dA, B, dB, mode, envelope,
-                      *admitted, min_slope_A)
+    return SeedTables(scenario, op, x_nodes, A, dA, B, dB, mode, *admitted, min_slope_A)
 
 
 def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
     """Exact three-node tables: one slope per side of the jump at x = 0."""
     n_left = np.asarray(scenario.params["n_left"](op.grid.nodes), dtype=float)
     n_right = np.asarray(scenario.params["n_right"](op.grid.nodes), dtype=float)
-    if np.any(n_left < 0) or np.any(n_right < 0):
-        raise AssumptionError("seed occupation must be nonnegative")
-    envelope = np.maximum(n_left, n_right)
-    admitted = _admit(op, envelope)
-    one_left, one_right = dress_batched(op, np.vstack([n_left, n_right]),
-                                        np.ones(op.count))[0]
+    sides = np.vstack([n_left, n_right])
+    admitted = _admit(sides, op, scenario.declared_sup_n)
+    one_left, one_right = dress_batched(op, sides, np.ones(op.count))[0]
 
     lo, hi = scenario.x_support_hint
     margin = SUPPORT_MARGIN * (hi - lo)
@@ -576,6 +584,6 @@ def _build_partitioning(scenario: Scenario, op: KernelOperator) -> SeedTables:
                    x_nodes[2] * n_right * one_right])
     dB = np.vstack([n_left * one_left, n_right * one_right, n_right * one_right])
 
-    return SeedTables(scenario, op, x_nodes, A, dA, B, dB, LINEAR, envelope,
-                      *admitted, float(np.minimum(one_left, one_right).min()),
+    return SeedTables(scenario, op, x_nodes, A, dA, B, dB, LINEAR, *admitted,
+                      float(np.minimum(one_left, one_right).min()),
                       (dA[:2], dB[:2] / dA[:2]))

@@ -592,11 +592,13 @@ def test_integer_valued_float_runs_as_integer(tmp_path, key):
     assert filecmp.cmpfiles(out_int, out_float, names, shallow=False)[0] == names
 
 
+_KERNEL_CSV = "pq,-3.0,0.0,3.0\n-3.0,0.05,0.02,0.01\n0.0,0.02,0.08,0.02\n3.0,0.01,0.02,0.05\n"
+_SCENARIO_CSV = "xp,-3.0,0.0,3.0\n-2.0,0.0,0.05,0.0\n0.0,0.05,0.3,0.05\n2.0,0.0,0.05,0.0\n"
+
+
 def test_tabulated_kernel_and_scenario_from_csv(tmp_path):
-    (tmp_path / "kernel.csv").write_text(
-        "pq,-3.0,0.0,3.0\n-3.0,0.05,0.02,0.01\n0.0,0.02,0.08,0.02\n3.0,0.01,0.02,0.05\n")
-    (tmp_path / "scenario.csv").write_text(
-        "xp,-3.0,0.0,3.0\n-2.0,0.0,0.05,0.0\n0.0,0.05,0.3,0.05\n2.0,0.0,0.05,0.0\n")
+    (tmp_path / "kernel.csv").write_text(_KERNEL_CSV)
+    (tmp_path / "scenario.csv").write_text(_SCENARIO_CSV)
     cfg = {
         "grid": {"p_min": -3.0, "p_max": 3.0, "count": 16},
         "kernel": {"model": "tabulated", "csv": "kernel.csv"},
@@ -609,6 +611,48 @@ def test_tabulated_kernel_and_scenario_from_csv(tmp_path):
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
     header, data = _read_csv(tmp_path / "solve.csv")
     assert data.shape[0] == 15 * 16
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("scenario.csv", "abc"), ("scenario.csv", "inf"),
+    ("kernel.csv", "inf"), ("kernel.csv", "-inf"),
+])
+def test_non_finite_table_cell_exit2(tmp_path, capsys, name, bad):
+    # the cell at row 3, column 2 of either table; genfromtxt reads "abc" as NaN
+    tables = {"kernel.csv": _KERNEL_CSV, "scenario.csv": _SCENARIO_CSV}
+    lines = tables[name].splitlines()
+    cells = lines[2].split(",")
+    cells[1] = bad
+    lines[2] = ",".join(cells)
+    tables[name] = "\n".join(lines) + "\n"
+    for file, text in tables.items():
+        (tmp_path / file).write_text(text)
+    cfg = {
+        "grid": {"p_min": -3.0, "p_max": 3.0, "count": 16},
+        "kernel": {"model": "tabulated", "csv": "kernel.csv"},
+        "scenario": {"kind": "tabulated_xy", "csv": "scenario.csv"},
+        "seed_grid": {"x_min": -3.0, "x_max": 3.0, "count": 120},
+        "solve": {"times": [0.2], "x_min": -2.0, "x_max": 2.0, "x_count": 15},
+    }
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    for command in ("check", "solve"):
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / name}: the cell at row 3, column 2 is not a finite number" in err
+    assert not out.exists()
+
+
+def test_check_and_seed_name_the_same_clause(tmp_path, capsys):
+    cfg = _small_ll_config()
+    cfg["scenario"] = {"kind": "gaussian_bump", "a": 3.0, "sigma": 1.0,
+                       "gamma": 0.05}
+    path = _write(tmp_path, "bad.json", cfg)
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 3
+    clause = json.loads((tmp_path / "assumptions.json").read_text())["failed_clause"]
+    assert f"failed clause: {clause}" in capsys.readouterr().out
+    assert main(["seed", "--config", path, "--out", str(tmp_path)]) == 3
+    assert clause in capsys.readouterr().err
 
 
 def test_missing_command_section_exit2(tmp_path):

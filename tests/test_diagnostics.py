@@ -8,10 +8,9 @@ import ghd
 from ghd.diagnostics import (ENTROPY_FUNCTIONS, boson_entropy,
                              check_assumptions, classical_entropy,
                              conservation_report, derivative_identity_check,
-                             fermi_entropy, simpson,
-                             weak_form_edges, weak_form_residual, weight_values,
-                             xlogx)
-from ghd.errors import NumericalError, SupportWindowError
+                             fermi_entropy, weak_form_edges, weak_form_residual,
+                             weight_values, xlogx)
+from ghd.errors import AssumptionError, NumericalError, SupportWindowError
 from ghd.grid import gauss_legendre
 from ghd.seed import SpatialGridSpec
 
@@ -68,6 +67,46 @@ def test_report_round_trips_to_dict(ll_op):
     assert set(payload) >= {"sign_class", "tn_norm", "threshold_used", "vn_sup"}
 
 
+def _constant(value, declared):
+    return ghd.Scenario(lambda x, p: np.broadcast_arrays(
+        np.asarray(x, float) * 0 + value, p)[0], declared, (-1, 1), "custom")
+
+
+def _mixed_op():
+    # the interpolated rows integrate to sum_q w|T| ~ 0.3: a rate of ~0.6 at n = 2
+    table = ghd.tabulated_kernel([-1, 1], [-1, 1], [[0.3, -0.3], [-0.3, 0.3]])
+    return ghd.KernelOperator(table, ghd.build_momentum_grid(-1, 1, 8))
+
+
+@pytest.mark.parametrize("case, clause", [
+    ("negative", "nonnegativity"),
+    ("above_declared", "declared bound"),
+    ("nan", "finiteness"),
+    ("rate_fixed_sign", "operator-norm bound ||T sup_x n0||_op < 1 "),
+    ("rate_mixed_sign", "operator-norm bound ||T sup_x n0||_op < 0.5 "),
+    ("partitioning", "nonnegativity"),
+])
+def test_check_and_build_seed_fail_the_same_clause(ll_op, case, clause):
+    op = ll_op
+    scenario = {
+        "negative": lambda: _constant(-0.1, 0.1),
+        "above_declared": lambda: _constant(0.5, 0.1),
+        "nan": lambda: ghd.gaussian_bump(0.5, 0.8, float("nan")),
+        "rate_fixed_sign": lambda: ghd.gaussian_bump(3.0, 1.0, 0.05),
+        "rate_mixed_sign": lambda: _constant(2.0, 2.0),
+        "partitioning": lambda: ghd.partitioning(
+            lambda p: np.full_like(p, -0.1), ghd.constant_profile(0.2), 0.2),
+    }[case]()
+    if case == "rate_mixed_sign":
+        op = _mixed_op()
+    report = check_assumptions(scenario, op)
+    assert not report.verdict and report.failed_clause.startswith(clause)
+    with pytest.raises(AssumptionError) as raised:
+        ghd.build_seed(scenario, op, SpatialGridSpec(-10, 10, 201))
+    assert report.failed_clause in str(raised.value)
+    assert f"contraction rate ||T sup_x n0||_op = {report.tn_norm:.6g}" in str(raised.value)
+
+
 def test_conserved_charge_zero_scenario(zero_setup):
     op, _, _, _ = zero_setup
     tab = ghd.build_seed(ghd.zero_scenario(), op)
@@ -113,16 +152,6 @@ def test_entropy_functions_edge_values():
     n = np.array([0.3])
     expect = -0.3 * np.log(0.3) - 0.7 * np.log(0.7)
     assert abs(fermi_entropy(n)[0] - expect) <= 1e-15
-
-
-@pytest.mark.parametrize("count", [3, 4, 400, 401])
-def test_simpson_matches_scipy(count):
-    integrate = pytest.importorskip("scipy.integrate")
-    rng = np.random.default_rng(count)
-    # conserve's linspace nodes, and unequal widths
-    for x in (np.linspace(-7.3, 9.1, count), np.sort(rng.uniform(-3.0, 3.0, count))):
-        y = rng.normal(size=count)
-        assert simpson(y, x) == float(integrate.simpson(y, x=x))
 
 
 def test_xlogx_matches_scipy_xlogy():

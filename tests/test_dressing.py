@@ -151,7 +151,7 @@ def test_assumption_violation_named(ll_op):
     # a negative occupation is refused where a seed is admitted
     negative = ghd.Scenario(lambda x, p: np.broadcast_arrays(
         np.asarray(x, float) * 0 - 1.0, p)[0], 1.0, (-1, 1), "custom")
-    with pytest.raises(AssumptionError, match="negative"):
+    with pytest.raises(AssumptionError, match="nonnegativity of the seed occupation"):
         ghd.build_seed(negative, ll_op, ghd.SpatialGridSpec(-2, 2, 41))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -724,3 +725,22 @@ def test_mixed_batch_of_lines_and_singletons(ll_solver):
     # the lines start warm
     _, cold, _, _ = ll_solver.solve_batch(ts[~lone], xs[~lone])
     assert states.iters[~lone].sum() <= 0.7 * cold.sum()
+
+
+def test_blend_allocates_nothing_field_sized():
+    from ghd.fixed_point import _blend
+    rng = np.random.default_rng(75)
+    values = rng.normal(size=(1000, 128))
+    rows = rng.integers(0, 1000, 1000)
+    out, work = np.empty_like(values), np.empty_like(values)
+    terms = [(values, rows, 0.25), (values, rows[::-1], 0.75)]
+    tracemalloc.start()
+    try:
+        blended = _blend(terms, out=out, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blended is out
+    # take's default mode "raise" gathers through a temporary the size of out
+    assert peak < out.nbytes / 4, (peak, out.nbytes)
+    assert np.array_equal(out, 0.25 * values[rows] + 0.75 * values[rows[::-1]])

@@ -180,7 +180,7 @@ def test_mixed_sign_tighter_threshold():
 
     # the interpolated rows integrate to sum_q w|T| ~ 0.3, so the rate is ~0.3 n:
     # below 1, yet not below the mixed-sign 1/2
-    with pytest.raises(AssumptionError, match=r">= 0.5 \(mixed kernel\)"):
+    with pytest.raises(AssumptionError, match=r"\|\|_op < 0\.5 for a mixed kernel"):
         build_seed(constant(2.0), op, SpatialGridSpec(-2, 2, 41))
     assert build_seed(constant(1.2), op, SpatialGridSpec(-2, 2, 41)).rate < 0.5
 
