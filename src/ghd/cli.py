@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -52,8 +53,21 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as strict JSON: a non-finite float becomes null."""
+    path.write_text(json.dumps(_finite(payload), allow_nan=False, indent=2,
+                               sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: str, blocks, keys=None, sep: str = ",") -> None:

@@ -14,14 +14,22 @@ parameter, which keeps A(x,p) = x + (T N0hat(A))(p) exact at machine
 precision on the discrete grid (and with it, exact recovery of the initial
 condition at t = 0).
 
-Interpolation is cubic Hermite with the exact node derivatives
-dA = 1dr_0 and dB = n0*1dr_0 (falling back to piecewise linear if the
-Hermite slope is not certifiably positive, which cannot happen for
-resolved smooth data).  Outside the table the columns are extended
-linearly with the boundary-node slopes, which is exact for scenarios that
-are constant or decayed beyond the window.  Partitioning scenarios bypass
-quadrature entirely: their tables are exactly piecewise linear with one
-slope per side of the jump.
+Every cell [xl, xl + h] of a column holds one cubic in s = (x - xl) / h,
+
+    y(s) = y0 + c1 s + c2 s^2 + c3 s^3,   s in [0, 1],
+
+evaluated by Horner.  On Hermite tables it matches the exact node
+derivatives dA = 1dr_0 and dB = n0*1dr_0: c1 = h d0, c2 = 3 dy - 2 h d0 -
+h d1 and c3 = h d0 + h d1 - 2 dy, with dy = y1 - y0.  The tables fall back
+to LINEAR chords, the same cubic with (c1, c2, c3) = (dy, 0, 0), when the
+exact minimum cell slope of A is not positive or that of B is below
+round-off; this cannot happen for resolved smooth data.  That minimum is
+the lower of the end slopes c1 and c1 + 2 c2 + 3 c3, or the vertex
+c1 - c2^2 / (3 c3) of the slope quadratic when it lies inside the cell.
+Outside the table the columns are extended linearly with the boundary-node
+slopes, which is exact for scenarios that are constant or decayed beyond
+the window.  Partitioning scenarios bypass quadrature entirely: their
+tables are exactly piecewise linear with one slope per side of the jump.
 
 Inversion costs O(1) per query.  The bi-Lipschitz bound dA/dx >= R > 0
 makes every cell of column j at least min_i (A[i+1, j] - A[i, j]) wide in
@@ -32,17 +40,18 @@ are declared so by their builder; they skip the cell search and invert in
 closed form, X0 = zhat / 1dr_side and N0hat = n_side zhat, the side being
 the sign of zhat.
 
-Within a Hermite cell the inverse starts at the cell's inverse cubic
-Hermite (the cubic through (a0, 0) and (a1, 1) with slopes 1/(h dA) at the
-ends), which is accurate to O(h^4) on smooth tables, and takes one clipped
-Newton step.  Each in-table entry's residual |A(x) - zhat| is then tested
-against a rounding floor of 16 ulps of max(|a0|, |a1|); the entries above
-it (cells far from a straight line) are finished by bisection on the
-certified-monotone cell, and a residual above INV_TOL after bisection is a
-NumericalError.  Every entry's result depends only on its own query and
-cell, so a large query is inverted in blocks of whole rows of at most
-_INVERT_BLOCK entries: that bounds the cell path's working set and moves
-no bit.
+Within a cell the inverse starts at the inverse cubic Hermite, the cubic
+s(u) in u = (zhat - a0) / (a1 - a0) with end slopes (a1 - a0) / y'(0) and
+(a1 - a0) / y'(1), which is accurate to O(h^4) on smooth tables and is
+s = u on a chord, and takes one clipped Newton step.  Each in-table entry's
+residual |A(x) - zhat| is then tested against a rounding floor of 16 ulps
+of max(|a0|, |a1|); the entries above it (cells far from a straight line)
+are finished by bisection on the certified-monotone cell, and a residual
+above INV_TOL after bisection is a NumericalError.  The cell coefficients
+are formed per call from the gathered node values; no coefficient table is
+stored.  Every entry's result depends only on its own query and cell, so a
+large query is inverted in blocks of whole rows of at most _INVERT_BLOCK
+entries: that bounds the cell path's working set and moves no bit.
 """
 
 from __future__ import annotations
@@ -219,33 +228,38 @@ def _anchored_nodes(spec: SpatialGridSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cubic Hermite machinery (vectorized over table columns)
+# the cell cubic y0 + c1 s + c2 s^2 + c3 s^3 on s in [0, 1] (vectorized)
 
-def _hermite(y0, y1, d0, d1, h, s):
-    s2 = s * s
-    s3 = s2 * s
-    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * d0
-            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * d1)
-
-
-def _hermite_slope(y0, y1, d0, d1, h, s):
-    """d/dx of the cell cubic at parameter s."""
-    s2 = s * s
-    return ((6 * s2 - 6 * s) * (y0 - y1) / h + (3 * s2 - 4 * s + 1) * d0
-            + (3 * s2 - 2 * s) * d1)
+def _cell_cubic(mode, y0, y1, d0, d1, h):
+    """Coefficients (c1, c2, c3) of each cell's cubic in s = (x - xl) / h:
+    the Hermite cubic with node slopes d0, d1 (per unit x) or the LINEAR
+    chord (y1 - y0, 0, 0)."""
+    dy = y1 - y0
+    if mode == LINEAR:
+        zero = np.zeros_like(dy)
+        return dy, zero, zero
+    c1, t1 = h * d0, h * d1
+    return c1, 3.0 * dy - 2.0 * c1 - t1, c1 + t1 - 2.0 * dy
 
 
-def _cell_min_slope(y0, y1, d0, d1, h):
-    """Exact minimum of the Hermite slope over each cell."""
-    delta = (y1 - y0) / h
-    a = 3.0 * (d0 + d1) - 6.0 * delta
-    b = 6.0 * delta - 4.0 * d0 - 2.0 * d1
-    ends = np.minimum(d0, d1)
+def _horner(y0, c, s):
+    return y0 + s * (c[0] + s * (c[1] + s * c[2]))
+
+
+def _slope(c, s):
+    """d/ds of the cell cubic at s."""
+    return c[0] + s * (2.0 * c[1] + 3.0 * s * c[2])
+
+
+def _min_slope(mode, y, d, h):
+    """Exact minimum of d/dx over the cells of table y with node slopes d:
+    each cell's lower end slope, or its vertex c1 - c2^2 / (3 c3) = c1 + c2 s*
+    when s* = -c2 / (3 c3) lies inside."""
+    c = _cell_cubic(mode, y[:-1], y[1:], d[:-1], d[1:], h)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_star = np.where(np.abs(a) > 0, -b / (2.0 * a), -1.0)
-        vertex = d0 + b * s_star + a * s_star * s_star
-    interior = (s_star > 0) & (s_star < 1)
-    return np.where(interior, np.minimum(ends, vertex), ends)
+        s_star = -c[1] / (3.0 * c[2])     # NaN or +-inf when c3 = 0
+        vertex = np.where((s_star > 0) & (s_star < 1), c[0] + c[1] * s_star, np.inf)
+    return float(np.minimum(np.minimum(c[0], _slope(c, 1.0)), vertex).min() / h)
 
 
 def _rounding_floor(a0, a1):
@@ -254,13 +268,13 @@ def _rounding_floor(a0, a1):
     return (_FLOOR_ULPS * np.finfo(float).eps) * np.maximum(-a0, a1)
 
 
-def _bisect_cells(y0, y1, d0, d1, h, target):
-    """Cell parameter s with cubic(s) = target, for cells increasing on [0, 1]."""
+def _bisect_cells(y0, c, target):
+    """Cell parameter s with y0 + cubic c(s) = target, for cells increasing on [0, 1]."""
     lo = np.zeros_like(target)
     hi = np.ones_like(target)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        above = _hermite(y0, y1, d0, d1, h, mid) > target
+        above = _horner(y0, c, mid) > target
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return 0.5 * (lo + hi)
@@ -349,12 +363,10 @@ class SeedTables:
         cols = np.broadcast_to(np.arange(self.A.shape[1]), x.shape)
         xl = self.x_nodes[i]
         h = self.x_nodes[i + 1] - xl
-        s = (x - xl) / h
-        y0, y1 = self.A[i, cols], self.A[i + 1, cols]
-        if self.mode == HERMITE:
-            out = _hermite(y0, y1, self.dA[i, cols], self.dA[i + 1, cols], h, s)
-        else:
-            out = y0 + s * (y1 - y0)
+        y0 = self.A[i, cols]
+        c = _cell_cubic(self.mode, y0, self.A[i + 1, cols], self.dA[i, cols],
+                        self.dA[i + 1, cols], h)
+        out = _horner(y0, c, (x - xl) / h)
         below = x < self.x_nodes[0]
         above = x > self.x_nodes[-1]
         out = np.where(below, self.A[0][cols] + (x - self.x_nodes[0]) * self.dA[0][cols], out)
@@ -414,40 +426,33 @@ class SeedTables:
         cells = self._cells(zhat)
         at0 = cells * N + np.arange(N)
         at1 = at0 + N
-        a0, a1 = A.take(at0), A.take(at1)
-        da0, da1 = dA.take(at0), dA.take(at1)
-        b0, b1 = B.take(at0), B.take(at1)
-        db0, db1 = dB.take(at0), dB.take(at1)
         xl = self.x_nodes[cells]
         h = self.x_nodes[cells + 1] - xl
-
-        if self.mode == HERMITE:
-            cell = (a0, a1, da0, da1, h)
-            # inverse-Hermite start, O(h^4) on smooth tables, and one Newton step
-            span = a1 - a0
-            u = np.clip((zhat - a0) / span, 0.0, 1.0)
-            s = np.clip(_hermite(0.0, 1.0, span / (h * da0), span / (h * da1), 1.0, u),
-                        0.0, 1.0)
-            s = np.clip(s - (_hermite(*cell, s) - zhat) / (_hermite_slope(*cell, s) * h),
-                        0.0, 1.0)
-            # a cell far from a straight line can miss the floor; it is certified
-            # monotone, so bisection finishes those entries (out-of-range
-            # entries are overwritten by the extension below)
-            bad = ((np.abs(_hermite(*cell, s) - zhat) > _rounding_floor(a0, a1))
-                   & (zhat >= self.A[0]) & (zhat <= self.A[-1]))
-            if np.any(bad):
-                args = tuple(c[bad] for c in cell)
-                s[bad] = _bisect_cells(*args, zhat[bad])
-                worst = float(np.max(np.abs(_hermite(*args, s[bad]) - zhat[bad]),
-                                     initial=0.0))
-                if worst > INV_TOL:
-                    raise NumericalError(
-                        f"seed inversion residual {worst:.3g} exceeds {INV_TOL:g} "
-                        "after bisection; the coordinate change is not monotone")
-            height = _hermite(b0, b1, db0, db1, h, s)
-        else:
-            s = (zhat - a0) / (a1 - a0)
-            height = b0 + s * (b1 - b0)
+        a0, a1 = A.take(at0), A.take(at1)
+        c = _cell_cubic(self.mode, a0, a1, dA.take(at0), dA.take(at1), h)
+        # the inverse-Hermite start, O(h^4) on smooth tables and s = u on a
+        # chord, and one Newton step
+        span = a1 - a0
+        u = np.clip((zhat - a0) / span, 0.0, 1.0)
+        start = _cell_cubic(HERMITE, 0.0, 1.0, span / c[0], span / _slope(c, 1.0), 1.0)
+        s = np.clip(_horner(0.0, start, u), 0.0, 1.0)
+        s = np.clip(s - (_horner(a0, c, s) - zhat) / _slope(c, s), 0.0, 1.0)
+        # a cell far from a straight line can miss the floor; it is certified
+        # monotone, so bisection finishes those entries (out-of-range
+        # entries are overwritten by the extension below)
+        bad = ((np.abs(_horner(a0, c, s) - zhat) > _rounding_floor(a0, a1))
+               & (zhat >= self.A[0]) & (zhat <= self.A[-1]))
+        if np.any(bad):
+            y0, c, z = a0[bad], tuple(k[bad] for k in c), zhat[bad]
+            s[bad] = _bisect_cells(y0, c, z)
+            worst = float(np.max(np.abs(_horner(y0, c, s[bad]) - z), initial=0.0))
+            if worst > INV_TOL:
+                raise NumericalError(
+                    f"seed inversion residual {worst:.3g} exceeds {INV_TOL:g} "
+                    "after bisection; the coordinate change is not monotone")
+        b0 = B.take(at0)
+        height = _horner(b0, _cell_cubic(self.mode, b0, B.take(at1), dB.take(at0),
+                                         dB.take(at1), h), s)
         x = xl + s * h
 
         below = zhat < self.A[0]
@@ -498,9 +503,9 @@ def admission(samples: np.ndarray, op: KernelOperator,
     operator-norm threshold (sign_threshold).  Returns (the first failed
     clause or None, envelope, rate, n0_min, vn_sup), the envelope being the
     per-p sup over the rows and the rate ||T sup_x n0||_op."""
-    envelope = samples.max(axis=0)
-    n0_min = float(samples.min())
-    vn_sup = float(np.max(np.abs(op.v) * envelope))
+    envelope, low = samples.max(axis=0), samples.min(axis=0)
+    n0_min = float(low.min())
+    vn_sup = float(np.max(np.abs(op.v) * np.maximum(np.abs(envelope), np.abs(low))))
     rate = op.operator_norm(envelope=np.maximum(envelope, 0.0))
     threshold = sign_threshold(op.sign_class)
     clause = None
@@ -553,12 +558,11 @@ def build_seed(scenario: Scenario, op: KernelOperator,
     B = np.subtract(B_raw, B_raw[i0], order="C")
 
     mode = HERMITE
-    min_slope_A = float(_cell_min_slope(A[:-1], A[1:], dA[:-1], dA[1:], dx).min())
-    min_slope_B = float(_cell_min_slope(B[:-1], B[1:], dB[:-1], dB[1:], dx).min())
+    min_slope_A, min_slope_B = _min_slope(mode, A, dA, dx), _min_slope(mode, B, dB, dx)
     if min_slope_A <= 0 or min_slope_B < -1e-13 * max(dB.max(initial=0.0), 1.0):
         # Under-resolved data: the cubic is not certifiably monotone.
         mode = LINEAR
-        min_slope_A = float((np.diff(A, axis=0) / dx).min())
+        min_slope_A = _min_slope(mode, A, dA, dx)
     if min_slope_A <= 0:
         raise NumericalError(
             "seed coordinate change is not strictly increasing; "

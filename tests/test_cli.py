@@ -77,6 +77,10 @@ def test_check_failing_scenario_exit3(tmp_path):
     assert payload["verdict"] == "fail"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_check_nan_operator_norm_exit3(tmp_path):
     # an infinite coupling gives a NaN norm, which must fail the bound; the
     # config loader rejects c = inf, so the runtime is built from the dict
@@ -85,9 +89,11 @@ def test_check_nan_operator_norm_exit3(tmp_path):
     with np.errstate(invalid="ignore"):   # inf / inf: the NaN kernel wanted here
         rc = cmd_check(_Runtime(cfg), tmp_path)
     assert rc == 3
-    payload = json.loads((tmp_path / "assumptions.json").read_text())
+    payload = json.loads((tmp_path / "assumptions.json").read_text(),
+                         parse_constant=_reject_constant)
     assert payload["verdict"] == "fail"
     assert payload["failed_clause"].startswith("operator-norm bound")
+    assert payload["tn_norm"] is None
 
 
 def test_schema_violation_exit2(tmp_path, capsys):

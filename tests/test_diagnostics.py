@@ -107,6 +107,13 @@ def test_check_and_build_seed_fail_the_same_clause(ll_op, case, clause):
     assert f"contraction rate ||T sup_x n0||_op = {report.tn_norm:.6g}" in str(raised.value)
 
 
+def test_vn_sup_is_the_sup_of_abs_v_n0(ll_op):
+    # the "negative" scenario above: n0 = -0.1 everywhere, so sup |v n0| is
+    # 0.1 max |v|, not max |v| sup n0 < 0
+    report = check_assumptions(_constant(-0.1, 0.1), ll_op)
+    assert report.vn_sup == 0.1 * np.max(np.abs(ll_op.v))
+
+
 def test_conserved_charge_zero_scenario(zero_setup):
     op, _, _, _ = zero_setup
     tab = ghd.build_seed(ghd.zero_scenario(), op)

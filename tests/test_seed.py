@@ -11,8 +11,37 @@ from ghd.dressing import dress_batched
 from ghd.errors import AssumptionError, ConfigError
 from ghd.kernel import SIGN_MIXED
 from ghd.seed import (HERMITE, INV_TOL, LINEAR, SeedTables, SpatialGridSpec,
-                      _cell_min_slope, _hermite, build_seed,
-                      default_spatial_spec)
+                      build_seed, default_spatial_spec)
+
+
+# the Hermite basis, the reference for seed's monomial cell cubics
+
+def _hermite(y0, y1, d0, d1, h, s):
+    s2 = s * s
+    s3 = s2 * s
+    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * d0
+            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * d1)
+
+
+def _hermite_slope(y0, y1, d0, d1, h, s):
+    """d/dx of the cell cubic at parameter s."""
+    s2 = s * s
+    return ((6 * s2 - 6 * s) * (y0 - y1) / h + (3 * s2 - 4 * s + 1) * d0
+            + (3 * s2 - 2 * s) * d1)
+
+
+def _hermite_min_slope(y0, y1, d0, d1, h):
+    """Minimum of the Hermite slope over each cell: the ends, or the vertex of
+    the slope quadratic in the basis form."""
+    delta = (y1 - y0) / h
+    a = 3.0 * (d0 + d1) - 6.0 * delta
+    b = 6.0 * delta - 4.0 * d0 - 2.0 * d1
+    ends = np.minimum(d0, d1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_star = np.where(np.abs(a) > 0, -b / (2.0 * a), -1.0)
+        vertex = d0 + b * s_star + a * s_star * s_star
+    interior = (s_star > 0) & (s_star < 1)
+    return np.where(interior, np.minimum(ends, vertex), ends)
 
 
 def test_zero_scenario_tables(zero_setup):
@@ -79,7 +108,7 @@ def test_invert_finishes_stalled_newton_by_bisection():
     x_nodes = np.array([0.0, 1.0])
     A = np.array([[0.0], [0.5367]])
     dA = np.array([[0.3037], [2.1047]])
-    assert _cell_min_slope(A[:-1], A[1:], dA[:-1], dA[1:], 1.0).min() > 0
+    assert _hermite_min_slope(A[:-1], A[1:], dA[:-1], dA[1:], 1.0).min() > 0
     tab = SeedTables(None, None, x_nodes, A, dA, 2.0 * A, 2.0 * dA, HERMITE,
                      None, 0.0, 0.0, 0.0, None, 0.0)
     zhat = _hermite(0.0, 0.5367, 0.3037, 2.1047, 1.0, 0.373)
@@ -371,7 +400,7 @@ def test_newton_inverse_reaches_the_floor_or_bisects(data):
     a0 = np.array(data.draw(st.lists(st.integers(-16, 16), min_size=N,
                                      max_size=N))) * h * delta
     a1 = a0 + h * delta
-    assume(np.all(_cell_min_slope(a0, a1, d0, d1, h) > 0))
+    assume(np.all(_hermite_min_slope(a0, a1, d0, d1, h) > 0))
     s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=N, max_size=4 * N)))
     s = np.resize(s, (-(-s.size // N), N))
     z = np.clip(_hermite(a0, a1, d0, d1, h, s), a0, a1)
@@ -381,14 +410,81 @@ def test_newton_inverse_reaches_the_floor_or_bisects(data):
     with pytest.MonkeyPatch.context() as mp:
         bisected = _recording_bisect(mp)
         x, _ = tab.invert(z)
-    cell = np.broadcast_arrays(a0, a1, d0, d1, h, z)
-    resid = np.abs(_hermite(*cell[:5], x / h) - z)
+    a0, a1, d0, d1, z = np.broadcast_arrays(a0, a1, d0, d1, z)
+    c = seed_mod._cell_cubic(HERMITE, a0, a1, d0, d1, h)
+    resid = np.abs(seed_mod._horner(a0, c, x / h) - z)
     bisected = set(bisected)
-    finished = np.array([(a, q) in bisected for a, q in zip(cell[0].flat, z.flat)])
-    assert np.all((resid.ravel() <= seed_mod._rounding_floor(*cell[:2]).ravel())
-                  | finished)
-    root = seed_mod._bisect_cells(*cell[:5], z) * h
+    finished = np.array([(a, q) in bisected for a, q in zip(a0.flat, z.flat)])
+    assert np.all((resid <= seed_mod._rounding_floor(a0, a1)).ravel() | finished)
+    root = seed_mod._bisect_cells(a0, c, z) * h
     assert np.max(np.abs(x - root)) <= 1e-12 * h
+
+
+@given(st.data())
+def test_cell_min_slope_is_exact(data):
+    # one cell, monotone or not (chords and parabolic slopes included): the
+    # certificate that picks HERMITE or LINEAR in build_seed, taken on the
+    # monomial cubic (ends c1 and c1 + 2 c2 + 3 c3, vertex c1 - c2^2/(3 c3)),
+    # is the basis-form minimum to round-off, and never above a dense sample
+    h = data.draw(st.floats(1e-3, 10.0))
+    y0 = data.draw(st.floats(-100.0, 100.0))
+    delta = data.draw(st.floats(-2.0, 2.0))
+    d0, d1 = (data.draw(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([delta, 0.0])))
+              for _ in range(2))
+    y1 = y0 + h * delta
+    y, d = np.array([[y0], [y1]]), np.array([[d0], [d1]])
+    exact = seed_mod._min_slope(HERMITE, y, d, h)
+    assert isinstance(exact, float)
+    # round-off relative to the cell's slopes, absolute where they underflow
+    tol = 64 * np.finfo(float).eps * (abs(d0) + abs(d1) + abs(y1 - y0) / h) \
+        + np.finfo(float).tiny
+    assert abs(exact - _hermite_min_slope(*y, *d, h)[0]) <= tol
+    dense = _hermite_slope(*y, *d, h, np.linspace(0.0, 1.0, 4097))
+    assert exact <= dense.min() + tol
+    assert seed_mod._min_slope(LINEAR, y, d, h) == (y1 - y0) / h
+
+
+def test_cell_cubics_are_the_hermite_basis_cubics(ll_tables):
+    # xhat0_cols reads A's monomial cubic and invert reads B's at the cell
+    # parameter it finds; both are the basis-form Hermite cubics
+    tab, N = ll_tables, ll_tables.op.count
+    x = np.random.default_rng(59).uniform(tab.x_min, tab.x_max, size=(40, N))
+
+    def basis(y, d, x):
+        i = np.clip(np.searchsorted(tab.x_nodes, x) - 1, 0, tab.x_nodes.size - 2)
+        j, h = np.arange(N), tab.x_nodes[i + 1] - tab.x_nodes[i]
+        return _hermite(y[i, j], y[i + 1, j], d[i, j], d[i + 1, j], h,
+                        (x - tab.x_nodes[i]) / h)
+
+    zhat = basis(tab.A, tab.dA, x)
+    assert np.max(np.abs(tab.xhat0_cols(x) - zhat)) <= 1e-14 * np.abs(tab.A).max()
+    x_inv, height = tab.invert(zhat)
+    assert np.max(np.abs(height - basis(tab.B, tab.dB, x_inv))) \
+        <= 1e-14 * np.abs(tab.B).max()
+
+
+def test_linear_fallback_tables_invert_as_chords():
+    # 33 seed nodes under-resolve the bundled Lieb-Liniger bump: the Hermite
+    # cubic is not certified monotone and build_seed falls back to LINEAR
+    cfg = config_mod.load_config(_CONFIGS / "lieb_liniger_gaussian.json")
+    cfg["seed_grid"]["count"] = 33
+    op = ghd.KernelOperator(config_mod.build_kernel_from(cfg), config_mod.build_grid_from(cfg))
+    tab = build_seed(config_mod.build_scenario_from(cfg), op,
+                     config_mod.build_seed_spec_from(cfg))
+    assert tab.mode == LINEAR and tab._sides is None
+    rng = np.random.default_rng(53)
+    z = rng.uniform(tab.A[0] - 3.0, tab.A[-1] + 3.0, size=(400, op.count))
+    z[::9] = tab.A[rng.integers(0, tab.A.shape[0], size=op.count), np.arange(op.count)]
+    assert np.any(z < tab.A[0]) and np.any(z > tab.A[-1])
+    x, height = tab.invert(z)
+    x_ref, h_ref = _linear_inverse(tab, z)
+    # ulps of the value, or of a cell's width and rise near the origin
+    dx = tab.x_nodes[1] - tab.x_nodes[0]
+    rise = np.abs(np.diff(tab.B, axis=0)).max(axis=0)
+    assert np.all(np.abs(x - x_ref) <= 4 * np.spacing(np.maximum(np.abs(x_ref), dx)))
+    assert np.all(np.abs(height - h_ref)
+                  <= 4 * np.spacing(np.maximum(np.abs(h_ref), rise)))
+    assert np.max(np.abs(tab.xhat0_cols(x) - z)) <= 1e-12
 
 
 def test_invert_rows_are_independent(ll_tables):
