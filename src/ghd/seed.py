@@ -14,18 +14,14 @@ parameter, which keeps A(x,p) = x + (T N0hat(A))(p) exact at machine
 precision on the discrete grid (and with it, exact recovery of the initial
 condition at t = 0).
 
-Every cell [xl, xl + h] of a column holds one cubic in s = (x - xl) / h,
-
-    y(s) = y0 + c1 s + c2 s^2 + c3 s^3,   s in [0, 1],
-
-evaluated by Horner.  On Hermite tables it matches the exact node
-derivatives dA = 1dr_0 and dB = n0*1dr_0: c1 = h d0, c2 = 3 dy - 2 h d0 -
-h d1 and c3 = h d0 + h d1 - 2 dy, with dy = y1 - y0.  The tables fall back
-to LINEAR chords, the same cubic with (c1, c2, c3) = (dy, 0, 0), when the
-exact minimum cell slope of A is not positive or that of B is below
-round-off; this cannot happen for resolved smooth data.  That minimum is
-the lower of the end slopes c1 and c1 + 2 c2 + 3 c3, or the vertex
-c1 - c2^2 / (3 c3) of the slope quadratic when it lies inside the cell.
+Every cell holds one cubic y0 + c1 s + c2 s^2 + c3 s^3 in s = (x - xl)/h
+on [0, 1], evaluated by Horner.  Hermite cells match the exact node slopes
+dA = 1dr_0 and dB = n0*1dr_0:
+c1 = h d0, c2 = 3 dy - 2 h d0 - h d1 and c3 = h d0 + h d1 - 2 dy.
+The tables fall back to LINEAR chords, (c1, c2, c3) = (dy, 0, 0), when the
+exact minimum cell slope (the end slopes c1 and c1 + 2 c2 + 3 c3, or the
+vertex c1 - c2^2 / (3 c3) inside the cell) of A is not positive or that of
+B is below round-off; this cannot happen for resolved smooth data.
 Outside the table the columns are extended linearly with the boundary-node
 slopes, which is exact for scenarios that are constant or decayed beyond
 the window.  Partitioning scenarios bypass quadrature entirely: their
@@ -40,18 +36,17 @@ are declared so by their builder; they skip the cell search and invert in
 closed form, X0 = zhat / 1dr_side and N0hat = n_side zhat, the side being
 the sign of zhat.
 
-Within a cell the inverse starts at the inverse cubic Hermite, the cubic
-s(u) in u = (zhat - a0) / (a1 - a0) with end slopes (a1 - a0) / y'(0) and
-(a1 - a0) / y'(1), which is accurate to O(h^4) on smooth tables and is
-s = u on a chord, and takes one clipped Newton step.  Each in-table entry's
+Within a cell the inverse starts at the inverse cubic Hermite in
+u = (zhat - a0) / (a1 - a0), accurate to O(h^4) on smooth tables and s = u
+on a chord, and takes one clipped Newton step.  Each in-table entry's
 residual |A(x) - zhat| is then tested against a rounding floor of 16 ulps
 of max(|a0|, |a1|); the entries above it (cells far from a straight line)
 are finished by bisection on the certified-monotone cell, and a residual
-above INV_TOL after bisection is a NumericalError.  The cell coefficients
-are formed per call from the gathered node values; no coefficient table is
-stored.  Every entry's result depends only on its own query and cell, so a
-large query is inverted in blocks of whole rows of at most _INVERT_BLOCK
-entries: that bounds the cell path's working set and moves no bit.
+above INV_TOL after bisection is a NumericalError.  Cell coefficients are
+formed per call, never stored.  Every entry's result depends only on its
+own query and cell, so a large query is inverted in blocks of whole rows
+of at most _INVERT_BLOCK entries: that bounds the cell path's working set
+and moves no bit.
 """
 
 from __future__ import annotations
