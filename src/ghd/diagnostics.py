@@ -19,7 +19,9 @@ function of x/t alone, so each contact is a ray x = xi t in each half-plane
 al., PRL 117, 207201 (2016)).  ``ghd weakcheck`` finds the 2N slopes once
 (``Solver.bisect`` along t = +-1), reads every rectangle's cuts off them,
 builds the Gauss-Legendre rules of all the edge pieces in one
-``grid.gauss_legendre`` call and makes one state batch per rectangle.
+``grid.gauss_legendre`` call and makes one state batch per rectangle, with
+each edge node (t, x) off t = 0 solved on its ray at (sign t, x/|t|), so
+that every edge lies on one of the lines t = 1, t = -1 and t = 0.
 """
 
 from __future__ import annotations
@@ -80,10 +82,10 @@ def _default_x_samples(scenario: Scenario, count: int = 401) -> np.ndarray:
 
 
 def truncation_tail(op: KernelOperator, scenario: Scenario) -> float:
-    """Estimate of the neglected momentum tail of ||T (sup_x n0)||_op.
+    """Estimate of the neglected momentum tail of ||T (sup_x |n0|)||_op.
 
     The grid window is our own truncation of the momentum line; this
-    integrates |T(p, q)| sup_x n0(x, q) over one extra window length on
+    integrates |T(p, q)| sup_x |n0(x, q)| over one extra window length on
     each side of the grid and reports the worst node.  Advisory only.
     """
     from .grid import build_momentum_grid
@@ -93,9 +95,9 @@ def truncation_tail(op: KernelOperator, scenario: Scenario) -> float:
     out = 0.0
     for lo, hi in ((g.p_min - g.span, g.p_min), (g.p_max, g.p_max + g.span)):
         side = build_momentum_grid(lo, hi, 128)
-        env = np.asarray(
+        env = np.abs(np.asarray(
             scenario.n0(x_samples[:, None], side.nodes[None, :]), dtype=float
-        ).max(axis=0)
+        )).max(axis=0)
         absT = np.abs(eval_kernel(op.kernel, g.nodes[:, None], side.nodes[None, :]))
         out += float(np.max(absT @ (side.weights * env)))
     return out
@@ -257,6 +259,14 @@ def _edge_nodes(pts, counts, rules) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _self_similar(solver: Solver) -> bool:
+    """Whether the seed tables are two lines through the origin, as
+    partitioning tables are: then the fixed point scales,
+    Xhat(lam t, lam x) = lam Xhat(t, x) for lam > 0, and n, 1dr and v_dr
+    are functions of x/t alone in each half-plane."""
+    return solver.tab._sides is not None
+
+
 def _contact_slopes(solver: Solver) -> tuple[np.ndarray, np.ndarray]:
     """The slopes (xi_plus, xi_minus) of every mode's contact, x = xi t, at
     t > 0 and at t < 0, each within 1e-12 max(1, bracket width)/2.
@@ -311,7 +321,7 @@ def weak_form_edges(solver: Solver, rectangles, edge_points: int = 160) -> list:
     them: the x-edges at t2 and t1, then the t-edges at x2 and x1.  Edges
     are cut where contacts cross them; only tables that are two lines
     through the origin have contacts, their slopes found once for all."""
-    slopes = _contact_slopes(solver) if solver.tab._sides is not None else None
+    slopes = _contact_slopes(solver) if _self_similar(solver) else None
     out = []
     for rect in rectangles:
         x1, x2, t1, t2 = (float(v) for v in rect)
@@ -331,8 +341,13 @@ def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, flo
     p_index on that rectangle.  The density and current at every edge node
     are recomputed through the dressing, so the residual genuinely tests
     the conservation identity rather than the height-field bookkeeping.
-    The states at all edge nodes come from one batch.  edges are the
-    rectangle's pieces from ``weak_form_edges`` and rules a
+    The states at all edge nodes come from one batch.  On self-similar
+    tables (``_self_similar``) the residual, which reads only n, 1dr and
+    v_dr, is unchanged when each node (t, x) off t = 0 is solved at
+    (sign t, x/|t|): every edge then lies on the line t = 1, t = -1 or
+    t = 0 and is solved coarse to fine along it, no field is scaled back,
+    and each node's certificate is its mapped row's own a-posteriori bound.
+    edges are the rectangle's pieces from ``weak_form_edges`` and rules a
     ``gauss_legendre`` build that holds their counts, so a caller with many
     rectangles finds the cuts and builds the rules of all of them at once.
     """
@@ -340,9 +355,13 @@ def weak_form_residual(solver: Solver, rectangle: tuple[float, float, float, flo
     # edges q_t2, q_t1 (charge n 1dr along x) and j_x2, j_x1 (current n v_dr along t)
     quadrature = [_edge_nodes(pts, counts, rules) for pts, counts in edges]
     (xs_2, _), (xs_1, _), (ts_2, _), (ts_1, _) = quadrature
-    states = solver.states_batch(
-        np.concatenate((np.full(xs_2.size, t2), np.full(xs_1.size, t1), ts_2, ts_1)),
-        np.concatenate((xs_2, xs_1, np.full(ts_2.size, x2), np.full(ts_1.size, x1))))
+    ts = np.concatenate((np.full(xs_2.size, t2), np.full(xs_1.size, t1), ts_2, ts_1))
+    xs = np.concatenate((xs_2, xs_1, np.full(ts_2.size, x2), np.full(ts_1.size, x1)))
+    if _self_similar(solver):
+        away = ts != 0
+        xs[away] /= np.abs(ts[away])
+        ts = np.sign(ts)
+    states = solver.states_batch(ts, xs)
     charge = xs_2.size + xs_1.size
     density = states.n[:, p_index] * np.concatenate(
         (states.one_dr[:charge, p_index], states.v_dr[charge:, p_index]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ghd
+from ghd import diagnostics
 from ghd.diagnostics import (ENTROPY_FUNCTIONS, boson_entropy,
                              check_assumptions, classical_entropy,
                              conservation_report, derivative_identity_check,
@@ -105,6 +106,14 @@ def test_check_and_build_seed_fail_the_same_clause(ll_op, case, clause):
         ghd.build_seed(scenario, op, SpatialGridSpec(-10, 10, 201))
     assert report.failed_clause in str(raised.value)
     assert f"contraction rate ||T sup_x n0||_op = {report.tn_norm:.6g}" in str(raised.value)
+
+
+def test_tail_estimate_is_of_sup_abs_n0(ll_op):
+    # the "negative" scenario above: the tail integrates |T| against
+    # sup_x |n0| = 0.1, as for n0 = +0.1, not against sup_x n0 < 0
+    tail = check_assumptions(_constant(-0.1, 0.1), ll_op).tail_estimate
+    assert tail > 0
+    assert tail == check_assumptions(_constant(0.1, 0.1), ll_op).tail_estimate
 
 
 def test_vn_sup_is_the_sup_of_abs_v_n0(ll_op):
@@ -248,6 +257,37 @@ def test_weak_residual_batches_per_rectangle(part_setup, rect, p_idx):
     res = weak_form_residual(solver, rect, p_idx, edges, rules)
     assert abs(res["residual"]) <= 1e-4
     assert calls.count("states_batch") == 1
+
+
+def test_weak_residual_smooth_bump(ll_solver):
+    # a time of the time edges holds at most two points, so their rows start cold
+    for rect, p_idx in (((-1.5, 2.0, 0.2, 1.0), 24), ((-2.0, 1.0, 0.0, 0.8), 27),
+                        ((-1.0, 1.0, -0.7, 0.4), 21)):
+        res = _residual(ll_solver, rect, p_idx, edge_points=160)
+        assert res["scale"] > 0.1
+        assert abs(res["residual"]) <= 1e-8
+
+
+@pytest.mark.parametrize("rect, p_idx", [
+    ((-0.6, 0.8, 0.0, 0.6), 30),       # t1 = 0
+    ((-0.9, 0.7, -0.8, -0.15), 18),    # t < 0
+    ((0.3, -0.7, 0.45, -0.35), 26)])   # across t = 0
+def test_ray_mapped_residual_is_the_unmapped_residual(part_setup, monkeypatch, rect, p_idx):
+    solver = ghd.Solver(part_setup[3].tab)
+    edges, = weak_form_edges(solver, [rect])
+    rules = gauss_legendre([c for _, counts in edges for c in counts])
+    batches = []
+    states_batch = solver.states_batch
+    solver.states_batch = lambda ts, xs: batches.append(ts) or states_batch(ts, xs)
+    mapped = weak_form_residual(solver, rect, p_idx, edges, rules)
+    # every node is solved on the line t = 1, t = -1 or t = 0
+    assert len(batches) == 1 and set(np.unique(batches[0])) <= {-1.0, 0.0, 1.0}
+    monkeypatch.setattr(diagnostics, "_self_similar", lambda solver: False)
+    unmapped = weak_form_residual(solver, rect, p_idx, edges, rules)
+    assert len(batches) == 2 and len(np.unique(batches[1])) > 3
+    assert abs(mapped["residual"] - unmapped["residual"]) <= 1e-13
+    for key, value in unmapped["edges"].items():
+        assert abs(mapped["edges"][key] - value) <= 1e-13 * unmapped["scale"], key
 
 
 def test_weak_residual_antisymmetric_in_time(part_setup):

@@ -653,59 +653,12 @@ def test_equal_and_descending_points_are_safe(ll_solver):
         assert np.max(np.abs(states.xhat[i] - ll_solver.state(0.9, xs[i]).xhat)) <= tol
 
 
-# -- coarse-to-fine along t: one x, 160 distinct times --------------------------
-
-_LINE_X = 0.6
-
-
-@pytest.fixture(scope="module")
-def line_points():
-    # Gauss-Legendre times, clustered at the ends as on a weak-form t-edge
-    ts = 1.0 + 0.95 * np.polynomial.legendre.leggauss(160)[0]
-    return ts, np.full(ts.size, _LINE_X)
-
-
-@pytest.fixture(scope="module")
-def line_states(ll_solver, line_points):
-    return ll_solver.states_batch(*line_points)
-
-
-def test_fixed_x_rows_match_cold_one_row_states(ll_solver, line_states):
-    tol = 2.0 * ll_solver.config.fp_tol
-    for t, xhat in zip(line_states.t, line_states.xhat):
-        assert np.max(np.abs(xhat - ll_solver.state(float(t), _LINE_X).xhat)) <= tol
-
-
-def test_fixed_x_certificates(ll_solver, line_states):
-    assert np.all(line_states.residual <= ll_solver.config.fp_tol)
-    assert np.all(line_states.ratio <= ll_solver.rate + 0.01)
-    sign = ll_solver.op.sign_class
-    for one_dr, tn in zip(line_states.one_dr, line_states.tn):
-        assert np.all(one_dr >= compute_R(tn, sign) - 1e-9)
-        assert np.all(one_dr <= 1.0 / (1.0 - tn) + 1e-9)
-
-
-def test_fixed_x_saves_iterations(ll_solver, line_points, line_states):
-    # a lost start (every row cold again) fails this
-    _, cold, _, _ = ll_solver.solve_batch(*line_points)
-    assert line_states.iters.sum() <= 0.7 * cold.sum()
-
-
-def test_fixed_x_shuffled_input_comes_back_in_input_order(
-        ll_solver, line_points, line_states):
-    perm = np.random.default_rng(79).permutation(line_states.t.size)
-    ts, xs = (v[perm] for v in line_points)
-    states = ll_solver.states_batch(ts, xs)
-    assert np.array_equal(states.t, ts) and np.array_equal(states.x, xs)
-    tol = 2.0 * ll_solver.config.fp_tol
-    assert np.max(np.abs(states.xhat - line_states.xhat[perm])) <= tol
-
-
 def test_mixed_batch_of_lines_and_singletons(ll_solver):
     rng = np.random.default_rng(83)
     times = 1.0 + 0.9 * np.polynomial.legendre.leggauss(40)[0]
     xs_line = np.linspace(-3.0, 3.0, 41)
-    # two lines of fixed x, two of fixed t and ten lone points, shuffled
+    # 60 points at two x and 40 distinct times, two lines of fixed t and ten
+    # lone points, shuffled
     ts = np.concatenate((times, times[::2], np.full(41, 0.4), np.full(41, 1.7),
                          rng.uniform(0.1, 1.9, 10)))
     xs = np.concatenate((np.full(40, -1.5), np.full(20, 2.2), xs_line, xs_line,
@@ -718,13 +671,14 @@ def test_mixed_batch_of_lines_and_singletons(ll_solver):
     tol = 2.0 * ll_solver.config.fp_tol
     for t, x, xhat in zip(ts, xs, states.xhat):
         assert np.max(np.abs(xhat - ll_solver.state(float(t), float(x)).xhat)) <= tol
-    # the lone points start cold, so they take a cold solve's iterations
-    lone = perm >= ts.size - 10
-    _, iters, _, _ = ll_solver.solve_batch(ts[lone], xs[lone])
-    assert np.array_equal(states.iters[lone], iters)
-    # the lines start warm
-    _, cold, _, _ = ll_solver.solve_batch(ts[~lone], xs[~lone])
-    assert states.iters[~lone].sum() <= 0.7 * cold.sum()
+    # the points of times with one or two points start cold, so they take a
+    # cold solve's iterations
+    line = (perm >= 60) & (perm < 60 + 2 * 41)
+    _, iters, _, _ = ll_solver.solve_batch(ts[~line], xs[~line])
+    assert np.array_equal(states.iters[~line], iters)
+    # the lines of fixed t start warm
+    _, cold, _, _ = ll_solver.solve_batch(ts[line], xs[line])
+    assert states.iters[line].sum() <= 0.7 * cold.sum()
 
 
 def test_blend_allocates_nothing_field_sized():
