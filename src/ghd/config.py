@@ -4,13 +4,17 @@ A config names a momentum grid, a kernel (with its bare velocity), a
 scenario, a solver policy, and per-command parameter blocks.  The schema
 is the package file config-schema.json, loaded once at import and walked
 by _walk, which enforces the draft 2020-12 keywords the file uses and no
-others; a schema with any other keyword is refused at import.  Of the
-violations a config has, the shallowest is reported (see validate_config
-for the full rule), and every integer-valued float at an integer-typed
-key (``101.0``) is stored as an int.  Then every number in
-the config must be finite, and the windows and ranges whose ends the
-schema cannot relate must be ordered.  Each violation exits 2 naming the
-JSON path of the offending key.
+others; a schema with any other keyword is refused at import.
+
+validate_config checks, in this order, every rule that needs no built
+object, and the first one broken exits 2 naming the JSON path of its key:
+the schema (its shallowest violation; an integer-valued float at an
+integer-typed key, ``101.0``, is stored as an int), the keys each kind
+needs (REQUIRED_KEYS), finite numbers, weakcheck.random ranges lo < hi,
+ordered windows, momentum indices below grid.count, the weak-form
+rectangles, and the section a command reads (SECTIONS).  The builders
+only read; the seed_grid support cut and the compare dx window need built
+objects and stay with their users.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .grid import build_momentum_grid
 CONFIG_SCHEMA = json.loads((Path(__file__).parent / "config-schema.json").read_text())
 
 
-def load_config(path) -> dict:
+def load_config(path, command: str | None = None) -> dict:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -38,7 +42,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    validate_config(raw)
+    validate_config(raw, command)
     raw["__dir__"] = str(path.parent)
     return raw
 
@@ -172,9 +176,30 @@ def _non_finite(value, where: str = "$"):
             yield from _non_finite(item, f"{where}[{i}]")
 
 
-def validate_config(raw: dict) -> None:
-    """Raise ConfigError at the first rule raw breaks; store every
-    integer-valued float at an integer-typed key of raw as an int."""
+def _violation(where: str, message: str) -> ConfigError:
+    return ConfigError(f"config schema violation at {where}: {message}")
+
+
+# the section each command reads
+SECTIONS = {"solve": "solve", "conserve": "conserve", "weakcheck": "weakcheck",
+            "compare-reference": "compare", "plotdata": "plotdata"}
+_PROFILE = {"gaussian": ("amplitude", "gamma"), "constant": ("value",)}
+# (path of a kind key, kind) -> the keys beside the kind key that it needs
+REQUIRED_KEYS = {
+    ("kernel.model", "lieb_liniger"): ("c",),
+    ("kernel.model", "hard_rods"): ("d",),
+    ("kernel.model", "tabulated"): ("csv",),
+    ("scenario.kind", "gaussian_bump"): ("a", "sigma", "gamma"),
+    ("scenario.kind", "partitioning"): ("n_left", "n_right"),
+    ("scenario.kind", "tabulated_xy"): ("csv",),
+    **{(f"scenario.{side}.kind", kind): keys
+       for side in ("n_left", "n_right") for kind, keys in _PROFILE.items()},
+}
+
+
+def validate_config(raw: dict, command: str | None = None) -> None:
+    """Raise ConfigError at the first rule raw breaks (see the module
+    docstring); store every integer-valued float at an integer key as an int."""
     errors = []
     _walk(CONFIG_SCHEMA, raw, (), errors)
     if errors:
@@ -185,35 +210,61 @@ def validate_config(raw: dict) -> None:
         # which all come from one schema node.)
         path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
         where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-        raise ConfigError(f"config schema violation at {where}: {message}")
+        raise _violation(where, message)
+    for (kind_key, kind), keys in REQUIRED_KEYS.items():
+        *head, name = kind_key.split(".")
+        sec = raw
+        for part in head:
+            sec = sec.get(part, {})
+        for key in keys if sec.get(name) == kind else ():
+            if key not in sec:
+                raise _violation(f"$.{'.'.join(head)}.{key}",
+                                 f"{name} {kind!r} requires {key!r}")
     # JSON NaN and Infinity pass the schema's "number", and every number
     # feeds a bound, a window or a loop: a NaN tolerance fails every
     # comparison, a NaN gamma gives a NaN contraction rate, an infinite one
     # a silent vacuum, an infinite time or step a loop run to its cap
     for where, value in _non_finite(raw):
-        raise ConfigError(f"config schema violation at {where}: "
-                          f"{value} is not a finite number")
-    # the sampler fails on hi < lo and on an overflowing hi - lo; lo == hi
-    # gives rectangles that cmd_weakcheck rejects as degenerate
-    sample = raw.get("weakcheck", {}).get("random", {})
+        raise _violation(where, f"{value} is not a finite number")
+    # the sampler fails on hi < lo and on an overflowing hi - lo, and draws
+    # degenerate rectangles from lo == hi
+    weak = raw.get("weakcheck", {})
     for key in ("x_range", "t_range"):
-        lo, hi = sample.get(key, (0.0, 0.0))
-        if not 0.0 <= hi - lo < math.inf:
-            raise ConfigError(f"config schema violation at $.weakcheck.random.{key}: "
-                              f"[{lo:g}, {hi:g}] is not a range lo <= hi of finite width")
+        lo, hi = weak.get("random", {}).get(key, (0.0, 1.0))
+        if not 0.0 < hi - lo < math.inf:
+            raise _violation(f"$.weakcheck.random.{key}",
+                             f"[{lo:g}, {hi:g}] is not a range lo < hi of finite width")
     # intervals that are integrated or tabulated over; seed_grid's ends
     # default one by one, so it is checked only when both are given
     for section, lo, hi in (("grid", "p_min", "p_max"), ("seed_grid", "x_min", "x_max"),
                             ("conserve", "x_min", "x_max"), ("compare", "x_min", "x_max")):
         sec = raw.get(section, {})
         if lo in sec and hi in sec and not sec[lo] < sec[hi]:
-            raise ConfigError(f"config schema violation at $.{section}.{hi}: "
-                              f"{sec[hi]:g} is not above {lo} {sec[lo]:g}")
+            raise _violation(f"$.{section}.{hi}", f"{sec[hi]:g} is not above {lo} {sec[lo]:g}")
     # the tables written over x run either way, but not over one point
     for section in ("solve", "plotdata"):
         if section in raw and raw[section]["x_min"] == raw[section]["x_max"]:
-            raise ConfigError(f"config schema violation at $.{section}.x_max: "
-                              f"{raw[section]['x_max']:g} equals x_min, an empty window")
+            raise _violation(f"$.{section}.x_max", f"{raw[section]['x_max']:g} equals "
+                                                   f"x_min, an empty window")
+    count = raw["grid"]["count"]
+    for section, key in (("weakcheck", "p_indices"), ("plotdata", "p_probes")):
+        for i, index in enumerate(raw.get(section, {}).get(key, ())):
+            if index >= count:
+                raise _violation(f"$.{section}.{key}[{i}]",
+                                 f"index {index} is out of range for {count} nodes")
+    rects = weak.get("rectangles", [])
+    for i, rect in enumerate(rects):
+        if rect[0] == rect[1] or rect[2] == rect[3]:
+            raise _violation(f"$.weakcheck.rectangles[{i}]",
+                             f"rectangle {rect} has x1 == x2 or t1 == t2")
+    total = len(rects) + weak.get("random", {}).get("count", 0)
+    if "weakcheck" in raw and not total:
+        raise _violation("$.weakcheck.rectangles", "no rectangles given")
+    if len(weak.get("p_indices", ())) > total:
+        raise _violation("$.weakcheck.p_indices", f"{len(weak['p_indices'])} indices "
+                                                  f"for {total} rectangles")
+    if command in SECTIONS and SECTIONS[command] not in raw:
+        raise _violation(f"$.{SECTIONS[command]}", "section required")
 
 
 def build_grid_from(cfg: dict):
@@ -234,22 +285,13 @@ def build_kernel_from(cfg: dict) -> kernel_mod.ScatteringKernel:
     velocity = build_velocity_from(k)
     model = k["model"]
     if model == "lieb_liniger":
-        if "c" not in k:
-            raise ConfigError("config schema violation at $.kernel.c: "
-                              "lieb_liniger requires coupling c")
         return kernel_mod.lieb_liniger(k["c"], velocity)
     if model == "sinh_gordon":
         return kernel_mod.sinh_gordon(velocity)
     if model == "hard_rods":
-        if "d" not in k:
-            raise ConfigError("config schema violation at $.kernel.d: "
-                              "hard_rods requires rod length d")
         return kernel_mod.hard_rods(k["d"], velocity)
     if model == "zero":
         return kernel_mod.zero_kernel(velocity)
-    if "csv" not in k:
-        raise ConfigError("config schema violation at $.kernel.csv: "
-                          "tabulated kernel requires a csv path")
     path = Path(cfg.get("__dir__", ".")) / k["csv"]
     return kernel_mod.load_tabulated_kernel_csv(path, velocity)
 
@@ -264,23 +306,13 @@ def build_scenario_from(cfg: dict) -> seed_mod.Scenario:
     s = cfg["scenario"]
     kind = s["kind"]
     if kind == "gaussian_bump":
-        for key in ("a", "sigma", "gamma"):
-            if key not in s:
-                raise ConfigError(f"config schema violation at $.scenario.{key}: "
-                                  f"gaussian_bump requires {key}")
         return seed_mod.gaussian_bump(s["a"], s["sigma"], s["gamma"],
                                       s.get("p0", 0.0))
     if kind == "partitioning":
-        if "n_left" not in s or "n_right" not in s:
-            raise ConfigError("config schema violation at $.scenario.n_left: "
-                              "partitioning requires n_left and n_right")
         return seed_mod.partitioning(_profile_from(s["n_left"]),
                                      _profile_from(s["n_right"]))
     if kind == "zero":
         return seed_mod.zero_scenario()
-    if "csv" not in s:
-        raise ConfigError("config schema violation at $.scenario.csv: "
-                          "tabulated_xy scenario requires a csv path")
     return seed_mod.load_tabulated_xy_csv(Path(cfg.get("__dir__", ".")) / s["csv"])
 
 
@@ -290,11 +322,13 @@ def build_solver_config_from(cfg: dict) -> SolverConfig:
                         max_iters=s.get("max_iters", 500))
 
 
-def build_seed_spec_from(cfg: dict) -> seed_mod.SpatialGridSpec | None:
+def build_seed_spec_from(cfg: dict, scenario: seed_mod.Scenario | None = None
+                         ) -> seed_mod.SpatialGridSpec | None:
+    """The seed_grid window; scenario, built from cfg when not given, supplies defaults."""
     s = cfg.get("seed_grid")
     if not s:
         return None
-    scenario = build_scenario_from(cfg)
+    scenario = build_scenario_from(cfg) if scenario is None else scenario
     default = seed_mod.default_spatial_spec(scenario)
     spec = seed_mod.SpatialGridSpec(s.get("x_min", default.x_min),
                                     s.get("x_max", default.x_max),
@@ -306,9 +340,8 @@ def build_seed_spec_from(cfg: dict) -> seed_mod.SpatialGridSpec | None:
         for key, value, cuts in (("x_min", spec.x_min, spec.x_min > lo),
                                  ("x_max", spec.x_max, spec.x_max < hi)):
             if cuts:
-                raise ConfigError(f"config schema violation at $.seed_grid.{key}: "
-                                  f"{value:g} cuts the scenario's support "
-                                  f"[{lo:g}, {hi:g}]")
+                raise _violation(f"$.seed_grid.{key}", f"{value:g} cuts the "
+                                 f"scenario's support [{lo:g}, {hi:g}]")
     return spec
 
 
@@ -320,10 +353,10 @@ def random_rectangles(spec: dict, scenario: seed_mod.Scenario) -> list[tuple]:
     rects = []
     for _ in range(spec["count"]):
         x1, x2 = np.sort(rng.uniform(lo, hi, size=2))
-        while x2 - x1 < 0.05 * (hi - lo):
+        while x2 - x1 <= 0.05 * (hi - lo):
             x1, x2 = np.sort(rng.uniform(lo, hi, size=2))
         t1, t2 = np.sort(rng.uniform(t_lo, t_hi, size=2))
-        while t2 - t1 < 0.05 * (t_hi - t_lo):
+        while t2 - t1 <= 0.05 * (t_hi - t_lo):
             t1, t2 = np.sort(rng.uniform(t_lo, t_hi, size=2))
         rects.append((float(x1), float(x2), float(t1), float(t2)))
     return rects

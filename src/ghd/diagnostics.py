@@ -26,7 +26,7 @@ that every edge lies on one of the lines t = 1, t = -1 and t = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,18 +60,7 @@ class AssumptionReport:
     failed_clause: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "sign_class": self.sign_class,
-            "tn_norm": self.tn_norm,
-            "threshold_used": self.threshold_used,
-            "vn_sup": self.vn_sup,
-            "n0_min": self.n0_min,
-            "sup_sampled": self.sup_sampled,
-            "declared_sup": self.declared_sup,
-            "tail_estimate": self.tail_estimate,
-            "verdict": "pass" if self.verdict else "fail",
-            "failed_clause": self.failed_clause,
-        }
+        return {**asdict(self), "verdict": "pass" if self.verdict else "fail"}
 
 
 def _default_x_samples(scenario: Scenario, count: int = 401) -> np.ndarray:
@@ -175,9 +164,14 @@ class ConservationSeries:
     values: tuple
 
     @property
+    def drift(self) -> np.ndarray:
+        """|v - v0| / max(|v0|, 1e-12) at each time."""
+        values = np.asarray(self.values, dtype=float)
+        return np.abs(values - values[0]) / max(abs(values[0]), 1e-12)
+
+    @property
     def relative_drift(self) -> float:
-        v0 = self.values[0]
-        return float(max(abs(v - v0) for v in self.values) / max(abs(v0), 1e-12))
+        return float(self.drift.max())
 
 
 def _check_window(xs: np.ndarray, mass_profile: np.ndarray, t: float,

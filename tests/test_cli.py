@@ -257,13 +257,19 @@ def test_weakcheck_exit1_when_above_tolerance(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("weak, where", [
+_DEGENERATE = "has x1 == x2 or t1 == t2"
+
+
+@pytest.mark.parametrize("weak, where, message", [
     ({"rectangles": [[-0.5, 0.5, 0.1, 0.6], [0.5, 0.5, 0.2, 0.6]]},
-     "$.weakcheck.rectangles[1]"),
-    ({"rectangles": [[-0.5, 0.5, 0.3, 0.3]]}, "$.weakcheck.rectangles[0]"),
+     "$.weakcheck.rectangles[1]", _DEGENERATE),
+    ({"rectangles": [[-0.5, 0.5, 0.3, 0.3]]}, "$.weakcheck.rectangles[0]", _DEGENERATE),
+    # a random range lo == hi is refused when the config loads, so no random
+    # rectangle is ever degenerate
     ({"random": {"count": 2, "seed": 7, "x_range": [0.4, 0.4]}},
-     "$.weakcheck.random")], ids=["x1==x2", "t1==t2", "random"])
-def test_weakcheck_degenerate_rectangle_exit2(tmp_path, capsys, weak, where):
+     "$.weakcheck.random.x_range", "[0.4, 0.4] is not a range lo < hi")],
+    ids=["x1==x2", "t1==t2", "random"])
+def test_weakcheck_degenerate_rectangle_exit2(tmp_path, capsys, weak, where, message):
     cfg = json.loads((CONFIGS / "partitioning_lieb_liniger.json").read_text())
     cfg["grid"]["count"] = 24
     cfg["weakcheck"] = weak
@@ -271,7 +277,7 @@ def test_weakcheck_degenerate_rectangle_exit2(tmp_path, capsys, weak, where):
                "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert where in err and "x1 == x2 or t1 == t2" in err
+    assert f"{where}: " in err and message in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -441,9 +447,9 @@ def test_non_finite_space_time_number_exit2(tmp_path, capsys, command, section, 
 @pytest.mark.parametrize("key, value, where, message", [
     ("x_range", [_NAN, 1.0], "x_range[0]", "nan is not a finite number"),
     ("t_range", [0.1, _INF], "t_range[1]", "inf is not a finite number"),
-    ("x_range", [1.0, -1.0], "x_range", "[1, -1] is not a range lo <= hi of finite width"),
+    ("x_range", [1.0, -1.0], "x_range", "[1, -1] is not a range lo < hi of finite width"),
     ("t_range", [-1e308, 1e308], "t_range",
-     "[-1e+308, 1e+308] is not a range lo <= hi of finite width"),
+     "[-1e+308, 1e+308] is not a range lo < hi of finite width"),
 ], ids=["x_range_nan", "t_range_inf", "x_range_reversed", "t_range_overflow"])
 def test_weakcheck_random_range_holes_exit2(tmp_path, capsys, key, value, where, message):
     cfg = json.loads((CONFIGS / "partitioning_lieb_liniger.json").read_text())
@@ -619,6 +625,22 @@ def test_tabulated_kernel_and_scenario_from_csv(tmp_path):
     assert data.shape[0] == 15 * 16
 
 
+def test_seed_reads_scenario_table_once(tmp_path, monkeypatch):
+    # the seed_grid window defaults from the scenario the run has built
+    (tmp_path / "scenario.csv").write_text(_SCENARIO_CSV)
+    cfg = {"grid": {"p_min": -3.0, "p_max": 3.0, "count": 16},
+           "kernel": {"model": "zero"},
+           "scenario": {"kind": "tabulated_xy", "csv": "scenario.csv"},
+           "seed_grid": {"count": 120}}
+    reads = []
+    load = ghd.seed.load_tabulated_xy_csv
+    monkeypatch.setattr(ghd.seed, "load_tabulated_xy_csv",
+                        lambda path: reads.append(path) or load(path))
+    assert main(["seed", "--config", _write(tmp_path, "cfg.json", cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert reads == [tmp_path / "scenario.csv"]
+
+
 @pytest.mark.parametrize("name, bad", [
     ("scenario.csv", "abc"), ("scenario.csv", "inf"),
     ("kernel.csv", "inf"), ("kernel.csv", "-inf"),
@@ -667,6 +689,101 @@ def test_missing_command_section_exit2(tmp_path):
     rc = main(["solve", "--config", _write(tmp_path, "cfg.json", cfg),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+_GAUSSIAN = {"kind": "gaussian", "amplitude": 0.45, "gamma": 1.0}
+_CONSTANT = {"kind": "constant", "value": 0.1}
+_RECT = [-0.5, 0.5, 0.1, 0.6]
+_WINDOW = {"times": [0.2], "x_min": -2.0, "x_max": 2.0, "x_count": 5}
+
+# (id, command, sections replacing those of _small_ll_config, where a None
+# value deletes its key, path named, the REQUIRED_KEYS entry the case breaks)
+_LOAD_TIME_CASES = [
+    ("kernel_c", "check", {"kernel": {"model": "lieb_liniger"}}, "$.kernel.c",
+     ("kernel.model", "lieb_liniger")),
+    ("kernel_d", "check", {"kernel": {"model": "hard_rods"}}, "$.kernel.d",
+     ("kernel.model", "hard_rods")),
+    ("kernel_csv", "check", {"kernel": {"model": "tabulated"}}, "$.kernel.csv",
+     ("kernel.model", "tabulated")),
+    *((f"scenario_{key}", "check",
+       {"scenario": {"kind": "gaussian_bump", "a": 0.5, "sigma": 0.8, "gamma": 1.0,
+                     key: None}}, f"$.scenario.{key}", ("scenario.kind", "gaussian_bump"))
+      for key in ("a", "sigma", "gamma")),
+    # a missing n_right was named $.scenario.n_left
+    *((f"scenario_{key}", "check",
+       {"scenario": {"kind": "partitioning", "n_left": _GAUSSIAN, "n_right": _CONSTANT,
+                     key: None}}, f"$.scenario.{key}", ("scenario.kind", "partitioning"))
+      for key in ("n_left", "n_right")),
+    ("scenario_csv", "check", {"scenario": {"kind": "tabulated_xy"}}, "$.scenario.csv",
+     ("scenario.kind", "tabulated_xy")),
+    # these exited 1 with a KeyError
+    *((f"{side}_{key}", "check",
+       {"scenario": {"kind": "partitioning", "n_left": _CONSTANT, "n_right": _CONSTANT,
+                     side: {**profile, key: None}}},
+       f"$.scenario.{side}.{key}", (f"scenario.{side}.kind", profile["kind"]))
+      for side in ("n_left", "n_right")
+      for profile, keys in ((_GAUSSIAN, ("amplitude", "gamma")), (_CONSTANT, ("value",)))
+      for key in keys),
+    ("non_finite", "check", {"solver": {"fp_tol": _NAN}}, "$.solver.fp_tol", None),
+    ("random_range", "check",
+     {"weakcheck": {"random": {"count": 2, "seed": 7, "x_range": [0.4, 0.4]}}},
+     "$.weakcheck.random.x_range", None),
+    ("grid_window", "check", {"grid": {"p_min": 4.0, "p_max": 4.0, "count": 24}},
+     "$.grid.p_max", None),
+    ("seed_window", "check", {"seed_grid": {"x_min": 8.0, "x_max": -8.0}},
+     "$.seed_grid.x_max", None),
+    ("conserve_window", "check", {"conserve": {"times": [0.2], "x_min": 1.0, "x_max": 1.0}},
+     "$.conserve.x_max", None),
+    ("compare_window", "check",
+     {"compare": {"t_end": 0.5, "dx_list": [0.1], "x_min": 1.0, "x_max": -1.0}},
+     "$.compare.x_max", None),
+    ("solve_window", "check", {"solve": {**_WINDOW, "x_max": -2.0, "x_min": -2.0}},
+     "$.solve.x_max", None),
+    ("plotdata_window", "check", {"plotdata": {**_WINDOW, "x_max": -2.0, "x_min": -2.0}},
+     "$.plotdata.x_max", None),
+    ("p_indices_range", "check", {"weakcheck": {"rectangles": [_RECT], "p_indices": [24]}},
+     "$.weakcheck.p_indices[0]", None),
+    ("p_probes_range", "check", {"plotdata": {**_WINDOW, "p_probes": [3, 24]}},
+     "$.plotdata.p_probes[1]", None),
+    ("degenerate_rectangle", "check",
+     {"weakcheck": {"rectangles": [_RECT, [0.5, 0.5, 0.2, 0.6]]}},
+     "$.weakcheck.rectangles[1]", None),
+    ("no_rectangles", "check", {"weakcheck": {"p_indices": []}},
+     "$.weakcheck.rectangles", None),
+    ("p_indices_count", "check",
+     {"weakcheck": {"rectangles": [_RECT], "p_indices": [3, 5, 7],
+                    "random": {"count": 1, "seed": 7}}}, "$.weakcheck.p_indices", None),
+    *((f"{command}_section", command, {section: None}, f"$.{section}", None)
+      for command, section in (("solve", "solve"), ("conserve", "conserve"),
+                               ("weakcheck", "weakcheck"), ("compare-reference", "compare"),
+                               ("plotdata", "plotdata"))),
+]
+
+
+@pytest.mark.parametrize("command, sections, where", [case[1:4] for case in _LOAD_TIME_CASES],
+                         ids=[case[0] for case in _LOAD_TIME_CASES])
+def test_load_time_rule_exit2(tmp_path, capsys, command, sections, where):
+    # every rule that needs no built object is checked when the config loads,
+    # whatever the command, before any output
+    def drop_none(value):
+        if isinstance(value, dict):
+            return {key: drop_none(item) for key, item in value.items() if item is not None}
+        return value
+
+    cfg = drop_none(_small_ll_config(**sections))
+    rc = main([command, "--config", _write(tmp_path, "cfg.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config schema violation at {where}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_time_cases_cover_required_keys():
+    # one case per required key of every entry of the table
+    assert sorted(case[3] for case in _LOAD_TIME_CASES if case[4]) == sorted(
+        f"$.{kind_key.rsplit('.', 1)[0]}.{key}"
+        for (kind_key, _), keys in config_mod.REQUIRED_KEYS.items() for key in keys)
+    assert {case[4] for case in _LOAD_TIME_CASES if case[4]} == set(config_mod.REQUIRED_KEYS)
 
 
 @pytest.mark.parametrize("below", ["taken", "taken/sub"])

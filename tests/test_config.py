@@ -74,12 +74,13 @@ def test_validate_points_at_offending_key():
 
 
 def test_model_specific_requirements():
+    # checked when the config loads; the builders only read
     base = {"grid": {"p_min": -1, "p_max": 1, "count": 4},
             "scenario": {"kind": "zero"}}
-    with pytest.raises(ConfigError, match="kernel.c"):
-        build_kernel_from({**base, "kernel": {"model": "lieb_liniger"}})
-    with pytest.raises(ConfigError, match="kernel.d"):
-        build_kernel_from({**base, "kernel": {"model": "hard_rods"}})
+    with pytest.raises(ConfigError, match=r"\$\.kernel\.c: model 'lieb_liniger' requires 'c'"):
+        validate_config({**base, "kernel": {"model": "lieb_liniger"}})
+    with pytest.raises(ConfigError, match=r"\$\.kernel\.d: model 'hard_rods' requires 'd'"):
+        validate_config({**base, "kernel": {"model": "hard_rods"}})
 
 
 def test_solver_section_keys():
@@ -191,16 +192,45 @@ def _set(cfg, path, new):
 
 
 def _mutations(base):
-    """(label, config) of base and of every single-key mutation of it."""
-    yield "as given", base
+    """(label, config, refusal) of base and of every single-key mutation of
+    it; refusal is _deletion_refusal's path for a deletion, else None."""
+    yield "as given", base, None
     for path, schema, value in _nodes(base, CONFIG_SCHEMA):
         if isinstance(value, dict):
-            yield f"{path} extra key", _set(base, path + ("extra",), 1)
+            yield f"{path} extra key", _set(base, path + ("extra",), 1), None
         if not path:
             continue
-        yield f"{path} missing", _set(base, path, _DELETE)
+        cfg = _set(base, path, _DELETE)
+        yield f"{path} missing", cfg, _deletion_refusal(base, cfg, path)
         for kind, new in _replacements(schema, value):
-            yield f"{path} {kind}", _set(base, path, new)
+            yield f"{path} {kind}", _set(base, path, new), None
+
+
+def _deletion_refusal(base, cfg, path):
+    """The JSON path of the load-time rule that deleting the key at path
+    from base breaks, giving cfg, or None.
+
+    The rules are a key that REQUIRED_KEYS asks for, named by its own path,
+    and the weak-form rectangles: none left names weakcheck.rectangles,
+    fewer left than p_indices names weakcheck.p_indices.
+    """
+    *head, key = path
+    section = base
+    for part in head:
+        section = section[part]
+    for (kind_key, kind), keys in config_mod.REQUIRED_KEYS.items():
+        *kind_head, name = kind_key.split(".")
+        if kind_head == head and section.get(name) == kind and key in keys:
+            return "$" + "".join(f".{part}" for part in path)
+    weak = cfg.get("weakcheck")
+    if path[0] != "weakcheck" or weak is None:
+        return None
+    total = len(weak.get("rectangles", [])) + weak.get("random", {}).get("count", 0)
+    if not total:
+        return "$.weakcheck.rectangles"
+    if len(weak.get("p_indices", [])) > total:
+        return "$.weakcheck.p_indices"
+    return None
 
 
 def _outcome(cfg):
@@ -211,15 +241,18 @@ def _outcome(cfg):
     return None
 
 
-def _assert_agrees(label, cfg, validator, best_match):
+def _assert_agrees(label, cfg, validator, best_match, refusal=None):
     expected = best_match(validator.iter_errors(cfg))
     got = _outcome(cfg)
     if expected is not None:
         # the same error, at the same path, in the same words
         assert got == f"config schema violation at {expected.json_path}: {expected.message}", label
     elif any(True for _ in config_mod._non_finite(cfg)):
-        # the one allowed difference: jsonschema accepts NaN and +-Infinity
+        # an allowed difference: jsonschema accepts NaN and +-Infinity
         assert got is not None and got.endswith("is not a finite number"), label
+    elif refusal is not None:
+        # the other: a deleted key that a kind or the weak-form check needs
+        assert got is not None and got.startswith(f"config schema violation at {refusal}: "), label
     else:
         assert got is None, label
 
@@ -233,8 +266,8 @@ def test_schema_walk_agrees_with_jsonschema(name):
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     mutations = list(_mutations(_BASES[name]))
     assert len(mutations) > 50
-    for label, cfg in mutations:
-        _assert_agrees(label, cfg, validator, jsonschema.exceptions.best_match)
+    for label, cfg, refusal in mutations:
+        _assert_agrees(label, cfg, validator, jsonschema.exceptions.best_match, refusal)
 
 
 @pytest.mark.parametrize("name", sorted(_BASES))
