@@ -25,18 +25,24 @@ n = n0(X0(Xhat - v t)), height N = N0hat(Xhat - v t), densities
 rho_s = 1dr/(2 pi), rho_p = n rho_s, effective velocity v_eff = v_dr/1dr,
 and the characteristic u = X0(Xhat - v t) (the initial position of the
 trajectory through (t,x)).  ``states_batch`` returns a batch as one
-``States`` record of arrays (fields below).  It solves the points of a
-batch coarse to fine along lines of fixed t, one per time with many
-points.  On each line every STRIDE-th point is solved cold from Xhat = x,
-then the others from the cubic Hermite of Xhat and its derivative
-d_x Xhat = 1dr between solved neighbours (Doyon, Spohn and Yoshimura,
-Nucl. Phys. B 926 (2018), give the coordinate change; the identity is
-acceptance criterion 06).  The start only saves iterations: every row
-stops on the same a-posteriori bound.  It is the one state entry point;
-``sweep`` is the same call and ``state`` and ``solve`` are one-row views,
-kept because the benchmark tracer (ghdbench/tracer.py) wraps them by name.
-The working set of a large batch is bounded inside ``SeedTables.invert``,
-which walks its cell path in blocks of rows.
+``States`` record of arrays (fields below).
+
+A row solved cold starts at the seed map Xhat = x + T B(x - v t), the
+seed heights free-streamed along x - v t, one order in T closer than x
+(Doyon, Spohn and Yoshimura, Nucl. Phys. B 926 (2018), give the
+coordinate change).  At t = 0 it is the fixed point A(x) itself to
+round-off, so a t = 0 row stops after one iteration, whose increment is
+its recovery certificate.  ``states_batch`` solves the points of a batch
+coarse to fine along lines of fixed t, one per time with many points: on
+each line of t != 0 every STRIDE-th point is solved cold, then the others
+from the cubic Hermite of Xhat and its derivative d_x Xhat = 1dr between
+solved neighbours (the identity is acceptance criterion 06); every t = 0
+point is solved cold.  The start only saves iterations: every row stops
+on the same a-posteriori bound.  ``states_batch`` is the one state entry
+point; ``sweep`` is the same call and ``state`` and ``solve`` are one-row
+views, kept because the benchmark tracer (ghdbench/tracer.py) wraps them
+by name.  The working set of a large batch is bounded inside
+``SeedTables.invert``, which walks its cell path in blocks of rows.
 """
 
 from __future__ import annotations
@@ -129,7 +135,7 @@ def _levels(ts: np.ndarray, xs: np.ndarray):
     points of lower levels on its left and right on its line.  Along a
     line, position j is level 0 when j % STRIDE == 0 or it is the last,
     level 1 when j is even and level 2 when j is odd; a time with fewer
-    than MIN_GROUP distinct points is all level 0.
+    than MIN_GROUP distinct points, and t = 0, is all level 0.
     """
     m = xs.size
     order = np.lexsort((xs, ts))
@@ -147,7 +153,8 @@ def _levels(ts: np.ndarray, xs: np.ndarray):
     start, end = first[line], np.r_[first[1:], home.size][line] - 1
     j = pos - start
     level = np.where(j % 2 == 0, 1, 2)
-    level[(j % STRIDE == 0) | (pos == end) | (end - start + 1 < MIN_GROUP)] = 0
+    level[(j % STRIDE == 0) | (pos == end) | (end - start + 1 < MIN_GROUP)
+          | (ts[home] == 0)] = 0
     step = np.where(level == 1, STRIDE, 2)
     left = pos - j % step
     return home, point, level, left, np.minimum(left + step, end)
@@ -204,6 +211,9 @@ class Solver:
         """Solve the fixed point at the points (t_i, x_i).
 
         t and xs are scalars or 1-D arrays broadcast against each other.
+        Rows start at warm, (m, N) or broadcast to it, or when warm is
+        None at the seed map x + T B(x - v t), which at t = 0 is the fixed
+        point A(x) to round-off.
         Returns (xhat (m,N), iters (m,), residuals (m,), ratio (m,)), ratio
         the worst measured contraction ratio of each row (0 when none was
         measured).  Converged rows are frozen so late iterations of slow
@@ -214,8 +224,13 @@ class Solver:
         ts, xs = self._rows(t, xs)
         m = xs.size
         N = self.op.count
-        xhat = np.broadcast_to(xs[:, None], (m, N)).copy() if warm is None \
-            else np.array(np.broadcast_to(warm, (m, N)), dtype=float)
+        if warm is None:
+            # the seed map x + T B(x - v t): the seed heights free-streamed
+            # to (t, x), the fixed point A(x) itself at t = 0 to round-off
+            height = self.tab.height0_cols(xs[:, None] - np.multiply.outer(ts, self.op.v))
+            xhat = xs[:, None] + height @ self.op.TW.T
+        else:
+            xhat = np.array(np.broadcast_to(warm, (m, N)), dtype=float)
         iters = np.zeros(m, dtype=int)
         resid = np.full(m, np.inf)
         ratio = np.zeros(m)
@@ -270,8 +285,10 @@ class Solver:
         Equal points (0.0 and -0.0 alike) are solved once.  The distinct
         points of each time lie on its line of fixed t, sorted by x
         (``_levels``), solved in three levels: level 0 is every STRIDE-th
-        point and the last, level 1 every 2nd point left, level 2 the rest.
-        A level-0 row starts cold.  A row of a later level starts at the
+        point and the last, and every point at t = 0; level 1 every 2nd
+        point left, level 2 the rest.  A level-0 row starts cold, at the
+        seed map (``solve_batch``), which a t = 0 row leaves after one
+        iteration.  A row of a later level starts at the
         per-column cubic Hermite, in x, of xhat and its x-derivative one_dr
         between its nearest solved neighbours, and its dressing at their
         linear interpolant of (one_dr, v_dr), so no field is added.  A time

@@ -130,18 +130,23 @@ def _bilinear(xs, ys, table, x, y):
             + (1 - tx) * ty * table[i, j + 1] + tx * ty * table[i + 1, j + 1])
 
 
-def _read_table_csv(path, what: str):
+def _read_table_csv(path, where: str):
     """(row nodes, column nodes, values) of a CSV table: a header row of column
     nodes, then data rows (row node, values...); the corner cell is a label.
-    Any other cell that is not a finite number is a ConfigError naming it."""
-    raw = np.genfromtxt(path, delimiter=",", dtype=float)
+    A file that cannot be read, a ragged row, or any other cell that is not
+    a finite number is a ConfigError naming the config key ``where`` that
+    gives the path, and the file."""
+    try:
+        raw = np.genfromtxt(path, delimiter=",", dtype=float)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot read table {path}: {exc}") from exc
     if raw.ndim != 2 or raw.shape[0] < 3 or raw.shape[1] < 3:
-        raise ConfigError(f"{what} CSV {path} must be at least 2x2 plus axes")
+        raise ConfigError(f"{where}: table {path} must be at least 2x2 plus axes")
     bad = ~np.isfinite(raw)
     bad[0, 0] = False
     if bad.any():
         row, col = np.argwhere(bad)[0] + 1
-        raise ConfigError(f"{what} CSV {path}: the cell at row {row}, column {col} "
+        raise ConfigError(f"{where}: table {path}: the cell at row {row}, column {col} "
                           "is not a finite number")
     return raw[1:, 0], raw[0, 1:], raw[1:, 1:]
 
@@ -211,5 +216,5 @@ class KernelOperator:
 
 def load_tabulated_kernel_csv(path, velocity: Velocity | None = None) -> ScatteringKernel:
     """Kernel table from CSV: header row of q nodes, data rows (p, values...)."""
-    p_nodes, q_nodes, values = _read_table_csv(path, "tabulated kernel")
+    p_nodes, q_nodes, values = _read_table_csv(path, "$.kernel.csv")
     return tabulated_kernel(p_nodes, q_nodes, values, velocity)

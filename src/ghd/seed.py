@@ -27,6 +27,14 @@ slopes, which is exact for scenarios that are constant or decayed beyond
 the window.  Partitioning scenarios bypass quadrature entirely: their
 tables are exactly piecewise linear with one slope per side of the jump.
 
+The tables live on uniform nodes x_i = dx (i - origin), origin the index
+of the node x = 0, and SeedTables checks that once.  The step is read at
+the origin, dx = x_nodes[origin + 1], which is exact as the nodes are
+dx k (x_nodes[1] - x_nodes[0] can be off by round-off).  So a position's cell is one
+floor of x / dx, and an inverse's x is ((cell - origin) + s) dx, with no
+gather of x_nodes.  The forward direction evaluates A (``xhat0_cols``) or
+B (``height0_cols``, the fixed point's cold start) per column that way.
+
 Inversion costs O(1) per query.  The bi-Lipschitz bound dA/dx >= R > 0
 makes every cell of column j at least min_i (A[i+1, j] - A[i, j]) wide in
 zhat, so a uniform guide table of buckets just narrower than that holds at
@@ -176,7 +184,7 @@ def tabulated_xy(x_rows: np.ndarray, p_cols: np.ndarray,
 
 def load_tabulated_xy_csv(path) -> Scenario:
     """Scenario table from CSV: header row of p nodes, data rows (x, values...)."""
-    return tabulated_xy(*_read_table_csv(path, "tabulated scenario"))
+    return tabulated_xy(*_read_table_csv(path, "$.scenario.csv"))
 
 
 def zero_scenario() -> Scenario:
@@ -308,6 +316,22 @@ def _guide_table(A: np.ndarray):
     return A[0], width, np.clip(guide, 0, nx - 2).ravel(), rounds
 
 
+def _uniform_origin(x_nodes: np.ndarray) -> tuple[int, float]:
+    """(origin, dx) of nodes x_i = dx (i - origin): origin the index of the
+    node x = 0 and dx the node next to it, exact on such a grid.  Nodes of
+    any other form are a NumericalError naming the clause they break."""
+    zero = np.flatnonzero(x_nodes == 0.0)
+    if zero.size != 1 or x_nodes.size < 2:
+        raise NumericalError("seed grid must hold the node x = 0 exactly once "
+                             "among at least two nodes")
+    origin = int(zero[0])
+    dx = float(x_nodes[origin + 1] if origin + 1 < x_nodes.size else -x_nodes[origin - 1])
+    if not (dx > 0 and np.array_equal(x_nodes, dx * (np.arange(x_nodes.size) - origin))):
+        raise NumericalError("seed grid must be uniform, x_i = dx (i - origin) "
+                             "with dx > 0 and x_origin = 0")
+    return origin, dx
+
+
 # ---------------------------------------------------------------------------
 # seed tables
 
@@ -337,6 +361,7 @@ class SeedTables:
         # invert gathers a cell's entries from flat views (copies unless the
         # tables are in C order)
         self._flat = tuple(a.ravel() for a in (self.A, self.dA, self.B, self.dB))
+        self._origin, self._dx = _uniform_origin(self.x_nodes)
         (self._guide_origin, self._guide_width, self._guide,
          self._guide_rounds) = _guide_table(self.A)
 
@@ -350,23 +375,37 @@ class SeedTables:
 
     # -- forward direction ---------------------------------------------------
 
-    def xhat0_cols(self, x: np.ndarray) -> np.ndarray:
-        """X0hat evaluated per column at per-column positions x (..., N)."""
+    def _forward(self, y: np.ndarray, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Table y with node slopes dy evaluated per column at per-column
+        positions x (..., N): the cell cubic inside the window, the boundary
+        node's linear extension outside it."""
         x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(self.x_nodes, x.ravel()).reshape(x.shape) - 1,
-                    0, self.x_nodes.size - 2)
-        cols = np.broadcast_to(np.arange(self.A.shape[1]), x.shape)
-        xl = self.x_nodes[i]
-        h = self.x_nodes[i + 1] - xl
-        y0 = self.A[i, cols]
-        c = _cell_cubic(self.mode, y0, self.A[i + 1, cols], self.dA[i, cols],
-                        self.dA[i + 1, cols], h)
-        out = _horner(y0, c, (x - xl) / h)
+        nx, N = y.shape
+        u = x / self._dx
+        # the cell k, counted from the origin, and s = u - k of x = (k + s) dx;
+        # fmax/fmin send NaN positions to the first cell
+        k = np.fmin(np.fmax(np.floor(u), -self._origin), nx - 2 - self._origin)
+        at = (k.astype(np.intp) + self._origin) * N + np.arange(N)
+        y, dy = y.ravel(), dy.ravel()
+        y0 = y.take(at)
+        c = _cell_cubic(self.mode, y0, y.take(at + N), dy.take(at), dy.take(at + N), self._dx)
+        out = _horner(y0, c, u - k)
         below = x < self.x_nodes[0]
+        if np.any(below):
+            out = np.where(below, y[:N] + (x - self.x_nodes[0]) * dy[:N], out)
         above = x > self.x_nodes[-1]
-        out = np.where(below, self.A[0][cols] + (x - self.x_nodes[0]) * self.dA[0][cols], out)
-        out = np.where(above, self.A[-1][cols] + (x - self.x_nodes[-1]) * self.dA[-1][cols], out)
+        if np.any(above):
+            out = np.where(above, y[-N:] + (x - self.x_nodes[-1]) * dy[-N:], out)
         return out
+
+    def xhat0_cols(self, x: np.ndarray) -> np.ndarray:
+        """X0hat = A evaluated per column at per-column positions x (..., N)."""
+        return self._forward(self.A, self.dA, x)
+
+    def height0_cols(self, x: np.ndarray) -> np.ndarray:
+        """The seed height B evaluated per column at per-column positions x
+        (..., N)."""
+        return self._forward(self.B, self.dB, x)
 
     # -- inverse direction ---------------------------------------------------
 
@@ -418,19 +457,19 @@ class SeedTables:
         """``invert`` on the cell path for one block of rows (m, N)."""
         N = self.A.shape[1]
         A, dA, B, dB = self._flat
+        h = self._dx
         cells = self._cells(zhat)
         at0 = cells * N + np.arange(N)
         at1 = at0 + N
-        xl = self.x_nodes[cells]
-        h = self.x_nodes[cells + 1] - xl
         a0, a1 = A.take(at0), A.take(at1)
         c = _cell_cubic(self.mode, a0, a1, dA.take(at0), dA.take(at1), h)
-        # the inverse-Hermite start, O(h^4) on smooth tables and s = u on a
-        # chord, and one Newton step
+        # the inverse-Hermite start: the Hermite cubic from (0, 0) to (1, 1)
+        # in u with end slopes d0, d1, O(h^4) on smooth tables and s = u on
+        # a chord; then one Newton step
         span = a1 - a0
         u = np.clip((zhat - a0) / span, 0.0, 1.0)
-        start = _cell_cubic(HERMITE, 0.0, 1.0, span / c[0], span / _slope(c, 1.0), 1.0)
-        s = np.clip(_horner(0.0, start, u), 0.0, 1.0)
+        d0, d1 = span / c[0], span / _slope(c, 1.0)
+        s = np.clip(u * (d0 + u * ((3.0 - 2.0 * d0 - d1) + u * (d0 + d1 - 2.0))), 0.0, 1.0)
         s = np.clip(s - (_horner(a0, c, s) - zhat) / _slope(c, s), 0.0, 1.0)
         # a cell far from a straight line can miss the floor; it is certified
         # monotone, so bisection finishes those entries (out-of-range
@@ -448,7 +487,7 @@ class SeedTables:
         b0 = B.take(at0)
         height = _horner(b0, _cell_cubic(self.mode, b0, B.take(at1), dB.take(at0),
                                          dB.take(at1), h), s)
-        x = xl + s * h
+        x = ((cells - self._origin) + s) * h
 
         below = zhat < self.A[0]
         above = zhat > self.A[-1]
@@ -479,13 +518,16 @@ def cumulative_simpson(y: np.ndarray, *, dx: float, axis: int,
     if y.shape[0] < 3:
         raise ValueError(f"cumulative Simpson needs 3 nodes, got {y.shape[0]}")
     d = np.float64(dx) / 3
-    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
-    h1 = d * (5 * f1 / 4 + 2 * f2 - f3 / 4)
-    h2 = d * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+
+    def h2(f1, f2, f3):
+        return d * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+
+    # the quadratics kept start on the even nodes, and the last on node -3
+    f1, f2, f3 = y[:-2:2], y[1:-1:2], y[2::2]
     sub = np.empty((y.shape[0] - 1,) + y.shape[1:])
-    sub[:-1:2] = h1[::2]
-    sub[1::2] = h2[::2]
-    sub[-1] = h2[-1]
+    sub[:-1:2] = d * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    sub[1::2] = h2(f1, f2, f3)
+    sub[-1] = h2(*y[-3:])
     res = np.cumsum(sub, axis=0)
     res += initial
     return np.moveaxis(np.concatenate((np.full((1,) + y.shape[1:], initial), res)), 0, axis)

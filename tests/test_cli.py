@@ -606,6 +606,13 @@ def test_integer_valued_float_runs_as_integer(tmp_path, key):
 
 _KERNEL_CSV = "pq,-3.0,0.0,3.0\n-3.0,0.05,0.02,0.01\n0.0,0.02,0.08,0.02\n3.0,0.01,0.02,0.05\n"
 _SCENARIO_CSV = "xp,-3.0,0.0,3.0\n-2.0,0.0,0.05,0.0\n0.0,0.05,0.3,0.05\n2.0,0.0,0.05,0.0\n"
+_TABULATED_CONFIG = {
+    "grid": {"p_min": -3.0, "p_max": 3.0, "count": 16},
+    "kernel": {"model": "tabulated", "csv": "kernel.csv"},
+    "scenario": {"kind": "tabulated_xy", "csv": "scenario.csv"},
+    "seed_grid": {"x_min": -3.0, "x_max": 3.0, "count": 120},
+    "solve": {"times": [0.2], "x_min": -2.0, "x_max": 2.0, "x_count": 15},
+}
 
 
 def test_tabulated_kernel_and_scenario_from_csv(tmp_path):
@@ -655,19 +662,36 @@ def test_non_finite_table_cell_exit2(tmp_path, capsys, name, bad):
     tables[name] = "\n".join(lines) + "\n"
     for file, text in tables.items():
         (tmp_path / file).write_text(text)
-    cfg = {
-        "grid": {"p_min": -3.0, "p_max": 3.0, "count": 16},
-        "kernel": {"model": "tabulated", "csv": "kernel.csv"},
-        "scenario": {"kind": "tabulated_xy", "csv": "scenario.csv"},
-        "seed_grid": {"x_min": -3.0, "x_max": 3.0, "count": 120},
-        "solve": {"times": [0.2], "x_min": -2.0, "x_max": 2.0, "x_count": 15},
-    }
-    path = _write(tmp_path, "cfg.json", cfg)
+    path = _write(tmp_path, "cfg.json", _TABULATED_CONFIG)
     out = tmp_path / "out"
     for command in ("check", "solve"):
         assert main([command, "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{tmp_path / name}: the cell at row 3, column 2 is not a finite number" in err
+        assert (f"$.{name}: table {tmp_path / name}: the cell at row 3, column 2 "
+                "is not a finite number") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["missing", "ragged"])
+@pytest.mark.parametrize("name", ["kernel.csv", "scenario.csv"])
+def test_unreadable_table_exit2(tmp_path, capsys, name, fault):
+    # a table that does not exist, or whose third line is one field short;
+    # both ended in an uncaught exception and exit code 1
+    tables = {"kernel.csv": _KERNEL_CSV, "scenario.csv": _SCENARIO_CSV}
+    if fault == "missing":
+        del tables[name]
+    else:
+        lines = tables[name].splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        tables[name] = "\n".join(lines) + "\n"
+    for file, text in tables.items():
+        (tmp_path / file).write_text(text)
+    path = _write(tmp_path, "cfg.json", _TABULATED_CONFIG)
+    out = tmp_path / "out"
+    for command in ("check", "solve"):
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"$.{name}: cannot read table {tmp_path / name}: " in err
     assert not out.exists()
 
 

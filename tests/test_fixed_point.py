@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import ghd
 from ghd.dressing import compute_R, sign_threshold
 from ghd.errors import ConvergenceError
-from ghd.fixed_point import MIN_GROUP, Solver, SolverConfig
+from ghd.fixed_point import MIN_GROUP, Solver, SolverConfig, _levels
 from ghd.kernel import SIGN_MIXED
 from ghd.seed import SpatialGridSpec
 
@@ -423,7 +423,8 @@ def test_ratio_history_matches_per_row_bookkeeping(ll_solver):
     rng = np.random.default_rng(53)
     ts = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 2.0, 10)])
     xs = np.concatenate([[0.0, 1e-9], rng.uniform(-4.0, 4.0, 10)])
-    _, iters, _, ratio = ll_solver.solve_batch(ts, xs)
+    # both loops start at x
+    _, iters, _, ratio = ll_solver.solve_batch(ts, xs, xs[:, None])
     assert len(set(iters.tolist())) > 2
     per_row = _per_row_ratios(ll_solver, ts, xs, ll_solver.config.max_iters)
     assert not per_row[0] and all(per_row[2:])
@@ -436,17 +437,21 @@ def test_convergence_error_quotes_last_eight_ratios(ll_tables):
     expect = [round(r, 4) for r in _per_row_ratios(solver, ts, xs, 14)[0][-8:]]
     assert len(expect) == 8
     with pytest.raises(ConvergenceError) as err:
-        solver.solve_batch(ts, xs)
+        solver.solve_batch(ts, xs, xs[:, None])   # started at x, as expect is
     assert str(err.value).endswith(f"ratio history: {expect}")
 
 
 def _full_size_solve_batch(solver, ts, xs, warm=None):
     """``solve_batch``'s loop as it was before it compacted the open rows:
     every iteration gathers and scatters the active rows of full-size
-    arrays and keeps a full-size row of increments."""
+    arrays and keeps a full-size row of increments.  A cold row starts at
+    the seed map x + T B(x - v t)."""
     m, N = xs.size, solver.op.count
-    f = np.broadcast_to(xs[:, None], (m, N)).copy() if warm is None \
-        else np.array(np.broadcast_to(warm, (m, N)), dtype=float)
+    if warm is None:
+        z = xs[:, None] - np.multiply.outer(ts, solver.op.v)
+        f = xs[:, None] + solver.tab.height0_cols(z) @ solver.op.TW.T
+    else:
+        f = np.array(np.broadcast_to(warm, (m, N)), dtype=float)
     active = np.ones(m, dtype=bool)
     iters = np.zeros(m, dtype=int)
     resid = np.full(m, np.inf)
@@ -483,7 +488,7 @@ def _full_size_solve_batch(solver, ts, xs, warm=None):
 
 def test_compacted_loop_is_bitwise_the_full_size_loop(ll_tables, ll_solver):
     rng = np.random.default_rng(61)
-    # the origin row freezes after one iteration, the others at several
+    # the t = 0 rows freeze after one iteration, the others at several
     ts = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 2.5, 40)])
     xs = np.concatenate([[0.0, 1e-9], rng.uniform(-5.0, 5.0, 40)])
     warm = xs[:, None] + rng.uniform(-0.5, 0.5, (xs.size, ll_solver.op.count))
@@ -619,6 +624,32 @@ def test_coarse_to_fine_saves_iterations(ll_solver, sweep_points, sweep_states):
     assert sweep_states.iters.sum() <= 0.7 * cold.sum()
 
 
+def test_t0_rows_take_one_iteration_and_recover_n0(ll_solver, sweep_states):
+    # every t = 0 point is level 0 and starts at the seed map, the fixed
+    # point A(x) to round-off: its one increment is its certificate
+    at0 = sweep_states.t == 0
+    assert np.count_nonzero(at0) == 201
+    assert np.all(sweep_states.iters[at0] == 1)
+    n0 = ll_solver.tab.scenario.n0(sweep_states.x[at0, None], ll_solver.op.grid.nodes)
+    assert np.max(np.abs(sweep_states.n[at0] - n0)) <= 1e-8
+    home, _, level, _, _ = _levels(sweep_states.t, sweep_states.x)
+    assert np.all(level[sweep_states.t[home] == 0] == 0)
+
+
+def test_cold_start_at_t0_is_the_seed_map(ll_tables, monkeypatch):
+    solver = ghd.Solver(ll_tables)
+    starts = []
+    apply_G = solver.apply_G
+    monkeypatch.setattr(solver, "apply_G",
+                        lambda t, x, f: starts.append(f.copy()) or apply_G(t, x, f))
+    # inside the window [-9.6, 9.6] and on its linear extensions
+    xs = np.linspace(-12.0, 12.0, 97)
+    _, iters, _, _ = solver.solve_batch(0.0, xs)
+    A = ll_tables.xhat0_cols(np.repeat(xs[:, None], solver.op.count, axis=1))
+    assert np.max(np.abs(starts[0] - A)) <= 1e-12
+    assert np.all(iters == 1)
+
+
 def test_rows_of_small_groups_stay_cold(ll_solver, sweep_points):
     rng = np.random.default_rng(71)
     # twelve distinct times and a time of 16 points, then the sweep
@@ -676,8 +707,8 @@ def test_mixed_batch_of_lines_and_singletons(ll_solver):
     line = (perm >= 60) & (perm < 60 + 2 * 41)
     _, iters, _, _ = ll_solver.solve_batch(ts[~line], xs[~line])
     assert np.array_equal(states.iters[~line], iters)
-    # the lines of fixed t start warm
-    _, cold, _, _ = ll_solver.solve_batch(ts[line], xs[line])
+    # the lines of fixed t start warm: against rows started at x
+    _, cold, _, _ = ll_solver.solve_batch(ts[line], xs[line], xs[line][:, None])
     assert states.iters[line].sum() <= 0.7 * cold.sum()
 
 

@@ -8,7 +8,7 @@ import ghd
 import ghd.seed as seed_mod
 from ghd import config as config_mod
 from ghd.dressing import dress_batched
-from ghd.errors import AssumptionError, ConfigError
+from ghd.errors import AssumptionError, ConfigError, NumericalError
 from ghd.kernel import SIGN_MIXED
 from ghd.seed import (HERMITE, INV_TOL, LINEAR, SeedTables, SpatialGridSpec,
                       build_seed, default_spatial_spec)
@@ -259,6 +259,42 @@ def test_out_of_range_queries_never_bisect_an_empty_selection(ll_tables, monkeyp
     x, _ = ll_tables.invert(z)
     assert 0 not in sizes
     assert np.max(np.abs(ll_tables.xhat0_cols(x) - z)) <= 1e-9
+
+
+@pytest.mark.parametrize("x_nodes, clause", [
+    ([0.0, 1.0, 2.5], "must be uniform"),
+    ([-1.0, 0.0, 1.0 + 2.0 ** -52], "must be uniform"),   # one ulp off
+    ([1.0, 0.0, -1.0], "must be uniform"),                # decreasing
+    ([0.5, 1.5, 2.5], "the node x = 0"),
+    ([-0.0, 0.0, 1.0], "the node x = 0"),
+])
+def test_seed_tables_need_uniform_nodes_anchored_at_zero(x_nodes, clause):
+    # the cell path reads x = ((cell - origin) + s) dx
+    A, dA = np.arange(3.0)[:, None], np.ones((3, 1))
+    with pytest.raises(NumericalError, match=clause):
+        SeedTables(None, None, np.array(x_nodes), A, dA, A.copy(), dA.copy(), HERMITE,
+                   None, 0.0, 0.0, 0.0, None, 0.0)
+
+
+def test_seed_step_is_the_builders_step(ll_tables):
+    # read at the origin, the step is exact; x_nodes[1] - x_nodes[0] is not
+    spec = SpatialGridSpec(-9.6, 9.6, 1600)
+    dx = (spec.x_max - spec.x_min) / (spec.count - 1)
+    assert ll_tables._dx == dx != ll_tables.x_nodes[1] - ll_tables.x_nodes[0]
+    assert np.array_equal(ll_tables.x_nodes,
+                          dx * (np.arange(ll_tables.x_nodes.size) - ll_tables._origin))
+
+
+def test_seed_step_read_left_of_an_origin_on_the_last_node():
+    # a scenario supported on x < 0 puts the node x = 0 last
+    x_nodes = np.array([-0.5, -0.25, 0.0])
+    A, dA = 2.0 * x_nodes[:, None], np.full((3, 1), 2.0)
+    tab = SeedTables(None, None, x_nodes, A, dA, 3.0 * A, 3.0 * dA, HERMITE,
+                     None, 0.0, 0.0, 0.0, None, 0.0)
+    assert (tab._origin, tab._dx) == (2, 0.25)
+    x, height = tab.invert(np.array([[-0.7]]))
+    assert abs(x[0, 0] + 0.35) <= 1e-15 and abs(height[0, 0] + 2.1) <= 1e-15
+    assert abs(tab.height0_cols(np.array([[-0.35]]))[0, 0] + 2.1) <= 1e-15
 
 
 def _hand_table(A, mode=LINEAR):
