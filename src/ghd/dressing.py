@@ -149,12 +149,7 @@ def dress_batched(op: KernelOperator, n_rows: np.ndarray, *fs,
         else:
             x_new += np.take(F, rows, axis=1, out=work, mode="clip")
         np.subtract(x_new, x, out=work)
-        if m < _FREEZE_ROWS:
-            # max |work| without an abs pass; a NaN makes both ends NaN
-            delta = float(max(work.max(), -work.min()))
-        else:
-            # the freeze below reads |work| whenever the stop is missed
-            delta = float(np.abs(work, out=work).max())
+        delta = float(np.abs(work, out=work).max())
         x, x_new = x_new, x
         if delta * z <= scale:
             if rows is None:

@@ -390,13 +390,8 @@ class SeedTables:
         y0 = y.take(at)
         c = _cell_cubic(self.mode, y0, y.take(at + N), dy.take(at), dy.take(at + N), self._dx)
         out = _horner(y0, c, u - k)
-        below = x < self.x_nodes[0]
-        if np.any(below):
-            out = np.where(below, y[:N] + (x - self.x_nodes[0]) * dy[:N], out)
-        above = x > self.x_nodes[-1]
-        if np.any(above):
-            out = np.where(above, y[-N:] + (x - self.x_nodes[-1]) * dy[-N:], out)
-        return out
+        out = np.where(x < self.x_nodes[0], y[:N] + (x - self.x_nodes[0]) * dy[:N], out)
+        return np.where(x > self.x_nodes[-1], y[-N:] + (x - self.x_nodes[-1]) * dy[-N:], out)
 
     def xhat0_cols(self, x: np.ndarray) -> np.ndarray:
         """X0hat = A evaluated per column at per-column positions x (..., N)."""
