@@ -30,10 +30,11 @@ tables are exactly piecewise linear with one slope per side of the jump.
 The tables live on uniform nodes x_i = dx (i - origin), origin the index
 of the node x = 0, and SeedTables checks that once.  The step is read at
 the origin, dx = x_nodes[origin + 1], which is exact as the nodes are
-dx k (x_nodes[1] - x_nodes[0] can be off by round-off).  So a position's cell is one
-floor of x / dx, and an inverse's x is ((cell - origin) + s) dx, with no
-gather of x_nodes.  The forward direction evaluates A (``xhat0_cols``) or
-B (``height0_cols``, the fixed point's cold start) per column that way.
+dx k (x_nodes[1] - x_nodes[0] can be off by round-off).  So a position's
+cell is one floor of x / dx, and an inverse's x is ((cell - origin) + s)
+dx, with no gather of x_nodes.  The forward direction evaluates A
+(``xhat0_cols``) or B (``height0_cols``, the fixed point's cold start)
+per column that way.
 
 Inversion costs O(1) per query.  The bi-Lipschitz bound dA/dx >= R > 0
 makes every cell of column j at least min_i (A[i+1, j] - A[i, j]) wide in
